@@ -34,12 +34,6 @@ def _emit_array(lines: list[str], name: str, array: np.ndarray) -> None:
         lines.append(" ".join(_fmt(v) for v in row))
 
 
-def _emit_common(lines: list[str], method: str, dims: tuple[int, int]) -> None:
-    lines.append(MAGIC)
-    lines.append(f"method {method}")
-    lines.append(f"dims {dims[0]} {dims[1]}")
-
-
 def _emit_labels(lines: list[str], labels: list[str]) -> None:
     for label in labels:
         if not label or any(ch.isspace() for ch in label):
@@ -47,9 +41,7 @@ def _emit_labels(lines: list[str], labels: list[str]) -> None:
     lines.append("labels " + " ".join([str(len(labels))] + labels))
 
 
-def _eigen_lines(model: EigenModel) -> list[str]:
-    lines: list[str] = []
-    _emit_common(lines, "eigen", model.dims)
+def _write_eigen(lines: list[str], model: EigenModel) -> None:
     lines.append(f"scalar theta_face {_fmt(model.theta_face)}")
     lines.append(f"scalar theta_known {_fmt(model.theta_known)}")
     _emit_array(lines, "mean", model.mean)
@@ -59,13 +51,9 @@ def _eigen_lines(model: EigenModel) -> list[str]:
     _emit_labels(lines, labels)
     for label in labels:
         _emit_array(lines, f"gallery:{label}", np.vstack(model.gallery[label]))
-    lines.append("end")
-    return lines
 
 
-def _fisher_lines(model: FisherModel) -> list[str]:
-    lines: list[str] = []
-    _emit_common(lines, "fisher", model.dims)
+def _write_fisher(lines: list[str], model: FisherModel) -> None:
     _emit_array(lines, "mean", model.mean)
     _emit_array(lines, "eigenvalues", model.eigenvalues)
     _emit_array(lines, "pca", model.pca)
@@ -74,8 +62,6 @@ def _fisher_lines(model: FisherModel) -> list[str]:
     _emit_labels(lines, labels)
     for label in labels:
         _emit_array(lines, f"centroid:{label}", model.centroids[label])
-    lines.append("end")
-    return lines
 
 
 def _emit_hmm(lines: list[str], prefix: str, model: HmmModel) -> None:
@@ -85,9 +71,7 @@ def _emit_hmm(lines: list[str], prefix: str, model: HmmModel) -> None:
     _emit_array(lines, f"{prefix}:vars", model.variances)
 
 
-def _bank_lines(bank: SubjectBank) -> list[str]:
-    lines: list[str] = []
-    _emit_common(lines, "hmm", bank.params.image_dims)
+def _write_bank(lines: list[str], bank: SubjectBank) -> None:
     lines.append(f"int block_height {bank.params.height}")
     lines.append(f"int overlap {bank.params.overlap}")
     lines.append(f"mode {bank.feature_mode}")
@@ -98,23 +82,14 @@ def _bank_lines(bank: SubjectBank) -> list[str]:
     _emit_labels(lines, labels)
     for label in labels:
         _emit_hmm(lines, f"model:{label}", bank.models[label])
-    lines.append(f"int has_detector {int(bank.detector is not None)}")
-    if bank.detector is not None:
-        _emit_hmm(lines, "detector", bank.detector)
-    lines.append("end")
-    return lines
 
 
 def save_model(model, path: Path) -> None:
     """Serialize a trained model; the write is atomic."""
-    if isinstance(model, EigenModel):
-        lines = _eigen_lines(model)
-    elif isinstance(model, FisherModel):
-        lines = _fisher_lines(model)
-    elif isinstance(model, SubjectBank):
-        lines = _bank_lines(model)
-    else:
-        raise DataError(f"cannot archive object of type {type(model).__name__}")
+    method = method_of(model)
+    lines = [MAGIC, f"method {method}", f"dims {model.dims[0]} {model.dims[1]}"]
+    _FORMATS[method][0](lines, model)
+    lines.append("end")
     path = Path(path)
     payload = "\n".join(lines) + "\n"
     fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", suffix=".tmp")
@@ -212,6 +187,8 @@ class _Reader:
         labels = args[1:]
         if len(labels) != count:
             raise DataError(f"{self.path}: labels record claims {count}, has {len(labels)}")
+        if not labels:
+            raise DataError(f"{self.path}: model has no labels")
         return labels
 
 
@@ -263,10 +240,15 @@ def _load_bank(r: _Reader, dims: tuple[int, int]) -> SubjectBank:
     models = {}
     for label in r.read_labels():
         models[label] = _load_hmm(r, f"model:{label}")
-    detector = None
-    if r.read_int("has_detector"):
-        detector = _load_hmm(r, "detector")
-    return SubjectBank(params, klt, models, detector, mode)
+    return SubjectBank(params, klt, models, mode)
+
+
+# method record -> (body writer, body reader); the header and end are shared
+_FORMATS = {
+    "eigen": (_write_eigen, _load_eigen),
+    "fisher": (_write_fisher, _load_fisher),
+    "hmm": (_write_bank, _load_bank),
+}
 
 
 def load_model(path: Path):
@@ -285,20 +267,16 @@ def load_model(path: Path):
     except (ValueError, IndexError):
         raise DataError(f"{path}: malformed dims record") from None
     method = method_args[0]
-    if method == "eigen":
-        model = _load_eigen(r, dims)
-    elif method == "fisher":
-        model = _load_fisher(r, dims)
-    elif method == "hmm":
-        model = _load_bank(r, dims)
-    else:
+    if method not in _FORMATS:
         raise DataError(f"{path}: unknown method {method!r}")
+    model = _FORMATS[method][1](r, dims)
     if r.next_line().strip() != "end":
         raise DataError(f"{path}: missing end record")
     return model
 
 
 def method_of(model) -> str:
+    """The method record of a model: the one place that maps types to methods."""
     if isinstance(model, EigenModel):
         return "eigen"
     if isinstance(model, FisherModel):

@@ -8,17 +8,17 @@ inputs always produce byte-identical CSV.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import eigenfaces, fisherfaces, hmm1d
+from . import eigenfaces
 from .archive import method_of
 from .dataset import DatasetManifest, GrayImage, flatten, load_labeled_images
 from .eigenfaces import EigenModel
 from .errors import DataError
-from .fisherfaces import FisherModel
-from .hmm1d import SubjectBank
 
 
 @dataclass(frozen=True)
@@ -43,29 +43,10 @@ class ErrorReport:
         return len(self.records)
 
 
-def model_labels(model) -> list[str]:
-    if isinstance(model, EigenModel):
-        return list(model.gallery)
-    if isinstance(model, FisherModel):
-        return list(model.centroids)
-    if isinstance(model, SubjectBank):
-        return list(model.models)
-    raise DataError(f"unsupported model type {type(model).__name__}")
-
-
 def predict(model, image: GrayImage) -> tuple[str, float]:
-    """Uniform prediction surface: (predicted label or marker, score)."""
-    if isinstance(model, EigenModel):
-        decision = eigenfaces.classify(model, flatten(image))
-        score = decision.distance if decision.distance is not None else decision.dffs
-        return eigenfaces.predicted_label(decision), float(score)
-    if isinstance(model, FisherModel):
-        label, dist = fisherfaces.classify(model, flatten(image))
-        return label, dist
-    if isinstance(model, SubjectBank):
-        label, scores = hmm1d.recognize(model, image)
-        return label, scores[label]
-    raise DataError(f"unsupported model type {type(model).__name__}")
+    """(predicted label or marker, score) of any model; DataError for other objects."""
+    method_of(model)
+    return model.predict(image)
 
 
 def evaluate_entries(model, entries: list[tuple[str, str, GrayImage]],
@@ -73,7 +54,7 @@ def evaluate_entries(model, entries: list[tuple[str, str, GrayImage]],
     """Classify labeled (truth, path, image) entries into an ErrorReport."""
     if not entries:
         raise DataError("empty test set")
-    known = set(model_labels(model))
+    known = set(model.labels)
     missing = sorted({truth for truth, _, _ in entries} - known)
     if missing:
         raise DataError(f"test labels not covered by the model: {', '.join(missing)}")
@@ -90,26 +71,22 @@ def evaluate_entries(model, entries: list[tuple[str, str, GrayImage]],
 
 def evaluate(model, test: DatasetManifest, split_desc: str = "full") -> ErrorReport:
     """Evaluate against every image referenced by the manifest."""
-    if test.dims != _model_dims(model):
-        raise DataError(f"dataset dims {test.dims} != model dims {_model_dims(model)}")
+    if test.dims != model.dims:
+        raise DataError(f"dataset dims {test.dims} != model dims {model.dims}")
     entries = [(label, str(path), image)
                for label, path, image in load_labeled_images(test)]
     return evaluate_entries(model, entries, split_desc)
 
 
-def _model_dims(model) -> tuple[int, int]:
-    if isinstance(model, SubjectBank):
-        return model.params.image_dims
-    return model.dims
-
-
 def report_to_csv(report: ErrorReport) -> str:
     """CSV with columns path,truth,prediction,score,correct, rows in path order."""
-    lines = ["path,truth,prediction,score,correct"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["path", "truth", "prediction", "score", "correct"])
     for rec in report.records:
-        lines.append(f"{rec.path},{rec.truth},{rec.prediction},"
-                     f"{format(rec.score, '.17g')},{int(rec.correct)}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([rec.path, rec.truth, rec.prediction,
+                         format(rec.score, ".17g"), int(rec.correct)])
+    return buf.getvalue()
 
 
 def threshold_sweep(model: EigenModel, known: list[GrayImage],

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import bench, dispatcher, hmm1d
-from .archive import load_model, save_model
+from .archive import load_model, method_of, save_model
 from .dataset import (SplitSpec, flatten, load_labeled_images, load_labeled_vectors,
                       load_pgm_file, scan_dataset, split)
 from .eigenfaces import EigenModel, train_eigen
@@ -169,13 +169,10 @@ def _cmd_train(args) -> int:
 
 
 def _load_multi(models_dir: Path) -> tuple[EigenModel, FisherModel, SubjectBank]:
-    eigen = load_model(models_dir / "eigen.ffm")
-    fisher = load_model(models_dir / "fisher.ffm")
-    bank = load_model(models_dir / "hmm.ffm")
-    if not isinstance(eigen, EigenModel) or not isinstance(fisher, FisherModel) \
-            or not isinstance(bank, SubjectBank):
+    models = tuple(load_model(models_dir / f"{method}.ffm") for method in dispatcher.METHODS)
+    if tuple(method_of(model) for model in models) != dispatcher.METHODS:
         raise DataError(f"{models_dir}: unexpected model types in eigen/fisher/hmm files")
-    return eigen, fisher, bank
+    return models
 
 
 def _cmd_recognize(args) -> int:
@@ -231,29 +228,21 @@ def _cmd_assess(args) -> int:
 
 def _cmd_inspect(args) -> int:
     model = load_model(args.model)
-    if isinstance(model, EigenModel):
-        print("method,eigen")
-        print(f"dims,{model.dims[0]},{model.dims[1]}")
+    method = method_of(model)
+    print(f"method,{method}")
+    print(f"dims,{model.dims[0]},{model.dims[1]}")
+    if method == "eigen":
         print(f"components,{model.k}")
         print(f"theta_face,{format(model.theta_face, '.17g')}")
         print(f"theta_known,{format(model.theta_known, '.17g')}")
-        labels = model.labels
-    elif isinstance(model, FisherModel):
-        print("method,fisher")
-        print(f"dims,{model.dims[0]},{model.dims[1]}")
+    elif method == "fisher":
         print(f"discriminants,{model.m}")
-        labels = model.labels
     else:
-        print("method,hmm")
-        dims = model.params.image_dims
-        print(f"dims,{dims[0]},{dims[1]}")
         print(f"states,{next(iter(model.models.values())).n_states}")
         print(f"block_height,{model.params.height}")
         print(f"overlap,{model.params.overlap}")
         print(f"features,{model.feature_mode}")
-        print(f"detector,{int(model.detector is not None)}")
-        labels = model.labels
-    print(f"labels,{' '.join(labels)}")
+    print(f"labels,{' '.join(model.labels)}")
     return EXIT_OK
 
 

@@ -166,23 +166,16 @@ def recognize_multi(
     image: GrayImage,
 ) -> tuple[str, str, ImageProfile]:
     """Profile, select a recognizer, and delegate; returns (method, label, profile)."""
-    labels = sorted(eigen.gallery)
-    if sorted(fisher.centroids) != labels or sorted(bank.models) != labels:
+    if not eigen.labels == fisher.labels == bank.labels:
         raise DataError("models were trained on different label sets")
-    if eigen.dims != fisher.dims or eigen.dims != bank.params.image_dims:
+    if not eigen.dims == fisher.dims == bank.dims:
         raise DataError("models were trained on different image dimensions")
     if (image.h, image.w) != eigen.dims:
         raise DataError(f"image dims {(image.h, image.w)} != model dims {eigen.dims}")
     prof = profile(image, eigen, frontal_ref, bank, context)
     method = select(prof, policy)
-    face = flatten(image)
-    if method == METHOD_EIGEN:
-        label = eigenfaces.predicted_label(eigenfaces.classify(eigen, face))
-    elif method == METHOD_FISHER:
-        label = fisherfaces.classify(fisher, face)[0]
-    else:
-        label = hmm1d.recognize(bank, image)[0]
-    return method, label, prof
+    model = {METHOD_EIGEN: eigen, METHOD_FISHER: fisher, METHOD_HMM: bank}[method]
+    return method, model.predict(image)[0], prof
 
 
 def write_policy_file(path: Path, policy: DispatchPolicy, context: ProfileContext,

@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, NumericError
-from .numerics import fix_signs, sym_eigen
-
-EPS_CUT_REL = 1e-10  # discard eigenvalues below this fraction of the largest
+from .dataset import GrayImage, flatten
+from .errors import DataError
+# sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
+from .numerics import check_face, gram_pca, require_shape, sym_eigen
 
 FACE = "face"
 UNKNOWN_FACE = "unknown-face"
@@ -40,6 +40,13 @@ class EigenModel:
         # canonical label order; nearest-neighbor ties then resolve low
         object.__setattr__(self, "gallery",
                            {lb: tuple(self.gallery[lb]) for lb in sorted(self.gallery)})
+        d, k = self.dims[0] * self.dims[1], np.shape(self.basis)[-1]
+        require_shape("eigen mean", self.mean, (d,))
+        require_shape("eigen basis", self.basis, (d, k))
+        require_shape("eigen eigenvalues", self.eigenvalues, (k,))
+        for label, entries in self.gallery.items():
+            for entry in entries:
+                require_shape(f"eigen gallery entry {label!r}", entry, (k,))
 
     @property
     def k(self) -> int:
@@ -48,6 +55,13 @@ class EigenModel:
     @property
     def labels(self) -> list[str]:
         return list(self.gallery)
+
+    def predict(self, image: GrayImage) -> tuple[str, float]:
+        """(label or rejection marker, score); the score is the nearest-neighbor
+        distance, or the face-space distance for a probe rejected as not a face."""
+        decision = classify(self, flatten(image))
+        score = decision.distance if decision.distance is not None else decision.dffs
+        return predicted_label(decision), float(score)
 
 
 @dataclass(frozen=True)
@@ -85,9 +99,8 @@ def train_eigen(
 ) -> EigenModel:
     """Fit mean, eigenface basis and per-class weight gallery.
 
-    k is a request: the retained count is min(k, M-1, surviving rank), where
-    eigenvalues below EPS_CUT_REL * lambda_max are dropped to avoid dividing
-    by sqrt(lambda) ~ 0 in the map back to pixel space. Default thresholds:
+    k is a request: the retained count is min(k, M-1, surviving rank), the
+    rank cut being numerics.gram_pca's. Default thresholds:
     theta_face = 3x the 95th percentile of training face-space residuals,
     theta_known = 3x the largest intra-class gallery distance (both get a
     small scale-relative floor so full-rank self-matching stays stable).
@@ -105,17 +118,7 @@ def train_eigen(
 
     psi = gamma.mean(axis=1)
     phi = gamma - psi[:, None]
-    gram = phi.T @ phi
-    gram = 0.5 * (gram + gram.T)
-    res = sym_eigen(gram)
-
-    lam_max = float(res.eigenvalues[0]) if res.eigenvalues.size else 0.0
-    surviving = int(np.sum(res.eigenvalues > EPS_CUT_REL * max(lam_max, 0.0)))
-    if lam_max <= 0.0 or surviving == 0:
-        raise NumericError("no surviving eigenpair: all training images are identical")
-    keep = min(k, m - 1, surviving)
-    lam = res.eigenvalues[:keep].copy()
-    basis = fix_signs(phi @ res.eigenvectors[:, :keep] / np.sqrt(lam))
+    basis, lam = gram_pca(phi, min(k, m - 1))
 
     weights = basis.T @ phi  # K x M
     residual = phi - basis @ weights
@@ -142,16 +145,9 @@ def train_eigen(
     return EigenModel(dims, psi, basis, lam, gallery, float(theta_face), float(theta_known))
 
 
-def _check_face(model: EigenModel, face: np.ndarray) -> np.ndarray:
-    face = np.asarray(face, dtype=np.float64).reshape(-1)
-    if face.size != model.mean.size:
-        raise DataError(f"face vector length {face.size} != model dimension {model.mean.size}")
-    return face
-
-
 def project(model: EigenModel, face: np.ndarray) -> np.ndarray:
     """Weights omega = U^T (face - mean)."""
-    face = _check_face(model, face)
+    face = check_face(face, model.mean)
     return model.basis.T @ (face - model.mean)
 
 
@@ -165,7 +161,7 @@ def reconstruct(model: EigenModel, weights: np.ndarray) -> np.ndarray:
 
 def dffs(model: EigenModel, face: np.ndarray) -> float:
     """Distance from face space: norm of the component outside span(U)."""
-    face = _check_face(model, face)
+    face = check_face(face, model.mean)
     phi = face - model.mean
     return float(np.linalg.norm(phi - model.basis @ (model.basis.T @ phi)))
 
@@ -177,7 +173,7 @@ def classify(model: EigenModel, face: np.ndarray) -> EigenDecision:
     """
     if not model.gallery:
         raise DataError("cannot classify with an empty gallery")
-    face = _check_face(model, face)
+    face = check_face(face, model.mean)
     phi = face - model.mean
     weights = model.basis.T @ phi
     residual = float(np.linalg.norm(phi - model.basis @ weights))

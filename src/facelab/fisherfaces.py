@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import GrayImage, flatten
 from .errors import DataError, NumericError, SingularOrIndefinite
-from .numerics import fix_signs, gen_sym_eigen, sym_eigen
-from .eigenfaces import EPS_CUT_REL
+# sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
+from .numerics import check_face, gen_sym_eigen, gram_pca, require_shape, sym_eigen
 
 RIDGE_REL = 1e-8  # ridge added to within-class scatter when Cholesky fails
 EIGENVALUE_REL_CUT = 1e-10  # generalized eigenvalues kept relative to largest
@@ -47,6 +48,13 @@ class FisherModel:
         # canonical label order; nearest-centroid ties then resolve low
         object.__setattr__(self, "centroids",
                            {lb: self.centroids[lb] for lb in sorted(self.centroids)})
+        d, p, m = self.dims[0] * self.dims[1], np.shape(self.pca)[-1], np.shape(self.fld)[-1]
+        require_shape("fisher mean", self.mean, (d,))
+        require_shape("fisher pca", self.pca, (d, p))
+        require_shape("fisher fld", self.fld, (p, m))
+        require_shape("fisher eigenvalues", self.eigenvalues, (m,))
+        for label, centroid in self.centroids.items():
+            require_shape(f"fisher centroid {label!r}", centroid, (m,))
 
     @property
     def m(self) -> int:
@@ -55,6 +63,10 @@ class FisherModel:
     @property
     def labels(self) -> list[str]:
         return list(self.centroids)
+
+    def predict(self, image: GrayImage) -> tuple[str, float]:
+        """(nearest-centroid label, its discriminant-space distance)."""
+        return classify(self, flatten(image))
 
 
 def _group(samples: list[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -96,20 +108,6 @@ def compute_scatter(samples: list[tuple[str, np.ndarray]]) -> ScatterPair:
     between = 0.5 * (between + between.T)
     within = 0.5 * (within + within.T)
     return ScatterPair(between, within, d, len(groups), counts, class_means, mean)
-
-
-def _pca_pre_projection(phi: np.ndarray, target: int) -> np.ndarray:
-    """Top min(target, rank) eigenvectors of the total scatter, via the Gram trick."""
-    gram = phi.T @ phi
-    gram = 0.5 * (gram + gram.T)
-    res = sym_eigen(gram)
-    lam_max = float(res.eigenvalues[0]) if res.eigenvalues.size else 0.0
-    surviving = int(np.sum(res.eigenvalues > EPS_CUT_REL * max(lam_max, 0.0)))
-    if lam_max <= 0.0 or surviving == 0:
-        raise NumericError("total scatter is zero: all training images are identical")
-    p = min(target, surviving)
-    lam = res.eigenvalues[:p]
-    return fix_signs(phi @ res.eigenvectors[:, :p] / np.sqrt(lam))
 
 
 def _solve_fld(between: np.ndarray, within: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,7 +153,7 @@ def train_fisher(
     gamma = np.vstack([groups[label] for label in groups]).T  # D x N
     mean = gamma.mean(axis=1)
     phi = gamma - mean[:, None]
-    pca = _pca_pre_projection(phi, n_total - c)
+    pca = gram_pca(phi, n_total - c)[0]
 
     reduced = [(label, pca.T @ (vec - mean))
                for label, g in groups.items() for vec in g]
@@ -190,16 +188,9 @@ def train_fisher(
     return FisherModel(dims, mean, pca, fld, centroids, lam)
 
 
-def _check_face(model: FisherModel, face: np.ndarray) -> np.ndarray:
-    face = np.asarray(face, dtype=np.float64).reshape(-1)
-    if face.size != model.mean.size:
-        raise DataError(f"face vector length {face.size} != model dimension {model.mean.size}")
-    return face
-
-
 def project(model: FisherModel, face: np.ndarray) -> np.ndarray:
     """Discriminant-space coordinates W_fld^T W_pca^T (face - mean)."""
-    face = _check_face(model, face)
+    face = check_face(face, model.mean)
     return model.fld.T @ (model.pca.T @ (face - model.mean))
 
 

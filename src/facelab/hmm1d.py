@@ -20,7 +20,8 @@ import numpy as np
 
 from .dataset import GrayImage
 from .errors import DataError, NumericError
-from .numerics import fix_signs, sym_eigen
+# sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
+from .numerics import gram_pca, require_shape, sym_eigen
 
 log = logging.getLogger(__name__)
 
@@ -35,7 +36,6 @@ DEFAULT_MAX_ITER = 20
 FEATURE_KLT = "klt"
 FEATURE_RAW = "raw"
 
-_EPS_CUT_REL = 1e-10
 _GAMMA_FLOOR = 1e-12  # state occupancy below this counts as empty
 
 
@@ -76,6 +76,9 @@ class KltBasis:
     mean: np.ndarray  # length L*W
     basis: np.ndarray  # d x (L*W)
 
+    def __post_init__(self):
+        require_shape("KLT basis", self.basis, (np.shape(self.basis)[0], np.size(self.mean)))
+
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
@@ -95,6 +98,7 @@ class HmmModel:
         n = self.trans.shape[0]
         if self.trans.shape != (n, n) or self.means.shape[0] != n:
             raise DataError("inconsistent HMM parameter shapes")
+        require_shape("HMM variances", self.variances, self.means.shape)
         if self.start.shape != (n,) or self.start[0] != 1.0 or np.any(self.start[1:] != 0.0):
             raise DataError("left-to-right HMM must start deterministically in state 0")
         off = self.trans.copy()
@@ -127,16 +131,32 @@ class SubjectBank:
     params: BlockParams
     klt: KltBasis | None  # None when feature_mode == FEATURE_RAW
     models: dict[str, HmmModel]
-    detector: HmmModel | None = None
     feature_mode: str = FEATURE_KLT
 
     def __post_init__(self):
         object.__setattr__(self, "models",
                            {lb: self.models[lb] for lb in sorted(self.models)})
+        if (self.klt is None) != (self.feature_mode == FEATURE_RAW):
+            raise DataError(f"feature mode {self.feature_mode!r} does not match the KLT basis")
+        if self.klt is not None:
+            require_shape("KLT mean", self.klt.mean, (self.params.block_dim,))
+            for label, model in self.models.items():
+                if model.dim != self.klt.dim:
+                    raise DataError(f"HMM {label!r} state dimension {model.dim} != "
+                                    f"KLT dimension {self.klt.dim}")
 
     @property
     def labels(self) -> list[str]:
         return list(self.models)
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.params.image_dims
+
+    def predict(self, image: GrayImage) -> tuple[str, float]:
+        """(maximum-likelihood subject, its forward log-likelihood)."""
+        label, scores = recognize(self, image)
+        return label, scores[label]
 
 
 def extract_blocks(image: GrayImage, params: BlockParams) -> np.ndarray:
@@ -157,33 +177,17 @@ def extract_blocks(image: GrayImage, params: BlockParams) -> np.ndarray:
 def fit_klt(blocks: np.ndarray, d: int) -> KltBasis:
     """PCA of the block set, truncated to min(d, surviving rank) components.
 
-    Uses the Gram-matrix route when there are fewer blocks than block
-    dimensions, the direct scatter matrix otherwise.
+    numerics.gram_pca picks the Gram-matrix route when there are no more
+    blocks than block dimensions, the direct scatter matrix otherwise.
     """
     blocks = np.asarray(blocks, dtype=np.float64)
-    n, dim = blocks.shape
+    n, _ = blocks.shape
     if n < 2:
         raise DataError(f"need at least 2 blocks to fit a KLT basis, got {n}")
     if d < 1:
         raise DataError(f"coefficient count must be >= 1, got {d}")
     mean = blocks.mean(axis=0)
-    centered = blocks - mean
-    if n <= dim:
-        gram = centered @ centered.T
-        res = sym_eigen(0.5 * (gram + gram.T))
-    else:
-        scatter = centered.T @ centered
-        res = sym_eigen(0.5 * (scatter + scatter.T))
-    lam_max = float(res.eigenvalues[0])
-    surviving = int(np.sum(res.eigenvalues > _EPS_CUT_REL * max(lam_max, 0.0)))
-    if lam_max <= 0.0 or surviving == 0:
-        raise NumericError("all blocks identical: zero variance")
-    keep = min(d, surviving)
-    if n <= dim:
-        lam = res.eigenvalues[:keep]
-        components = fix_signs(centered.T @ res.eigenvectors[:, :keep] / np.sqrt(lam))
-    else:
-        components = res.eigenvectors[:, :keep]
+    components = gram_pca((blocks - mean).T, d)[0]
     return KltBasis(mean, components.T.copy())
 
 
@@ -487,13 +491,9 @@ def baum_welch(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL
     return model
 
 
-def _image_blocks(image: GrayImage, bank_params: BlockParams) -> np.ndarray:
-    return extract_blocks(image, bank_params)
-
-
 def features_for(bank: SubjectBank, image: GrayImage) -> np.ndarray:
     """Observation sequence for an image under the bank's feature transform."""
-    blocks = _image_blocks(image, bank.params)
+    blocks = extract_blocks(image, bank.params)
     if bank.feature_mode == FEATURE_RAW:
         return blocks
     return observe(blocks, bank.klt)
@@ -507,13 +507,11 @@ def train_bank(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     feature_mode: str = FEATURE_KLT,
-    with_detector: bool = False,
 ) -> SubjectBank:
     """One left-to-right HMM per subject over a shared KLT feature space.
 
     Pipeline per subject: uniform segmentation init, Viterbi re-estimation,
-    then Baum-Welch. With with_detector=True an extra model is trained on
-    all subjects pooled, for face/non-face screening.
+    then Baum-Welch.
     """
     if feature_mode not in (FEATURE_KLT, FEATURE_RAW):
         raise DataError(f"unknown feature mode {feature_mode!r}")
@@ -530,7 +528,7 @@ def train_bank(
     by_label: dict[str, list[np.ndarray]] = {}
     all_blocks = []
     for label, image in train:
-        blocks = _image_blocks(image, params)
+        blocks = extract_blocks(image, params)
         by_label.setdefault(label, []).append(blocks)
         all_blocks.append(blocks)
 
@@ -547,14 +545,7 @@ def train_bank(
         model = init_uniform(seqs, n_states)
         model = viterbi_train(model, seqs, tol, max_iter)
         models[label] = baum_welch(model, seqs, tol, max_iter)
-
-    detector = None
-    if with_detector:
-        pooled = [to_obs(b) for b in all_blocks]
-        detector = init_uniform(pooled, n_states)
-        detector = viterbi_train(detector, pooled, tol, max_iter)
-        detector = baum_welch(detector, pooled, tol, max_iter)
-    return SubjectBank(params, klt, models, detector, feature_mode)
+    return SubjectBank(params, klt, models, feature_mode)
 
 
 def recognize(bank: SubjectBank, image: GrayImage) -> tuple[str, dict[str, float]]:
@@ -566,23 +557,3 @@ def recognize(bank: SubjectBank, image: GrayImage) -> tuple[str, dict[str, float
         if score > best_score:
             best, best_score = label, score
     return best, scores
-
-
-def detect_face(bank: SubjectBank, image: GrayImage, theta: float) -> bool:
-    """True iff the pooled-face model's per-observation log-likelihood >= theta."""
-    if bank.detector is None:
-        raise DataError("bank has no detection model; train with with_detector=True")
-    obs = features_for(bank, image)
-    return loglik(bank.detector, obs) / obs.shape[0] >= theta
-
-
-def detector_threshold(bank: SubjectBank, images: list[GrayImage],
-                       percentile: float = 5.0) -> float:
-    """Calibrate a detection threshold from training images' normalized scores."""
-    if bank.detector is None:
-        raise DataError("bank has no detection model")
-    scores = []
-    for image in images:
-        obs = features_for(bank, image)
-        scores.append(loglik(bank.detector, obs) / obs.shape[0])
-    return float(np.percentile(scores, percentile))

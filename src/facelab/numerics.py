@@ -1,5 +1,5 @@
-"""Dense symmetric eigendecomposition, Cholesky, and the whitened generalized
-symmetric eigenproblem shared by all recognizers.
+"""Dense symmetric eigendecomposition, Cholesky, the whitened generalized
+symmetric eigenproblem, PCA and the shape checks shared by all recognizers.
 
 Conventions enforced on every spectrum:
   * eigenvalues sorted descending,
@@ -18,6 +18,7 @@ import scipy.linalg
 from .errors import DataError, NumericError, SingularOrIndefinite
 
 SYM_RTOL = 1e-10  # relative entrywise symmetry requirement on inputs
+EPS_CUT_REL = 1e-10  # PCA drops eigenvalues below this fraction of the largest
 
 
 @dataclass(frozen=True)
@@ -91,3 +92,42 @@ def gen_sym_eigen(B: np.ndarray, W: np.ndarray, m: int) -> tuple[np.ndarray, np.
     Y = res.eigenvectors[:, :m]
     vectors = scipy.linalg.solve_triangular(L, Y, lower=True, trans="T")
     return res.eigenvalues[:m].copy(), fix_signs(vectors)
+
+
+def gram_pca(phi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top min(k, surviving rank) principal directions of D x M centred columns.
+
+    With M <= D the small M x M Gram matrix phi^T phi is eigendecomposed and
+    its eigenvectors mapped back through phi by 1/sqrt(lambda); otherwise the
+    D x D scatter phi phi^T is solved directly. Eigenvalues below
+    EPS_CUT_REL * lambda_max are dropped, so the map back never divides by
+    sqrt(lambda) ~ 0. Returns (D x keep orthonormal basis, eigenvalues
+    descending).
+    """
+    d, m = phi.shape
+    gram_route = m <= d
+    square = phi.T @ phi if gram_route else phi @ phi.T
+    res = sym_eigen(0.5 * (square + square.T))
+    lam_max = float(res.eigenvalues[0])
+    surviving = int(np.sum(res.eigenvalues > EPS_CUT_REL * max(lam_max, 0.0)))
+    if lam_max <= 0.0 or surviving == 0:
+        raise NumericError("zero variance: all training samples are identical")
+    keep = min(k, surviving)
+    lam = res.eigenvalues[:keep].copy()
+    if not gram_route:
+        return res.eigenvectors[:, :keep], lam
+    return fix_signs(phi @ res.eigenvectors[:, :keep] / np.sqrt(lam)), lam
+
+
+def check_face(face: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """The face as a flat float64 vector; DataError unless it matches the model mean."""
+    face = np.asarray(face, dtype=np.float64).reshape(-1)
+    if face.size != mean.size:
+        raise DataError(f"face vector length {face.size} != model dimension {mean.size}")
+    return face
+
+
+def require_shape(what: str, array: np.ndarray, shape: tuple[int, ...]) -> None:
+    """DataError unless the array has exactly the given shape."""
+    if np.shape(array) != shape:
+        raise DataError(f"{what} has shape {np.shape(array)}, expected {shape}")

@@ -6,7 +6,7 @@ from facelab.archive import load_model, method_of, save_model
 from facelab.eigenfaces import EigenModel, classify
 from facelab.errors import DataError
 from facelab.fisherfaces import FisherModel
-from facelab.hmm1d import SubjectBank
+from facelab.hmm1d import BlockParams, KltBasis, SubjectBank
 
 
 def _arrays_equal(a, b):
@@ -78,7 +78,6 @@ class TestBankRoundTrip:
             assert _arrays_equal(other.trans, model.trans)
             assert _arrays_equal(other.means, model.means)
             assert _arrays_equal(other.variances, model.variances)
-        assert bank.detector is None
 
     def test_predictions_unchanged(self, tmp_path, banded, banded_models):
         path = tmp_path / "hmm.ffm"
@@ -86,23 +85,6 @@ class TestBankRoundTrip:
         loaded = load_model(path)
         for truth, _, img in banded.test_entries[:8]:
             assert bench.predict(loaded, img) == bench.predict(banded_models.bank, img)
-
-    def test_detector_round_trip(self, tmp_path):
-        import numpy as np
-        from facelab.dataset import GrayImage
-        from facelab.hmm1d import BlockParams, train_bank
-        rng = np.random.default_rng(77)
-        entries = [(lbl, GrayImage(12, 4, rng.integers(0, 256, (12, 4)).astype(float)))
-                   for lbl in ("a", "a", "b", "b")]
-        bank = train_bank(entries, BlockParams(4, 2, (12, 4)), n_states=3,
-                          klt_dim=3, with_detector=True)
-        path = tmp_path / "det.ffm"
-        save_model(bank, path)
-        loaded = load_model(path)
-        assert loaded.detector is not None
-        assert _arrays_equal(loaded.detector.trans, bank.detector.trans)
-        assert _arrays_equal(loaded.detector.means, bank.detector.means)
-        assert _arrays_equal(loaded.detector.variances, bank.detector.variances)
 
 
 class TestFormat:
@@ -158,6 +140,13 @@ class TestFormat:
         lines[1] = "method wavelet"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="unknown method"):
+            load_model(path)
+
+    def test_empty_label_set_rejected(self, tmp_path):
+        bank = SubjectBank(BlockParams(2, 1, (4, 2)), KltBasis(np.zeros(4), np.eye(4)[:2]), {})
+        path = tmp_path / "empty.ffm"
+        save_model(bank, path)
+        with pytest.raises(DataError, match="no labels"):
             load_model(path)
 
     def test_missing_file(self, tmp_path):

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import pytest
 
 from facelab import bench
@@ -59,6 +62,18 @@ class TestEvaluate:
     def test_manifest_dims_guard(self, lighting, banded_models):
         with pytest.raises(DataError, match="dims"):
             bench.evaluate(banded_models.bank, lighting.test)
+
+    @pytest.mark.parametrize("name", ["09.pgm", "09,x.pgm"])
+    def test_csv_rows_parse_back(self, banded, banded_models, name):
+        truth, _, img = banded.train_entries[0]
+        path = f"data2/{truth}/{name}"
+        report = bench.evaluate_entries(banded_models.bank, [(truth, path, img)])
+        rec = report.records[0]
+        text = bench.report_to_csv(report)
+        fields = [path, truth, rec.prediction, format(rec.score, ".17g"), "1"]
+        assert list(csv.reader(io.StringIO(text)))[1] == fields
+        if "," not in name:  # ordinary paths are written unquoted, as before
+            assert text.splitlines()[1] == ",".join(fields)
 
     def test_evaluate_manifest(self, banded, banded_models):
         report = bench.evaluate(banded_models.bank, banded.test, "k=5,seed=0,part=test")

@@ -161,3 +161,43 @@ def test_inspect_dumps_metadata(banded_dir, tmp_path, capsys):
     assert "method,hmm" in out
     assert "states,5" in out
     assert "labels,s01 s02 s03 s04" in out
+
+
+def _rewrite(path, edit):
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _drop_basis_row(lines):
+    at = next(i for i, line in enumerate(lines) if line.startswith("array basis "))
+    _, name, rows, cols = lines[at].split()
+    lines[at] = f"array {name} {int(rows) - 1} {cols}"
+    del lines[at + 1]
+
+
+def test_inconsistent_archive_is_data_error(banded_dir, tmp_path, capsys):
+    model = tmp_path / "eigen.ffm"
+    assert main(["train", "--method", "eigen", "--dataset", str(banded_dir),
+                 "--out", str(model), "--k", "12"]) == 0
+    _rewrite(model, _drop_basis_row)
+    capsys.readouterr()
+    probe = sorted((banded_dir / "s01").glob("*.pgm"))[0]
+    for argv in (["inspect", "--model", str(model)],
+                 ["recognize", "--model", str(model), "--image", str(probe)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "basis" in err and err.count("\n") == 1
+
+
+def test_archive_with_detector_record_is_data_error(banded_dir, tmp_path, capsys):
+    # archives from before the HMM face detector was removed carry this record
+    model = tmp_path / "hmm.ffm"
+    assert main(["train", "--method", "hmm", "--dataset", str(banded_dir),
+                 "--out", str(model)]) == 0
+    assert "has_detector" not in model.read_text()
+    _rewrite(model, lambda lines: lines.insert(len(lines) - 1, "int has_detector 0"))
+    capsys.readouterr()
+    assert main(["inspect", "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1

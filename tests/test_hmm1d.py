@@ -8,9 +8,8 @@ from scipy.stats import norm
 from facelab.dataset import GrayImage
 from facelab.errors import DataError, NumericError
 from facelab.hmm1d import (BlockParams, FEATURE_RAW, HmmModel, KltBasis, SubjectBank,
-                           baum_welch, detect_face, detector_threshold, extract_blocks,
-                           fit_klt, init_uniform, loglik, observe, recognize, train_bank,
-                           viterbi, viterbi_train)
+                           baum_welch, extract_blocks, fit_klt, init_uniform, loglik,
+                           observe, recognize, train_bank, viterbi, viterbi_train)
 
 RT2 = np.sqrt(2.0)
 
@@ -454,24 +453,6 @@ class TestBank:
         assert bank.klt is None
         for label, img in entries:
             assert recognize(bank, img)[0] == label
-
-    def test_detector_thresholds(self):
-        entries = self._banded_pair()
-        bank = train_bank(entries, BlockParams(4, 3, (16, 6)), n_states=4,
-                          klt_dim=4, with_detector=True)
-        img = entries[0][1]
-        assert detect_face(bank, img, -np.inf)
-        assert not detect_face(bank, img, np.inf)
-        theta = detector_threshold(bank, [im for _, im in entries])
-        noise_img = GrayImage(16, 6, np.random.default_rng(99).uniform(0, 255, (16, 6)))
-        assert detect_face(bank, entries[0][1], theta)
-        assert not detect_face(bank, noise_img, theta)
-
-    def test_detector_missing(self):
-        entries = self._banded_pair()
-        bank = train_bank(entries, BlockParams(4, 3, (16, 6)), n_states=4, klt_dim=4)
-        with pytest.raises(DataError, match="detect"):
-            detect_face(bank, entries[0][1], 0.0)
 
     def test_recognize_dims_check(self):
         entries = self._banded_pair()
