@@ -47,21 +47,16 @@ def _write_eigen(lines: list[str], model: EigenModel) -> None:
     _emit_array(lines, "mean", model.mean)
     _emit_array(lines, "eigenvalues", model.eigenvalues)
     _emit_array(lines, "basis", model.basis)
-    labels = list(model.gallery)
-    _emit_labels(lines, labels)
-    for label in labels:
-        _emit_array(lines, f"gallery:{label}", np.vstack(model.gallery[label]))
+    _emit_labels(lines, list(model.row_labels))
+    _emit_array(lines, "gallery", model.gallery)
 
 
 def _write_fisher(lines: list[str], model: FisherModel) -> None:
     _emit_array(lines, "mean", model.mean)
     _emit_array(lines, "eigenvalues", model.eigenvalues)
-    _emit_array(lines, "pca", model.pca)
-    _emit_array(lines, "fld", model.fld)
-    labels = list(model.centroids)
-    _emit_labels(lines, labels)
-    for label in labels:
-        _emit_array(lines, f"centroid:{label}", model.centroids[label])
+    _emit_array(lines, "projection", model.projection)
+    _emit_labels(lines, list(model.row_labels))
+    _emit_array(lines, "centroids", model.centroids)
 
 
 def _emit_hmm(lines: list[str], prefix: str, model: HmmModel) -> None:
@@ -122,9 +117,6 @@ class _Reader:
         self.pos += 1
         return line
 
-    def peek(self) -> str | None:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
     def expect(self, keyword: str) -> list[str]:
         line = self.next_line()
         parts = line.split()
@@ -142,15 +134,16 @@ class _Reader:
             raise DataError(f"{self.path}: malformed array header for {name!r}") from None
         if rows < 0 or cols < 0:
             raise DataError(f"{self.path}: negative array shape for {name!r}")
-        out = np.empty((rows, cols))
+        values = []  # grown row by row: a header's shape claim allocates nothing
         for r in range(rows):
             fields = self.next_line().split()
             if len(fields) != cols:
                 raise DataError(f"{self.path}: truncated section: array {name!r} row {r}")
             try:
-                out[r] = [float(f) for f in fields]
+                values.extend(map(float, fields))
             except ValueError:
                 raise DataError(f"{self.path}: malformed float in array {name!r}") from None
+        out = np.array(values, dtype=np.float64).reshape(rows, cols)
         if not np.all(np.isfinite(out)):
             raise DataError(f"{self.path}: non-finite value in array {name!r}")
         return out
@@ -198,22 +191,19 @@ def _load_eigen(r: _Reader, dims: tuple[int, int]) -> EigenModel:
     mean = r.read_array("mean").reshape(-1)
     eigenvalues = r.read_array("eigenvalues").reshape(-1)
     basis = r.read_array("basis")
-    gallery = {}
-    for label in r.read_labels():
-        rows = r.read_array(f"gallery:{label}")
-        gallery[label] = tuple(rows[i].copy() for i in range(rows.shape[0]))
-    return EigenModel(dims, mean, basis, eigenvalues, gallery, theta_face, theta_known)
+    row_labels = tuple(r.read_labels())
+    gallery = r.read_array("gallery")
+    return EigenModel(dims, mean, basis, eigenvalues, gallery, row_labels,
+                      theta_face, theta_known)
 
 
 def _load_fisher(r: _Reader, dims: tuple[int, int]) -> FisherModel:
     mean = r.read_array("mean").reshape(-1)
     eigenvalues = r.read_array("eigenvalues").reshape(-1)
-    pca = r.read_array("pca")
-    fld = r.read_array("fld")
-    centroids = {}
-    for label in r.read_labels():
-        centroids[label] = r.read_array(f"centroid:{label}").reshape(-1)
-    return FisherModel(dims, mean, pca, fld, centroids, eigenvalues)
+    projection = r.read_array("projection")
+    row_labels = tuple(r.read_labels())
+    centroids = r.read_array("centroids")
+    return FisherModel(dims, mean, projection, centroids, row_labels, eigenvalues)
 
 
 def _load_hmm(r: _Reader, prefix: str) -> HmmModel:
@@ -237,9 +227,10 @@ def _load_bank(r: _Reader, dims: tuple[int, int]) -> SubjectBank:
         klt_mean = r.read_array("klt_mean").reshape(-1)
         klt_basis = r.read_array("klt_basis")
         klt = KltBasis(klt_mean, klt_basis)
-    models = {}
-    for label in r.read_labels():
-        models[label] = _load_hmm(r, f"model:{label}")
+    labels = r.read_labels()
+    if len(set(labels)) != len(labels):
+        raise DataError(f"{r.path}: labels record names a subject twice")
+    models = {label: _load_hmm(r, f"model:{label}") for label in labels}
     return SubjectBank(params, klt, models, mode)
 
 

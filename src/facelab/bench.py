@@ -19,6 +19,7 @@ from .archive import method_of
 from .dataset import DatasetManifest, GrayImage, flatten, load_labeled_images
 from .eigenfaces import EigenModel
 from .errors import DataError
+from .numerics import nearest
 
 
 @dataclass(frozen=True)
@@ -108,9 +109,7 @@ def threshold_sweep(model: EigenModel, known: list[GrayImage],
         for image in images:
             face = flatten(image)
             residual = eigenfaces.dffs(model, face)
-            weights = eigenfaces.project(model, face)
-            mind = min(float(np.linalg.norm(weights - entry))
-                       for entries in model.gallery.values() for entry in entries)
+            mind = nearest(model.gallery, eigenfaces.project(model, face))[1]
             out.append((residual <= model.theta_face, mind))
         return out
 

@@ -52,6 +52,13 @@ class ProfileContext:
     asym_sigma: float  # std of per-image left/right asymmetries
     resid_p99: float  # 99th percentile of training block KLT residuals
 
+    def __post_init__(self):
+        if not all(np.isfinite(v) for v in (self.mean_mu, self.mean_sigma,
+                                             self.asym_sigma, self.resid_p99)):
+            raise DataError(f"profile context values must be finite: {self}")
+        if not (self.mean_sigma > 0.0 and self.asym_sigma > 0.0):
+            raise DataError("mean_sigma and asym_sigma must be positive")
+
 
 @dataclass(frozen=True)
 class DispatchPolicy:
@@ -64,8 +71,8 @@ class DispatchPolicy:
         if self.default_method not in METHODS:
             raise DataError(f"unknown method {self.default_method!r}")
         for name in ("tau_illum", "tau_pose", "tau_occl"):
-            if getattr(self, name) < 0.0:
-                raise DataError(f"{name} must be non-negative")
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0.0):
+                raise DataError(f"{name} must be finite and non-negative")
 
 
 def _half_asymmetry(image: GrayImage) -> float:

@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .dataset import GrayImage, flatten
 from .errors import DataError
 # sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
-from .numerics import check_face, gram_pca, require_shape, sym_eigen
+from .numerics import check_face, gram_pca, nearest, require_shape, sort_rows, sym_eigen
 
 FACE = "face"
 UNKNOWN_FACE = "unknown-face"
@@ -32,21 +33,20 @@ class EigenModel:
     mean: np.ndarray  # Psi, length D
     basis: np.ndarray  # U, D x K with orthonormal columns
     eigenvalues: np.ndarray  # descending, one per retained column
-    gallery: dict[str, tuple[np.ndarray, ...]]  # label -> weight vectors
+    gallery: np.ndarray  # M x K, one weight row per enrolled face
+    row_labels: tuple[str, ...]  # label of each gallery row
     theta_face: float  # face-space (residual) distance threshold
     theta_known: float  # weight-space nearest-neighbor threshold
 
     def __post_init__(self):
-        # canonical label order; nearest-neighbor ties then resolve low
-        object.__setattr__(self, "gallery",
-                           {lb: tuple(self.gallery[lb]) for lb in sorted(self.gallery)})
         d, k = self.dims[0] * self.dims[1], np.shape(self.basis)[-1]
         require_shape("eigen mean", self.mean, (d,))
         require_shape("eigen basis", self.basis, (d, k))
         require_shape("eigen eigenvalues", self.eigenvalues, (k,))
-        for label, entries in self.gallery.items():
-            for entry in entries:
-                require_shape(f"eigen gallery entry {label!r}", entry, (k,))
+        require_shape("eigen gallery", self.gallery, (len(self.row_labels), k))
+        gallery, row_labels = sort_rows(self.gallery, self.row_labels)
+        object.__setattr__(self, "gallery", gallery)
+        object.__setattr__(self, "row_labels", row_labels)
 
     @property
     def k(self) -> int:
@@ -54,7 +54,7 @@ class EigenModel:
 
     @property
     def labels(self) -> list[str]:
-        return list(self.gallery)
+        return list(dict.fromkeys(self.row_labels))
 
     def predict(self, image: GrayImage) -> tuple[str, float]:
         """(label or rejection marker, score); the score is the nearest-neighbor
@@ -97,7 +97,7 @@ def train_eigen(
     theta_face: float | None = None,
     theta_known: float | None = None,
 ) -> EigenModel:
-    """Fit mean, eigenface basis and per-class weight gallery.
+    """Fit mean, eigenface basis and a gallery of one weight row per image.
 
     k is a request: the retained count is min(k, M-1, surviving rank), the
     rank cut being numerics.gram_pca's. Default thresholds:
@@ -127,22 +127,15 @@ def train_eigen(
     scale = float(np.sqrt(np.mean(np.sum(phi * phi, axis=0))))
     if theta_face is None:
         theta_face = max(3.0 * float(np.percentile(train_dffs, 95)), 1e-9 * scale)
+    gallery = weights.T
     if theta_known is None:
-        largest_intra = 0.0
-        for label in set(labels):
-            cols = [i for i, lb in enumerate(labels) if lb == label]
-            for a in range(len(cols)):
-                for b in range(a + 1, len(cols)):
-                    dist = float(np.linalg.norm(weights[:, cols[a]] - weights[:, cols[b]]))
-                    largest_intra = max(largest_intra, dist)
+        row_labels = np.array(labels)
+        largest_intra = max(float(pdist(gallery[row_labels == label]).max(initial=0.0))
+                            for label in set(labels))
         theta_known = max(3.0 * largest_intra, 1e-9 * scale)
 
-    gallery: dict[str, tuple[np.ndarray, ...]] = {}
-    for label in sorted(set(labels)):
-        cols = [i for i, lb in enumerate(labels) if lb == label]
-        gallery[label] = tuple(weights[:, i].copy() for i in cols)
-
-    return EigenModel(dims, psi, basis, lam, gallery, float(theta_face), float(theta_known))
+    return EigenModel(dims, psi, basis, lam, gallery, tuple(labels),
+                      float(theta_face), float(theta_known))
 
 
 def project(model: EigenModel, face: np.ndarray) -> np.ndarray:
@@ -169,22 +162,16 @@ def dffs(model: EigenModel, face: np.ndarray) -> float:
 def classify(model: EigenModel, face: np.ndarray) -> EigenDecision:
     """Face-space test, then nearest gallery weight vector in L2.
 
-    Ties go to the lexicographically smallest label (gallery iteration order).
+    Ties go to the lexicographically smallest label (gallery row order).
     """
-    if not model.gallery:
-        raise DataError("cannot classify with an empty gallery")
     face = check_face(face, model.mean)
     phi = face - model.mean
     weights = model.basis.T @ phi
     residual = float(np.linalg.norm(phi - model.basis @ weights))
     if residual > model.theta_face:
         return EigenDecision(NOT_A_FACE, None, None, residual, weights)
-    best_label, best_dist = None, np.inf
-    for label, entries in model.gallery.items():
-        for entry in entries:
-            dist = float(np.linalg.norm(weights - entry))
-            if dist < best_dist:
-                best_label, best_dist = label, dist
+    row, best_dist = nearest(model.gallery, weights)
+    best_label = model.row_labels[row]
     if best_dist > model.theta_known:
         return EigenDecision(UNKNOWN_FACE, best_label, best_dist, residual, weights)
     return EigenDecision(FACE, best_label, best_dist, residual, weights)
@@ -197,8 +184,5 @@ def enroll(model: EigenModel, face: np.ndarray, label: str) -> EigenModel:
         raise DataError(
             f"cannot enroll: face-space distance {residual:g} exceeds theta_face "
             f"{model.theta_face:g}")
-    weights = project(model, face)
-    gallery = dict(model.gallery)
-    gallery[label] = gallery.get(label, ()) + (weights,)
-    gallery = {lb: gallery[lb] for lb in sorted(gallery)}
-    return replace(model, gallery=gallery)
+    return replace(model, gallery=np.vstack([model.gallery, project(model, face)]),
+                   row_labels=model.row_labels + (label,))

@@ -16,7 +16,8 @@ import numpy as np
 from .dataset import GrayImage, flatten
 from .errors import DataError, NumericError, SingularOrIndefinite
 # sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
-from .numerics import check_face, gen_sym_eigen, gram_pca, require_shape, sym_eigen
+from .numerics import (check_face, fix_signs, gen_sym_eigen, gram_pca, nearest, require_shape,
+                       sort_rows, sym_eigen)
 
 RIDGE_REL = 1e-8  # ridge added to within-class scatter when Cholesky fails
 EIGENVALUE_REL_CUT = 1e-10  # generalized eigenvalues kept relative to largest
@@ -39,30 +40,30 @@ class ScatterPair:
 class FisherModel:
     dims: tuple[int, int]
     mean: np.ndarray  # global mean, length D
-    pca: np.ndarray  # D x p, orthonormal columns
-    fld: np.ndarray  # p x m discriminants, unit input-space norm
-    centroids: dict[str, np.ndarray]  # label -> length-m centered projection
+    projection: np.ndarray  # W_opt = W_pca W_fld, D x m, unit-norm columns
+    centroids: np.ndarray  # c x m, centered projection of each class mean
+    row_labels: tuple[str, ...]  # label of each centroid row, unique
     eigenvalues: np.ndarray  # generalized eigenvalues, descending, length m
 
     def __post_init__(self):
-        # canonical label order; nearest-centroid ties then resolve low
-        object.__setattr__(self, "centroids",
-                           {lb: self.centroids[lb] for lb in sorted(self.centroids)})
-        d, p, m = self.dims[0] * self.dims[1], np.shape(self.pca)[-1], np.shape(self.fld)[-1]
+        d, m = self.dims[0] * self.dims[1], np.shape(self.projection)[-1]
         require_shape("fisher mean", self.mean, (d,))
-        require_shape("fisher pca", self.pca, (d, p))
-        require_shape("fisher fld", self.fld, (p, m))
+        require_shape("fisher projection", self.projection, (d, m))
         require_shape("fisher eigenvalues", self.eigenvalues, (m,))
-        for label, centroid in self.centroids.items():
-            require_shape(f"fisher centroid {label!r}", centroid, (m,))
+        require_shape("fisher centroids", self.centroids, (len(self.row_labels), m))
+        if len(set(self.row_labels)) != len(self.row_labels):
+            raise DataError(f"fisher centroid labels name a subject twice: {self.row_labels}")
+        centroids, row_labels = sort_rows(self.centroids, self.row_labels)
+        object.__setattr__(self, "centroids", centroids)
+        object.__setattr__(self, "row_labels", row_labels)
 
     @property
     def m(self) -> int:
-        return self.fld.shape[1]
+        return self.projection.shape[1]
 
     @property
     def labels(self) -> list[str]:
-        return list(self.centroids)
+        return list(self.row_labels)
 
     def predict(self, image: GrayImage) -> tuple[str, float]:
         """(nearest-centroid label, its discriminant-space distance)."""
@@ -133,9 +134,9 @@ def train_fisher(
 ) -> FisherModel:
     """PCA to min(N - c, rank), then FLD to at most c - 1 discriminants.
 
-    Discriminant columns are rescaled to unit Euclidean norm in input space
-    (the PCA basis is orthonormal, so the reduced columns carry that norm)
-    and sign-fixed on their back-mapped pixel-space direction.
+    The model keeps only the composed projection W_opt = W_pca W_fld. Its
+    columns have unit Euclidean norm (the PCA basis is orthonormal, so the
+    unit-norm reduced columns carry that norm) and are sign-fixed.
     """
     groups = _group(samples)
     c = len(groups)
@@ -171,10 +172,6 @@ def train_fisher(
     m = min(int(np.sum(vals > EIGENVALUE_REL_CUT * lam1)), c - 1)
 
     fld = vecs[:, :m] / np.linalg.norm(vecs[:, :m], axis=0)
-    back = pca @ fld  # unit-norm pixel-space discriminants
-    lead = np.argmax(np.abs(back), axis=0)
-    signs = np.where(back[lead, np.arange(m)] < 0.0, -1.0, 1.0)
-    fld = fld * signs
     lam = vals[:m].copy()
 
     scale = max(1.0, float(np.linalg.norm(scatter.between)))
@@ -183,25 +180,19 @@ def train_fisher(
     if worst > RESIDUAL_RTOL * scale:
         raise NumericError(f"generalized eigen residual {worst:g} exceeds bound")
 
-    centroids = {label: fld.T @ (pca.T @ (g.mean(axis=0) - mean))
-                 for label, g in groups.items()}
-    return FisherModel(dims, mean, pca, fld, centroids, lam)
+    projection = fix_signs(pca @ fld)
+    class_means = np.vstack([g.mean(axis=0) for g in groups.values()])
+    centroids = (class_means - mean) @ projection
+    return FisherModel(dims, mean, projection, centroids, tuple(groups), lam)
 
 
 def project(model: FisherModel, face: np.ndarray) -> np.ndarray:
-    """Discriminant-space coordinates W_fld^T W_pca^T (face - mean)."""
+    """Discriminant-space coordinates W_opt^T (face - mean)."""
     face = check_face(face, model.mean)
-    return model.fld.T @ (model.pca.T @ (face - model.mean))
+    return model.projection.T @ (face - model.mean)
 
 
 def classify(model: FisherModel, face: np.ndarray) -> tuple[str, float]:
     """Nearest class centroid in discriminant space; ties to smallest label."""
-    if not model.centroids:
-        raise DataError("cannot classify with an empty model")
-    z = project(model, face)
-    best_label, best_dist = None, np.inf
-    for label, centroid in model.centroids.items():
-        dist = float(np.linalg.norm(z - centroid))
-        if dist < best_dist:
-            best_label, best_dist = label, dist
-    return best_label, best_dist
+    row, dist = nearest(model.centroids, project(model, face))
+    return model.row_labels[row], dist

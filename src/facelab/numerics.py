@@ -1,5 +1,6 @@
 """Dense symmetric eigendecomposition, Cholesky, the whitened generalized
-symmetric eigenproblem, PCA and the shape checks shared by all recognizers.
+symmetric eigenproblem, PCA, the nearest-row rule and the shape checks
+shared by all recognizers.
 
 Conventions enforced on every spectrum:
   * eigenvalues sorted descending,
@@ -131,3 +132,19 @@ def require_shape(what: str, array: np.ndarray, shape: tuple[int, ...]) -> None:
     """DataError unless the array has exactly the given shape."""
     if np.shape(array) != shape:
         raise DataError(f"{what} has shape {np.shape(array)}, expected {shape}")
+
+
+def sort_rows(rows: np.ndarray, labels: tuple[str, ...]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Rows and their labels reordered stably by label, so that the first
+    nearest row is the lowest label's, and within it the earliest row."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    return np.asarray(rows, dtype=np.float64)[order], tuple(labels[i] for i in order)
+
+
+def nearest(rows: np.ndarray, z: np.ndarray) -> tuple[int, float]:
+    """(index, L2 distance) of the row nearest to z; the first one wins ties."""
+    if len(rows) == 0:
+        raise DataError("nearest-row search over an empty set of rows")
+    dists = np.linalg.norm(rows - z, axis=1)
+    best = int(np.argmin(dists))
+    return best, float(dists[best])

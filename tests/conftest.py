@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from facelab import dispatcher, synth
+from facelab import dispatcher, fisherfaces, synth
 from facelab.dataset import SplitSpec, flatten, load_labeled_images, scan_dataset, split
 from facelab.eigenfaces import train_eigen
 from facelab.fisherfaces import train_fisher
@@ -64,3 +64,22 @@ def banded_models(banded):
         eigen=eigen, fisher=fisher, bank=bank, context=context, policy=policy,
         frontal=frontal, frontal_idx=ref_idx, train_images=train_images,
     )
+
+
+@pytest.fixture
+def train_fisher_keeping_pca(monkeypatch):
+    """train_fisher that also returns the D x p PCA pre-projection it built;
+    the model itself keeps only the composed projection."""
+    real_gram_pca, seen = fisherfaces.gram_pca, []
+
+    def spy(phi, k):
+        seen.append(real_gram_pca(phi, k))
+        return seen[-1]
+
+    monkeypatch.setattr(fisherfaces, "gram_pca", spy)
+
+    def train(samples, dims=None):
+        model = train_fisher(samples, dims)
+        return model, seen[-1][0]
+
+    return train

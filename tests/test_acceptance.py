@@ -90,7 +90,7 @@ def test_criterion_2_eigenface_basis_invariants():
             assert d0.verdict == d1.verdict and d0.label == d1.label
 
 
-def test_criterion_3_fisherfaces_correctness(banded, lighting):
+def test_criterion_3_fisherfaces_correctness(banded, lighting, train_fisher_keeping_pca):
     with criterion(3, "fisherfaces correctness"):
         class1 = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
         class2 = [(4.0, 0.0), (5.0, 0.0), (4.0, 1.0)]
@@ -102,23 +102,24 @@ def test_criterion_3_fisherfaces_correctness(banded, lighting):
 
         model = train_fisher(samples)
         assert abs(model.eigenvalues[0] - 24.0) <= 1e-8
-        direction = model.pca @ model.fld[:, 0]
+        direction = model.projection[:, 0]
         assert np.abs(direction - np.array([2.0, 1.0]) / np.sqrt(5.0)).max() <= 1e-8
 
         # residual bound and rank bound on every benchmark training run
         for bundle in (banded, lighting):
             vectors = [(lb, flatten(im)) for lb, _, im in bundle.train_entries]
             dims = bundle.manifest.dims
-            fitted = train_fisher(vectors, dims)
+            fitted, pca = train_fisher_keeping_pca(vectors, dims)
             c = len(bundle.manifest.labels)
             assert fitted.m <= c - 1
             assert np.all(fitted.eigenvalues > 0)
-            reduced = [(lb, fitted.pca.T @ (v - fitted.mean)) for lb, v in vectors]
+            reduced = [(lb, pca.T @ (v - fitted.mean)) for lb, v in vectors]
             rpair = compute_scatter(reduced)
             scale = max(1.0, float(np.linalg.norm(rpair.between)))
+            fld = pca.T @ fitted.projection
             for k in range(fitted.m):
-                resid = (rpair.between @ fitted.fld[:, k]
-                         - fitted.eigenvalues[k] * (rpair.within @ fitted.fld[:, k]))
+                resid = (rpair.between @ fld[:, k]
+                         - fitted.eigenvalues[k] * (rpair.within @ fld[:, k]))
                 assert np.linalg.norm(resid) <= 1e-6 * scale
 
 

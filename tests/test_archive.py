@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facelab import bench
 from facelab.archive import load_model, method_of, save_model
-from facelab.eigenfaces import EigenModel, classify
+from facelab.dataset import GrayImage, flatten
+from facelab.eigenfaces import EigenModel, classify, train_eigen
 from facelab.errors import DataError
-from facelab.fisherfaces import FisherModel
-from facelab.hmm1d import BlockParams, KltBasis, SubjectBank
+from facelab.fisherfaces import FisherModel, train_fisher
+from facelab.hmm1d import BlockParams, KltBasis, SubjectBank, train_bank
 
 
 def _arrays_equal(a, b):
@@ -26,11 +29,8 @@ class TestEigenRoundTrip:
         assert _arrays_equal(model.mean, src.mean)
         assert _arrays_equal(model.basis, src.basis)
         assert _arrays_equal(model.eigenvalues, src.eigenvalues)
-        assert list(model.gallery) == list(src.gallery)
-        for label in src.gallery:
-            assert len(model.gallery[label]) == len(src.gallery[label])
-            for a, b in zip(model.gallery[label], src.gallery[label]):
-                assert _arrays_equal(a, b)
+        assert model.row_labels == src.row_labels
+        assert _arrays_equal(model.gallery, src.gallery)
 
     def test_predictions_unchanged(self, tmp_path, banded, banded_models):
         path = tmp_path / "eigen.ffm"
@@ -53,12 +53,10 @@ class TestFisherRoundTrip:
         src = banded_models.fisher
         assert model.dims == src.dims
         assert _arrays_equal(model.mean, src.mean)
-        assert _arrays_equal(model.pca, src.pca)
-        assert _arrays_equal(model.fld, src.fld)
+        assert _arrays_equal(model.projection, src.projection)
         assert _arrays_equal(model.eigenvalues, src.eigenvalues)
-        assert list(model.centroids) == list(src.centroids)
-        for label in src.centroids:
-            assert _arrays_equal(model.centroids[label], src.centroids[label])
+        assert model.row_labels == src.row_labels
+        assert _arrays_equal(model.centroids, src.centroids)
 
 
 class TestBankRoundTrip:
@@ -164,3 +162,95 @@ class TestFormat:
         save_model(banded_models.eigen, tmp_path / "m.ffm")
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
+
+
+def _array_headers(path):
+    """(name, rows, cols) of every array record, in file order."""
+    return [(name, int(rows), int(cols))
+            for name, rows, cols in (line.split()[1:] for line in path.read_text().splitlines()
+                                     if line.startswith("array "))]
+
+
+class TestStoredArrays:
+    def test_fisher_stores_only_the_composed_projection(self, tmp_path, banded_models):
+        fisher = banded_models.fisher
+        path = tmp_path / "fisher.ffm"
+        save_model(fisher, path)
+        d, m, c = fisher.mean.size, fisher.m, len(fisher.labels)
+        assert m <= c - 1
+        assert _array_headers(path) == [("mean", 1, d), ("eigenvalues", 1, m),
+                                        ("projection", d, m), ("centroids", c, m)]
+
+    def test_eigen_gallery_is_one_matrix(self, tmp_path, banded, banded_models):
+        eigen = banded_models.eigen
+        path = tmp_path / "eigen.ffm"
+        save_model(eigen, path)
+        galleries = [h for h in _array_headers(path) if h[0].startswith("gallery")]
+        assert galleries == [("gallery", len(banded.train_entries), eigen.k)]
+
+
+def _repeat_first_label(lines):
+    at = next(i for i, line in enumerate(lines) if line.startswith("labels "))
+    fields = lines[at].split()
+    fields[3] = fields[2]
+    lines[at] = " ".join(fields)
+
+
+@pytest.mark.parametrize("which", ["fisher", "bank"])
+def test_repeated_label_rejected(tmp_path, banded_models, which):
+    path = tmp_path / "m.ffm"
+    save_model(getattr(banded_models, which), path)
+    lines = path.read_text().splitlines()
+    _repeat_first_label(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="twice"):
+        load_model(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_archives(tmp_path_factory):
+    """Text of a saved eigen, fisher and HMM model, each trained on 3 x 2 tiny faces."""
+    rng = np.random.default_rng(5)
+    images = [(f"s{i % 3}", GrayImage(4, 3, rng.uniform(0, 255, size=(4, 3))))
+              for i in range(6)]
+    vectors = [(label, flatten(img)) for label, img in images]
+    models = [train_eigen(vectors, 3, (4, 3)), train_fisher(vectors, (4, 3)),
+              train_bank(images, BlockParams(2, 1, (4, 3)), n_states=2, klt_dim=2)]
+    path = tmp_path_factory.mktemp("tiny") / "m.ffm"
+    texts = []
+    for model in models:
+        save_model(model, path)
+        texts.append(path.read_text())
+    return path, texts
+
+
+_TOKENS = st.one_of(st.sampled_from(["0", "1", "-1", "2", "9999999999999", "nan", "inf",
+                                     "1e400", "s0", "s9", "array", "labels", "end", ""]),
+                    st.text(st.characters(min_codepoint=33, max_codepoint=126), max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(which=st.integers(0, 2), line=st.integers(0, 10_000), token=st.integers(0, 10_000),
+       kind=st.sampled_from(["delete", "duplicate", "replace"]), new=_TOKENS)
+def test_mutated_archive_loads_consistently_or_is_data_error(tiny_archives, which, line,
+                                                            token, kind, new):
+    path, texts = tiny_archives
+    lines = texts[which].splitlines()
+    at = line % len(lines)
+    if kind == "delete":
+        del lines[at]
+    elif kind == "duplicate":
+        lines.insert(at, lines[at])
+    else:
+        fields = lines[at].split() or [""]
+        fields[token % len(fields)] = new
+        lines[at] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        model = load_model(path)
+    except DataError:
+        return
+    records = {line.split()[0]: line.split()[1:] for line in lines[1:] if line.split()}
+    assert method_of(model) == records["method"][0]
+    assert model.dims == (int(records["dims"][0]), int(records["dims"][1]))
+    assert model.labels == sorted(set(records["labels"][1:]))

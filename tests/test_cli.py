@@ -201,3 +201,30 @@ def test_archive_with_detector_record_is_data_error(banded_dir, tmp_path, capsys
     assert main(["inspect", "--model", str(model)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def trained_all(banded_dir, tmp_path_factory):
+    models = tmp_path_factory.mktemp("cli") / "models"
+    assert main(["train", "--method", "all", "--dataset", str(banded_dir),
+                 "--out", str(models), "--k", "12"]) == 0
+    return models
+
+
+@pytest.mark.parametrize("setting", ["mean_sigma=0", "asym_sigma=0", "tau_illum=nan",
+                                     "mean_sigma=-1", "resid_p99=nan"])
+def test_bad_policy_value_is_data_error(trained_all, banded_dir, tmp_path, capsys, setting):
+    key = setting.partition("=")[0]
+    lines = [line for line in (trained_all / "policy.cfg").read_text().splitlines()
+             if not line.startswith(f"{key}=")]
+    policy = tmp_path / "policy.cfg"
+    policy.write_text("\n".join(lines + [setting]) + "\n")
+    probe = sorted((banded_dir / "s01").glob("*.pgm"))[0]
+    capsys.readouterr()
+    for argv in (["recognize", "--model", str(trained_all), "--policy", str(policy),
+                  "--multi", "--image", str(probe)],
+                 ["assess", "--models", str(trained_all), "--policy", str(policy),
+                  "--image", str(probe)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and key in err and err.count("\n") == 1

@@ -2,13 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facelab import synth
 from facelab.dataset import GrayImage, flatten
-from facelab.dispatcher import (METHOD_EIGEN, METHOD_FISHER, METHOD_HMM, DispatchPolicy,
-                                ImageProfile, ProfileContext, block_residuals,
-                                calibrate_context, frontal_ref_index, profile,
-                                read_policy_file, recognize_multi, select,
+from facelab.dispatcher import (METHOD_EIGEN, METHOD_FISHER, METHOD_HMM, METHODS,
+                                DispatchPolicy, ImageProfile, ProfileContext,
+                                block_residuals, calibrate_context, frontal_ref_index,
+                                profile, read_policy_file, recognize_multi, select,
                                 write_policy_file)
 from facelab.errors import DataError
 
@@ -141,9 +143,9 @@ class TestRecognizeMulti:
         assert label == fisherfaces.classify(banded_models.fisher, flatten(probe))[0]
 
     def test_label_set_mismatch_rejected(self, banded_models):
-        centroids = dict(banded_models.fisher.centroids)
-        centroids.pop(next(iter(centroids)))
-        crippled = dataclasses.replace(banded_models.fisher, centroids=centroids)
+        fisher = banded_models.fisher
+        crippled = dataclasses.replace(fisher, centroids=fisher.centroids[1:],
+                                       row_labels=fisher.row_labels[1:])
         with pytest.raises(DataError, match="label sets"):
             recognize_multi(banded_models.eigen, crippled, banded_models.bank,
                             banded_models.frontal, banded_models.policy,
@@ -199,3 +201,33 @@ class TestPolicyFile:
         path.write_text("tau_illum 3\n")
         with pytest.raises(DataError, match="key=value"):
             read_policy_file(path)
+
+
+_POLICY_KEYS = ["tau_illum", "tau_pose", "tau_occl", "default_method", "frontal_ref",
+                "mean_mu", "mean_sigma", "asym_sigma", "resid_p99"]
+_POLICY_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["eigen", "fisher", "hmm", "0", "-0.0", "nan", "-inf", "1e400", ""]),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6))
+
+
+@settings(max_examples=120, deadline=None)
+@given(values=st.fixed_dictionaries({}, optional={k: _POLICY_VALUES for k in _POLICY_KEYS}),
+       extra=st.lists(st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8),
+                      max_size=2))
+def test_policy_file_parses_to_checked_values_or_is_data_error(tmp_path_factory, values,
+                                                               extra):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_policy.cfg"
+    write_policy_file(path, TestPolicyFile.POLICY, TestPolicyFile.CONTEXT, "r.pgm")
+    lines = path.read_text().splitlines() + extra
+    lines += [f"{key}={value}" for key, value in values.items()]  # the last one wins
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        policy, context, _ = read_policy_file(path)
+    except DataError:
+        return
+    taus = (policy.tau_illum, policy.tau_pose, policy.tau_occl)
+    assert all(np.isfinite(t) and t >= 0.0 for t in taus)
+    assert policy.default_method in METHODS
+    assert all(np.isfinite(v) for v in dataclasses.astuple(context))
+    assert context.mean_sigma > 0.0 and context.asym_sigma > 0.0

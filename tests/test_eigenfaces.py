@@ -90,7 +90,8 @@ class TestProject:
     def test_training_image_matches_gallery(self, small_model):
         samples, model = small_model
         label, vec = samples[0]
-        assert np.allclose(project(model, vec), model.gallery[label][0], atol=1e-10)
+        row = model.row_labels.index(label)  # the label's first gallery row
+        assert np.allclose(project(model, vec), model.gallery[row], atol=1e-10)
 
     def test_dimension_check(self, small_model):
         _, model = small_model
@@ -161,24 +162,24 @@ class TestClassify:
 
     def test_unknown_face_between_clusters(self):
         basis = np.eye(4)[:, :2]
-        gallery = {"a": (np.array([50.0, 0.0]),), "b": (np.array([-50.0, 0.0]),)}
+        gallery = np.array([[50.0, 0.0], [-50.0, 0.0]])
         model = EigenModel((1, 4), np.zeros(4), basis, np.array([2.0, 1.0]),
-                           gallery, theta_face=100.0, theta_known=1.0)
+                           gallery, ("a", "b"), theta_face=100.0, theta_known=1.0)
         decision = classify(model, basis @ np.array([0.0, 20.0]))
         assert decision.verdict == UNKNOWN_FACE
         assert predicted_label(decision) == "<unknown-face>"
 
     def test_tie_breaks_to_smallest_label(self):
         basis = np.eye(4)[:, :2]
-        gallery = {"b": (np.array([-1.0, 0.0]),), "a": (np.array([1.0, 0.0]),)}
+        gallery = np.array([[-1.0, 0.0], [1.0, 0.0]])
         model = EigenModel((1, 4), np.zeros(4), basis, np.array([2.0, 1.0]),
-                           gallery, theta_face=10.0, theta_known=10.0)
+                           gallery, ("b", "a"), theta_face=10.0, theta_known=10.0)
         decision = classify(model, np.zeros(4))  # exactly equidistant
         assert decision.label == "a"
 
     def test_empty_gallery_rejected(self):
         model = EigenModel((1, 4), np.zeros(4), np.eye(4)[:, :1], np.array([1.0]),
-                           {}, 1.0, 1.0)
+                           np.empty((0, 1)), (), 1.0, 1.0)
         with pytest.raises(DataError, match="empty"):
             classify(model, np.zeros(4))
 
@@ -194,10 +195,10 @@ class TestEnroll:
     def test_enroll_existing_label_grows_list(self, small_model):
         samples, model = small_model
         label, vec = samples[0]
-        before = len(model.gallery[label])
+        before = model.row_labels.count(label)
         grown = enroll(model, vec, label)
-        assert len(grown.gallery[label]) == before + 1
-        assert len(model.gallery[label]) == before  # original untouched
+        assert grown.row_labels.count(label) == before + 1
+        assert model.row_labels.count(label) == before  # original untouched
 
     def test_enroll_non_face_rejected(self, small_model):
         _, model = small_model

@@ -14,6 +14,7 @@ SAMPLES = ([("c1", np.array(v)) for v in CLASS1]
 RT5 = np.sqrt(5.0)
 
 
+
 class TestComputeScatter:
     def test_hand_expanded_sums(self):
         pair = compute_scatter(SAMPLES)
@@ -57,19 +58,19 @@ class TestTrainFisher:
         model = train_fisher(SAMPLES)
         assert model.m == 1
         assert model.eigenvalues[0] == pytest.approx(24.0, abs=1e-8)
-        direction = model.pca @ model.fld[:, 0]  # back to input space, unit norm
+        direction = model.projection[:, 0]  # input-space direction, unit norm
         assert np.allclose(direction, np.array([2.0, 1.0]) / RT5, atol=1e-8)
         # centered projections of the class means: -(4)/sqrt(5) and +4/sqrt(5)
-        assert model.centroids["c1"][0] == pytest.approx(-4.0 / RT5, abs=1e-8)
-        assert model.centroids["c2"][0] == pytest.approx(4.0 / RT5, abs=1e-8)
+        assert model.row_labels == ("c1", "c2")
+        assert model.centroids[0, 0] == pytest.approx(-4.0 / RT5, abs=1e-8)
+        assert model.centroids[1, 0] == pytest.approx(4.0 / RT5, abs=1e-8)
 
     def test_label_permutation_symmetry(self):
         relabeled = [("c2" if lb == "c1" else "c1", v) for lb, v in SAMPLES]
         base = train_fisher(SAMPLES)
         swapped = train_fisher(relabeled)
-        assert np.allclose(base.fld, swapped.fld, atol=1e-10)
-        assert np.allclose(base.centroids["c1"], swapped.centroids["c2"], atol=1e-10)
-        assert np.allclose(base.centroids["c2"], swapped.centroids["c1"], atol=1e-10)
+        assert np.allclose(base.projection, swapped.projection, atol=1e-10)
+        assert np.allclose(base.centroids, swapped.centroids[::-1], atol=1e-10)
 
     def test_identical_classes_degenerate(self):
         samples = [("a", np.array([0.0, 1.0])), ("a", np.array([2.0, 3.0])),
@@ -90,14 +91,14 @@ class TestTrainFisher:
             assert model.m <= c - 1
             assert np.all(model.eigenvalues > 0)
 
-    def test_high_dimensional_small_sample(self):
+    def test_high_dimensional_small_sample(self, train_fisher_keeping_pca):
         # D much larger than N: the direct within-class scatter is singular,
         # so this exercises the PCA pre-projection path
         rng = np.random.default_rng(18)
         samples = [(f"c{i % 2}", rng.normal(loc=2.0 * (i % 2), size=100))
                    for i in range(8)]
-        model = train_fisher(samples)
-        assert model.pca.shape == (100, 6)  # min(N - c, rank) = 8 - 2
+        model, pca = train_fisher_keeping_pca(samples)
+        assert pca.shape == (100, 6)  # min(N - c, rank) = 8 - 2
         for label, vec in samples:
             assert classify(model, vec)[0] == label
 
@@ -146,51 +147,51 @@ class TestClassify:
 
     def test_centroid_preimage_has_zero_distance(self):
         model = train_fisher(SAMPLES)
-        w_input = model.pca @ model.fld  # D x 1, unit norm
-        preimage = model.mean + (w_input @ model.centroids["c2"]).reshape(-1)
+        w_input = model.projection  # D x 1, unit norm
+        preimage = model.mean + (w_input @ model.centroids[1]).reshape(-1)
         label, dist = classify(model, preimage)
         assert label == "c2" and dist <= 1e-8
 
     def test_tie_breaks_to_smallest_label(self):
-        model = FisherModel((1, 2), np.zeros(2), np.eye(2), np.eye(2)[:, :1],
-                            {"b": np.array([1.0]), "a": np.array([-1.0])},
-                            np.array([1.0]))
+        model = FisherModel((1, 2), np.zeros(2), np.eye(2)[:, :1],
+                            np.array([[1.0], [-1.0]]), ("b", "a"), np.array([1.0]))
         label, _ = classify(model, np.zeros(2))  # equidistant from both
         assert label == "a"
 
     def test_empty_model_rejected(self):
-        model = FisherModel((1, 2), np.zeros(2), np.eye(2), np.eye(2)[:, :1],
-                            {}, np.array([1.0]))
+        model = FisherModel((1, 2), np.zeros(2), np.eye(2)[:, :1],
+                            np.empty((0, 1)), (), np.array([1.0]))
         with pytest.raises(DataError):
             classify(model, np.zeros(2))
 
 
 class TestInvariants:
-    def test_fisher_criterion_optimality_sampled(self):
+    def test_fisher_criterion_optimality_sampled(self, train_fisher_keeping_pca):
         # the top discriminant's Rayleigh quotient beats 100 random directions
         rng = np.random.default_rng(19)
         samples = [(f"c{i % 3}", rng.normal(loc=(i % 3), size=6)) for i in range(24)]
-        model = train_fisher(samples)
-        reduced = [(lb, model.pca.T @ (v - model.mean)) for lb, v in samples]
+        model, pca = train_fisher_keeping_pca(samples)
+        reduced = [(lb, pca.T @ (v - model.mean)) for lb, v in samples]
         pair = compute_scatter(reduced)
-        w1 = model.fld[:, 0]
+        w1 = (pca.T @ model.projection)[:, 0]
         best = (w1 @ pair.between @ w1) / (w1 @ pair.within @ w1)
         for _ in range(100):
             u = rng.normal(size=w1.size)
             u /= np.linalg.norm(u)
             assert best >= (u @ pair.between @ u) / (u @ pair.within @ u) - 1e-9
 
-    def test_generalized_residual_bound(self):
+    def test_generalized_residual_bound(self, train_fisher_keeping_pca):
         rng = np.random.default_rng(20)
         samples = [(f"c{i % 3}", rng.normal(loc=2.0 * (i % 3), size=12))
                    for i in range(18)]
-        model = train_fisher(samples)
-        reduced = [(lb, model.pca.T @ (v - model.mean)) for lb, v in samples]
+        model, pca = train_fisher_keeping_pca(samples)
+        reduced = [(lb, pca.T @ (v - model.mean)) for lb, v in samples]
         pair = compute_scatter(reduced)
         scale = max(1.0, np.linalg.norm(pair.between))
+        fld = pca.T @ model.projection
         for k in range(model.m):
-            resid = (pair.between @ model.fld[:, k]
-                     - model.eigenvalues[k] * (pair.within @ model.fld[:, k]))
+            resid = (pair.between @ fld[:, k]
+                     - model.eigenvalues[k] * (pair.within @ fld[:, k]))
             assert np.linalg.norm(resid) <= 1e-6 * scale
 
     def test_offset_invariant_predictions(self):
