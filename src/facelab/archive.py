@@ -254,9 +254,10 @@ def load_model(path: Path):
         raise DataError(f"{path}: malformed method record")
     dims_args = r.expect("dims")
     try:
-        dims = (int(dims_args[0]), int(dims_args[1]))
-    except (ValueError, IndexError):
+        height, width = map(int, dims_args)  # exactly two tokens
+    except ValueError:
         raise DataError(f"{path}: malformed dims record") from None
+    dims = (height, width)
     method = method_args[0]
     if method not in _FORMATS:
         raise DataError(f"{path}: unknown method {method!r}")

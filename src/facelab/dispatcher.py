@@ -240,4 +240,6 @@ def read_policy_file(path: Path) -> tuple[DispatchPolicy, ProfileContext, str]:
         )
     except ValueError as exc:
         raise DataError(f"{path}: malformed numeric value: {exc}") from exc
+    except DataError as exc:  # a value the policy or the context rejects
+        raise DataError(f"{path}: {exc}") from exc
     return policy, context, values["frontal_ref"]

@@ -14,7 +14,8 @@ those structural zeros are preserved exactly through every training stage.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,6 +125,25 @@ class HmmModel:
         return self.means.shape[1]
 
 
+class _Stacked(NamedTuple):
+    """The parameters of S same-shape HMMs, stacked on a leading axis."""
+
+    trans: np.ndarray  # S x N x N
+    means: np.ndarray  # S x N x d
+    inv_var: np.ndarray  # S x N x d, 1 / variances
+    logdet: np.ndarray  # S x N, per-state log det(2*pi*Sigma)
+
+    @property
+    def dim(self) -> int:
+        return self.means.shape[2]
+
+
+def _stack(models: list[HmmModel]) -> _Stacked:
+    variances = np.stack([m.variances for m in models])
+    return _Stacked(np.stack([m.trans for m in models]), np.stack([m.means for m in models]),
+                    1.0 / variances, np.sum(np.log(2.0 * np.pi * variances), axis=2))
+
+
 @dataclass(frozen=True)
 class SubjectBank:
     """Per-subject HMMs sharing one block geometry and feature transform."""
@@ -132,6 +152,8 @@ class SubjectBank:
     klt: KltBasis | None  # None when feature_mode == FEATURE_RAW
     models: dict[str, HmmModel]
     feature_mode: str = FEATURE_KLT
+    # every subject's parameters in label order, stacked once for recognize
+    stacked: _Stacked | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "models",
@@ -144,6 +166,10 @@ class SubjectBank:
                 if model.dim != self.klt.dim:
                     raise DataError(f"HMM {label!r} state dimension {model.dim} != "
                                     f"KLT dimension {self.klt.dim}")
+        if len({m.means.shape for m in self.models.values()}) > 1:
+            raise DataError("the subject HMMs of a bank must share state count and dimension")
+        object.__setattr__(self, "stacked",
+                           _stack(list(self.models.values())) if self.models else None)
 
     @property
     def labels(self) -> list[str]:
@@ -163,15 +189,14 @@ def extract_blocks(image: GrayImage, params: BlockParams) -> np.ndarray:
     """T x (L*W) matrix of flattened blocks, top to bottom.
 
     Block t covers rows [t*stride, t*stride + L); trailing rows that do not
-    fill a whole block are discarded.
+    fill a whole block are discarded. The result is a read-only view of the
+    image pixels, so overlapping blocks share their rows in memory.
     """
     if (image.h, image.w) != params.image_dims:
         raise DataError(f"image dims {(image.h, image.w)} != params dims {params.image_dims}")
-    stride = params.stride
-    return np.vstack([
-        image.pixels[t * stride: t * stride + params.height].reshape(-1)
-        for t in range(params.block_count)
-    ])
+    windows = np.lib.stride_tricks.sliding_window_view(
+        image.pixels, params.height, axis=0)[::params.stride]  # T x W x L
+    return windows.transpose(0, 2, 1).reshape(params.block_count, -1)
 
 
 def fit_klt(blocks: np.ndarray, d: int) -> KltBasis:
@@ -200,26 +225,59 @@ def observe(blocks: np.ndarray, basis: KltBasis) -> np.ndarray:
     return (blocks - basis.mean) @ basis.basis.T
 
 
-def _check_seq(model: HmmModel, seq: np.ndarray) -> np.ndarray:
+def _check_seq(dim: int, seq: np.ndarray) -> np.ndarray:
     seq = np.atleast_2d(np.asarray(seq, dtype=np.float64))
     if seq.shape[0] < 1 or seq.size == 0:
         raise DataError("empty observation sequence")
-    if seq.shape[1] != model.dim:
-        raise DataError(f"observation dimension {seq.shape[1]} != model dimension {model.dim}")
+    if seq.shape[1] != dim:
+        raise DataError(f"observation dimension {seq.shape[1]} != model dimension {dim}")
     return seq
 
 
-def _log_emissions(model: HmmModel, seq: np.ndarray) -> np.ndarray:
-    """T x N matrix of per-state diagonal-Gaussian log densities."""
-    diff = seq[:, None, :] - model.means[None, :, :]
-    quad = np.einsum("tnd,nd->tn", diff * diff, 1.0 / model.variances)
-    logdet = np.sum(np.log(2.0 * np.pi * model.variances), axis=1)
-    return -0.5 * (quad + logdet[None, :])
+def _log_emissions(p: _Stacked, seqs: np.ndarray) -> np.ndarray:
+    """B x T x N per-state diagonal-Gaussian log densities.
+
+    seqs is B x T x d; either it or the stack may have a leading axis of 1,
+    which is shared across the other's batch.
+    """
+    diff = seqs[:, :, None, :] - p.means[:, None, :, :]
+    inv_var = np.broadcast_to(p.inv_var, (diff.shape[0],) + p.inv_var.shape[1:])
+    quad = np.einsum("stnd,snd->stn", diff * diff, inv_var)
+    return -0.5 * (quad + p.logdet[:, None, :])
 
 
-def _log_trans(model: HmmModel) -> np.ndarray:
+def _viterbi(trans: np.ndarray, logb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched Viterbi over B sequences: (B x T paths, B joint log-likelihoods).
+
+    trans is B x N x N (or 1 x N x N, shared), logb is B x T x N. The path
+    starts in state 0 and moves by at most one state per step; score ties
+    prefer the lower predecessor, and the lowest final state wins ties.
+    """
+    batch, t_len, n = logb.shape
     with np.errstate(divide="ignore"):
-        return np.log(model.trans)
+        loga = np.log(trans)
+    stay = np.diagonal(loga, axis1=1, axis2=2).copy()  # a[j][j]
+    move = np.diagonal(loga, offset=1, axis1=1, axis2=2).copy()  # a[j-1][j], j >= 1
+    by_step = np.ascontiguousarray(logb.transpose(1, 0, 2))  # T x B x N
+    delta = np.full((batch, n), -np.inf)
+    delta[:, 0] = by_step[0, :, 0]  # pi = (1, 0, ..., 0)
+    moved = np.zeros((t_len, batch, n), dtype=bool)  # best predecessor of j at t is j - 1
+    for t in range(1, t_len):
+        best = delta + stay
+        step = delta[:, :-1] + move
+        np.greater_equal(step, best[:, 1:], out=moved[t, :, 1:])
+        np.maximum(best[:, 1:], step, out=best[:, 1:])
+        delta = best + by_step[t]
+    end = np.argmax(delta, axis=1)  # lowest index wins ties
+    rows = np.arange(batch)
+    scores = delta[rows, end]
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("no feasible state path: every path has probability zero")
+    paths = np.empty((batch, t_len), dtype=np.intp)
+    paths[:, -1] = end
+    for t in range(t_len - 1, 0, -1):
+        paths[:, t - 1] = paths[:, t] - moved[t, rows, paths[:, t]]
+    return paths, scores
 
 
 def viterbi(model: HmmModel, seq: np.ndarray) -> tuple[np.ndarray, float]:
@@ -229,71 +287,58 @@ def viterbi(model: HmmModel, seq: np.ndarray) -> tuple[np.ndarray, float]:
     ties prefer the lower predecessor, so among equally likely paths the
     pointwise-lowest one is returned.
     """
-    seq = _check_seq(model, seq)
-    t_len, n = seq.shape[0], model.n_states
-    logb = _log_emissions(model, seq)
-    loga = _log_trans(model)
-    delta = np.full((t_len, n), -np.inf)
-    pred = np.zeros((t_len, n), dtype=np.intp)
-    delta[0, 0] = logb[0, 0]  # pi = (1, 0, ..., 0)
-    for t in range(1, t_len):
-        for j in range(n):
-            best, arg = delta[t - 1, j] + loga[j, j], j
-            if j > 0:
-                move = delta[t - 1, j - 1] + loga[j - 1, j]
-                if move >= best:
-                    best, arg = move, j - 1
-            delta[t, j] = best + logb[t, j]
-            pred[t, j] = arg
-    end = int(np.argmax(delta[t_len - 1]))  # lowest index wins ties
-    best = float(delta[t_len - 1, end])
-    if not np.isfinite(best):
-        raise NumericError("no feasible state path: every path has probability zero")
-    path = np.empty(t_len, dtype=np.intp)
-    path[-1] = end
-    for t in range(t_len - 1, 0, -1):
-        path[t - 1] = pred[t, path[t]]
-    return path, best
+    seq = _check_seq(model.dim, seq)
+    p = _stack([model])
+    paths, scores = _viterbi(p.trans, _log_emissions(p, seq[None]))
+    return paths[0], float(scores[0])
 
 
-def _scaled_forward(model: HmmModel, seq: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Scaled forward pass; returns (alpha_hat, scales, shifted emissions, logL).
+def _scaled_forward(trans: np.ndarray, logb: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Batched scaled forward pass over B sequences.
 
+    trans is B x N x N (or 1 x N x N, shared), logb is B x T x N. Returns
+    (alpha_hat B x T x N, scales B x T, shifted emissions B x T x N, logL B).
     Each step's emissions are shifted by the maximum of the propagated
     log-mass before exponentiation, so the recursion neither underflows on
     long or surprising sequences nor overflows through states the
     left-to-right support cannot reach yet. The shifted emissions and scales
     are mutually consistent, which is what the backward pass relies on.
     """
-    t_len, n = seq.shape[0], model.n_states
-    logb = _log_emissions(model, seq)
-    alpha = np.zeros((t_len, n))
-    scales = np.zeros(t_len)
-    shifts = np.zeros(t_len)
-    b_shifted = np.zeros((t_len, n))
-    for t in range(t_len):
-        mass = model.start if t == 0 else alpha[t - 1] @ model.trans
-        reachable = mass > 0.0
-        with np.errstate(divide="ignore"):
-            log_unnorm = np.log(mass) + logb[t]  # -inf where unreachable
-        shift = log_unnorm.max()
-        if not np.isfinite(shift):
-            raise NumericError(f"forward recursion vanished at step {t}")
-        b_shifted[t, reachable] = np.exp(np.minimum(logb[t, reachable] - shift, 700.0))
-        unnorm = np.exp(log_unnorm - shift)
-        total = unnorm.sum()  # >= 1: the max term contributes exactly 1
-        scales[t] = total
-        shifts[t] = shift
-        alpha[t] = unnorm / total
-    total_ll = float(np.sum(np.log(scales)) + np.sum(shifts))
+    batch, t_len, n = logb.shape
+    alpha = np.zeros((batch, t_len, n))
+    masses = np.zeros((batch, t_len, n))
+    scales = np.zeros((batch, t_len))
+    shifts = np.zeros((batch, t_len))
+    mass = np.zeros((batch, n))
+    mass[:, 0] = 1.0  # pi = (1, 0, ..., 0)
+    # a vanished step yields NaN from here on; it is reported after the loop
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(t_len):
+            if t:
+                mass = np.matmul(alpha[:, t - 1, None, :], trans)[:, 0]
+            masses[:, t] = mass
+            log_unnorm = np.log(mass) + logb[:, t]  # -inf where unreachable
+            shift = log_unnorm.max(axis=1)
+            unnorm = np.exp(log_unnorm - shift[:, None])
+            total = unnorm.sum(axis=1)  # >= 1: the max term contributes exactly 1
+            scales[:, t] = total
+            shifts[:, t] = shift
+            alpha[:, t] = unnorm / total[:, None]
+    vanished = ~np.isfinite(shifts).all(axis=0)
+    if vanished.any():
+        raise NumericError(f"forward recursion vanished at step {int(np.argmax(vanished))}")
+    shifted = np.exp(np.minimum(logb - shifts[:, :, None], 700.0))
+    b_shifted = np.where(masses > 0.0, shifted, 0.0)
+    total_ll = np.sum(np.log(scales), axis=1) + np.sum(shifts, axis=1)
     return alpha, scales, b_shifted, total_ll
 
 
 def loglik(model: HmmModel, seq: np.ndarray) -> float:
     """Total forward log-likelihood (sum over all feasible paths)."""
-    seq = _check_seq(model, seq)
-    return _scaled_forward(model, seq)[3]
+    seq = _check_seq(model.dim, seq)
+    p = _stack([model])
+    return float(_scaled_forward(p.trans, _log_emissions(p, seq[None]))[3][0])
 
 
 def _uniform_states(t_len: int, n_states: int) -> np.ndarray:
@@ -351,30 +396,23 @@ def _reestimate_from_paths(model: HmmModel, seqs: list[np.ndarray],
     """Segmental M-step: Gaussians from state assignments, rows from counts."""
     n = model.n_states
     warnings = model.warnings
-    assigned: list[list[np.ndarray]] = [[] for _ in range(n)]
-    stay = np.zeros(n)
-    move = np.zeros(n)
-    for seq, path in zip(seqs, paths):
-        for i in range(n):
-            chunk = seq[path == i]
-            if chunk.size:
-                assigned[i].append(chunk)
-        for a, b in zip(path[:-1], path[1:]):
-            if a == b:
-                stay[a] += 1.0
-            else:
-                move[a] += 1.0
+    obs = np.concatenate(seqs)
+    states = np.concatenate(paths)
+    src = np.concatenate([path[:-1] for path in paths])
+    dst = np.concatenate([path[1:] for path in paths])
+    stay = np.bincount(src[src == dst], minlength=n).astype(np.float64)
+    move = np.bincount(src[src != dst], minlength=n).astype(np.float64)
 
     means = model.means.copy()
     variances = model.variances.copy()
     for i in range(n):
-        if not assigned[i]:
+        assigned = obs[states == i]  # rows in sequence order, then time order
+        if not assigned.size:
             warnings += 1
             log.warning("state %d received no observations; keeping previous parameters", i)
             continue
-        obs = np.vstack(assigned[i])
-        means[i] = obs.mean(axis=0)
-        variances[i] = np.maximum(obs.var(axis=0), VAR_FLOOR)
+        means[i] = assigned.mean(axis=0)
+        variances[i] = np.maximum(assigned.var(axis=0), VAR_FLOOR)
 
     trans = model.trans.copy()
     for i in range(n - 1):
@@ -386,6 +424,14 @@ def _reestimate_from_paths(model: HmmModel, seqs: list[np.ndarray],
     trans[n - 1] = 0.0
     trans[n - 1, n - 1] = 1.0
     return replace(model, trans=trans, means=means, variances=variances, warnings=warnings)
+
+
+def _by_length(seqs: list[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
+    """Equal-length sequences stacked: (input indices, B x T x d batch) per length."""
+    groups: dict[int, list[int]] = {}
+    for k, seq in enumerate(seqs):
+        groups.setdefault(seq.shape[0], []).append(k)
+    return [(idx, np.stack([seqs[k] for k in idx])) for idx in groups.values()]
 
 
 def viterbi_train(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL,
@@ -400,18 +446,24 @@ def viterbi_train(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_
     """
     if max_iter < 0:
         raise DataError("max_iter must be >= 0")
-    seqs = [_check_seq(model, s) for s in seqs]
+    seqs = [_check_seq(model.dim, s) for s in seqs]
     if not seqs:
         raise DataError("no training sequences")
+    batches = _by_length(seqs)
     prev = None
     for _ in range(max_iter):
-        paths, scores = zip(*(viterbi(model, s) for s in seqs))
+        p = _stack([model])
+        paths, scores = [None] * len(seqs), [0.0] * len(seqs)
+        for idx, batch in batches:
+            batch_paths, batch_scores = _viterbi(p.trans, _log_emissions(p, batch))
+            for k, path, score in zip(idx, batch_paths, batch_scores.tolist()):
+                paths[k], scores[k] = path, score
         total = float(sum(scores))
         if history is not None:
             history.append(total)
         if prev is not None and abs(total - prev) <= tol * max(1.0, abs(prev)):
             return model
-        model = _reestimate_from_paths(model, seqs, list(paths))
+        model = _reestimate_from_paths(model, seqs, paths)
         prev = total
     return model
 
@@ -430,36 +482,43 @@ def baum_welch(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL
     """
     if max_iter < 0:
         raise DataError("max_iter must be >= 0")
-    seqs = [_check_seq(model, s) for s in seqs]
+    seqs = [_check_seq(model.dim, s) for s in seqs]
     if not seqs:
         raise DataError("no training sequences")
+    batches = _by_length(seqs)
     n = model.n_states
     prev = None
     for iteration in range(max_iter):
-        trans_num = np.zeros((n, n))
+        p = _stack([model])
+        # per sequence, in input order: (logL, gamma T x N, xi (T-1) x N x N)
+        stats: list = [None] * len(seqs)
+        for idx, batch in batches:
+            try:
+                alpha, scales, b, ll = _scaled_forward(p.trans, _log_emissions(p, batch))
+            except NumericError as exc:
+                raise NumericError(f"iteration {iteration}: {exc}") from exc
+            beta = np.zeros_like(alpha)
+            beta[:, -1] = 1.0
+            for t in range(batch.shape[1] - 2, -1, -1):
+                ahead = (b[:, t + 1] * beta[:, t + 1])[:, :, None]
+                beta[:, t] = np.matmul(model.trans, ahead)[:, :, 0] / scales[:, t + 1, None]
+            gamma = alpha * beta  # rows sum to 1
+            xi = (alpha[:, :-1, :, None] * model.trans
+                  * (b[:, 1:] * beta[:, 1:])[:, :, None, :]) / scales[:, 1:, None, None]
+            for j, k in enumerate(idx):
+                stats[k] = (float(ll[j]), gamma[j], xi[j])
+        total = 0.0
         gamma_sum = np.zeros(n)
         obs_sum = np.zeros((n, model.dim))
         obs_sq_sum = np.zeros((n, model.dim))
-        total = 0.0
-        for seq in seqs:
-            try:
-                alpha, scales, b, ll = _scaled_forward(model, seq)
-            except NumericError as exc:
-                raise NumericError(f"iteration {iteration}: {exc}") from exc
+        for seq, (ll, gamma, _) in zip(seqs, stats):
             total += ll
-            t_len = seq.shape[0]
-            beta = np.zeros((t_len, n))
-            beta[t_len - 1] = 1.0
-            for t in range(t_len - 2, -1, -1):
-                beta[t] = (model.trans @ (b[t + 1] * beta[t + 1])) / scales[t + 1]
-            gamma = alpha * beta  # rows sum to 1
             gamma_sum += gamma.sum(axis=0)
             obs_sum += gamma.T @ seq
             obs_sq_sum += gamma.T @ (seq * seq)
-            for t in range(t_len - 1):
-                xi = (alpha[t][:, None] * model.trans
-                      * (b[t + 1] * beta[t + 1])[None, :]) / scales[t + 1]
-                trans_num += xi
+        # added step by step from zero in input order, so the rounding is a running total's
+        trans_num = np.add.reduce(
+            np.concatenate([np.zeros((1, n, n))] + [xi for _, _, xi in stats]), axis=0)
         if history is not None:
             history.append(total)
         if prev is not None and abs(total - prev) <= tol * max(1.0, abs(prev)):
@@ -549,11 +608,14 @@ def train_bank(
 
 
 def recognize(bank: SubjectBank, image: GrayImage) -> tuple[str, dict[str, float]]:
-    """Maximum-forward-likelihood subject; ties go to the smallest label."""
-    obs = features_for(bank, image)
-    scores = {label: loglik(model, obs) for label, model in sorted(bank.models.items())}
-    best, best_score = None, -np.inf
-    for label, score in scores.items():  # sorted order: strict > keeps lowest label on ties
-        if score > best_score:
-            best, best_score = label, score
-    return best, scores
+    """Maximum-forward-likelihood subject; ties go to the smallest label.
+
+    One batched forward pass scores the probe under every subject at once.
+    """
+    if bank.stacked is None:
+        raise DataError("HMM bank has no subjects")
+    obs = _check_seq(bank.stacked.dim, features_for(bank, image))
+    scores = _scaled_forward(bank.stacked.trans, _log_emissions(bank.stacked, obs[None]))[3]
+    labels = bank.labels
+    # labels are sorted and argmax returns the first maximum: ties keep the lowest label
+    return labels[int(np.argmax(scores))], dict(zip(labels, scores.tolist()))

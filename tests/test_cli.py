@@ -176,18 +176,26 @@ def _drop_basis_row(lines):
     del lines[at + 1]
 
 
+def _extra_dims_token(lines):
+    at = next(i for i, line in enumerate(lines) if line.startswith("dims "))
+    lines[at] += " 7"
+
+
 def test_inconsistent_archive_is_data_error(banded_dir, tmp_path, capsys):
-    model = tmp_path / "eigen.ffm"
+    trained = tmp_path / "trained.ffm"
     assert main(["train", "--method", "eigen", "--dataset", str(banded_dir),
-                 "--out", str(model), "--k", "12"]) == 0
-    _rewrite(model, _drop_basis_row)
-    capsys.readouterr()
+                 "--out", str(trained), "--k", "12"]) == 0
     probe = sorted((banded_dir / "s01").glob("*.pgm"))[0]
-    for argv in (["inspect", "--model", str(model)],
-                 ["recognize", "--model", str(model), "--image", str(probe)]):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and "basis" in err and err.count("\n") == 1
+    for edit, word in ((_drop_basis_row, "basis"), (_extra_dims_token, "dims")):
+        model = tmp_path / "eigen.ffm"
+        model.write_text(trained.read_text())
+        _rewrite(model, edit)
+        capsys.readouterr()
+        for argv in (["inspect", "--model", str(model)],
+                     ["recognize", "--model", str(model), "--image", str(probe)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and word in err and err.count("\n") == 1
 
 
 def test_archive_with_detector_record_is_data_error(banded_dir, tmp_path, capsys):
@@ -228,3 +236,4 @@ def test_bad_policy_value_is_data_error(trained_all, banded_dir, tmp_path, capsy
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and key in err and err.count("\n") == 1
+        assert str(policy) in err

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+from facelab import hmm1d
 from facelab.dataset import GrayImage
 from facelab.errors import DataError, NumericError
 from facelab.hmm1d import (BlockParams, FEATURE_RAW, HmmModel, KltBasis, SubjectBank,
-                           baum_welch, extract_blocks, fit_klt, init_uniform, loglik,
-                           observe, recognize, train_bank, viterbi, viterbi_train)
+                           baum_welch, extract_blocks, features_for, fit_klt, init_uniform,
+                           loglik, observe, recognize, train_bank, viterbi, viterbi_train)
 
 RT2 = np.sqrt(2.0)
 
@@ -478,3 +481,77 @@ class TestModelValidation:
         bank = SubjectBank(BlockParams(2, 1, (4, 2)), None,
                            {"z": model, "a": model}, feature_mode=FEATURE_RAW)
         assert bank.labels == ["a", "z"]
+
+    def test_subject_bank_models_share_shape(self):
+        one = lr_model([(1.0, 0.0)], [[0.0]], [[1.0]])
+        two = lr_model([(0.5, 0.5), (1.0, 0.0)], [[0.0], [1.0]], [[1.0], [1.0]])
+        with pytest.raises(DataError, match="share state count"):
+            SubjectBank(BlockParams(2, 1, (4, 2)), None, {"a": one, "b": two},
+                        feature_mode=FEATURE_RAW)
+
+
+def assert_left_to_right(model):
+    n = model.n_states
+    for i in range(n):
+        for j in range(n):
+            if j not in (i, i + 1):
+                assert model.trans[i, j] == 0.0
+    assert model.trans[n - 1, n - 1] == 1.0
+
+
+class TestBatchedKernels:
+    """The batched forward and Viterbi kernels give the single-sequence results."""
+
+    def test_bank_scores_equal_single_model_loglik(self, banded, banded_models):
+        bank = banded_models.bank
+        for _, _, image in banded.test_entries:
+            obs = features_for(bank, image)
+            scores = recognize(bank, image)[1]
+            assert list(scores) == bank.labels
+            for label, score in scores.items():
+                assert score == loglik(bank.models[label], obs)
+
+    @pytest.fixture
+    def mixed_lengths(self):
+        rng = np.random.default_rng(61)
+        true = random_lr_model(rng, 4, 2)
+        seqs = [sample_sequences(true, rng, 1, t_len)[0] for t_len in (12, 15, 12)]
+        return init_uniform(seqs, 4), seqs
+
+    def test_viterbi_train_mixed_lengths(self, mixed_lengths, monkeypatch):
+        start, seqs = mixed_lengths
+        used = []
+        reestimate = hmm1d._reestimate_from_paths
+
+        def spy(model, seqs, paths):
+            used.append((model, seqs, paths))
+            return reestimate(model, seqs, paths)
+
+        monkeypatch.setattr(hmm1d, "_reestimate_from_paths", spy)
+        history = []
+        model = viterbi_train(start, seqs, tol=0.0, max_iter=6, history=history)
+        assert_left_to_right(model)
+        assert all(b >= a - 1e-9 for a, b in zip(history, history[1:]))
+        assert history[0] == sum(viterbi(start, s)[1] for s in seqs)
+        assert used
+        for fitted, batch_seqs, paths in used:
+            assert [s.shape[0] for s in batch_seqs] == [12, 15, 12]
+            for seq, path in zip(batch_seqs, paths):
+                assert np.array_equal(path, viterbi(fitted, seq)[0])
+
+    def test_baum_welch_mixed_lengths(self, mixed_lengths):
+        start, seqs = mixed_lengths
+        history = []
+        model = baum_welch(start, seqs, tol=0.0, max_iter=8, history=history)
+        assert len(history) == 8
+        assert_left_to_right(model)
+        assert all(b >= a - 1e-9 for a, b in zip(history, history[1:]))
+        assert history[0] == sum(loglik(start, s) for s in seqs)
+
+    def test_vanished_subject_fails_recognition(self, banded, banded_models):
+        bank = banded_models.bank
+        label = bank.labels[-1]
+        far = replace(bank.models[label], means=np.full_like(bank.models[label].means, 1e200))
+        broken = replace(bank, models={**bank.models, label: far})
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="vanished"):
+            recognize(broken, banded.test_entries[0][2])
