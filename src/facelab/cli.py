@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import bench, dispatcher, hmm1d
 from .archive import load_model, method_of, save_model
 from .dataset import (SplitSpec, flatten, load_labeled_images, load_labeled_vectors,
@@ -168,11 +170,15 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_multi(models_dir: Path) -> tuple[EigenModel, FisherModel, SubjectBank]:
+def _load_dispatch(models_dir: Path, policy_path: Path) -> tuple[
+        EigenModel, FisherModel, SubjectBank, np.ndarray, dispatcher.DispatchPolicy,
+        dispatcher.ProfileContext]:
+    """What dispatching a probe reads, in recognize_multi's argument order."""
+    policy, context, ref_path = dispatcher.read_policy_file(policy_path)
     models = tuple(load_model(models_dir / f"{method}.ffm") for method in dispatcher.METHODS)
     if tuple(method_of(model) for model in models) != dispatcher.METHODS:
         raise DataError(f"{models_dir}: unexpected model types in eigen/fisher/hmm files")
-    return models
+    return (*models, flatten(load_pgm_file(Path(ref_path))), policy, context)
 
 
 def _cmd_recognize(args) -> int:
@@ -180,11 +186,8 @@ def _cmd_recognize(args) -> int:
     if args.multi:
         if args.policy is None:
             raise _UsageError("--multi requires --policy")
-        policy, context, ref_path = dispatcher.read_policy_file(args.policy)
-        eigen, fisher, bank = _load_multi(args.model)
-        frontal = flatten(load_pgm_file(Path(ref_path)))
         method, label, _ = dispatcher.recognize_multi(
-            eigen, fisher, bank, frontal, policy, context, image)
+            *_load_dispatch(args.model, args.policy), image)
         print(f"{args.image},{method},{label}")
         return EXIT_OK
     model = load_model(args.model)
@@ -213,9 +216,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_assess(args) -> int:
-    policy, context, ref_path = dispatcher.read_policy_file(args.policy)
-    eigen, _, bank = _load_multi(args.models)
-    frontal = flatten(load_pgm_file(Path(ref_path)))
+    eigen, _, bank, frontal, policy, context = _load_dispatch(args.models, args.policy)
     image = load_pgm_file(args.image)
     prof = dispatcher.profile(image, eigen, frontal, bank, context)
     method = dispatcher.select(prof, policy)
@@ -264,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, FacelabError) as exc:
+    except (FacelabError, OSError) as exc:  # an OSError names the path it could not use
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ DEFAULT_MAX_ITER = 20
 FEATURE_KLT = "klt"
 FEATURE_RAW = "raw"
 
-_GAMMA_FLOOR = 1e-12  # state occupancy below this counts as empty
+_GAMMA_FLOOR = 1e-12  # state occupancy (expected or counted) at most this counts as empty
 
 
 @dataclass(frozen=True)
@@ -162,10 +162,11 @@ class SubjectBank:
             raise DataError(f"feature mode {self.feature_mode!r} does not match the KLT basis")
         if self.klt is not None:
             require_shape("KLT mean", self.klt.mean, (self.params.block_dim,))
-            for label, model in self.models.items():
-                if model.dim != self.klt.dim:
-                    raise DataError(f"HMM {label!r} state dimension {model.dim} != "
-                                    f"KLT dimension {self.klt.dim}")
+        obs_dim = self.params.block_dim if self.klt is None else self.klt.dim
+        for label, model in self.models.items():
+            if model.dim != obs_dim:
+                raise DataError(f"HMM {label!r} state dimension {model.dim} != "
+                                f"observation dimension {obs_dim}")
         if len({m.means.shape for m in self.models.values()}) > 1:
             raise DataError("the subject HMMs of a bank must share state count and dimension")
         object.__setattr__(self, "stacked",
@@ -341,97 +342,115 @@ def loglik(model: HmmModel, seq: np.ndarray) -> float:
     return float(_scaled_forward(p.trans, _log_emissions(p, seq[None]))[3][0])
 
 
-def _uniform_states(t_len: int, n_states: int) -> np.ndarray:
-    return (np.arange(t_len) * n_states) // t_len
-
-
 def init_uniform(seqs: list[np.ndarray], n_states: int) -> HmmModel:
     """Initial model from uniform segmentation of every sequence.
 
-    Observation t of a length-T sequence is assigned to state floor(t*N/T);
-    per-state Gaussians pool those assignments, and transition rows come from
-    the mean segment lengths: a[i][i+1] = 1/len_i, a[i][i] = 1 - 1/len_i.
+    Observation t of a length-T sequence is assigned to state floor(t*N/T),
+    and the segmental M-step estimates a blank model from those paths: the
+    per-state Gaussians pool the assignments, and a[i][i+1] = 1/len_i,
+    a[i][i] = 1 - 1/len_i for the mean segment length len_i.
     """
     if n_states < 1:
         raise DataError(f"state count must be >= 1, got {n_states}")
     if not seqs:
         raise DataError("no training sequences")
-    seqs = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in seqs]
-    d = seqs[0].shape[1]
+    d = np.atleast_2d(seqs[0]).shape[1]
+    seqs = [_check_seq(d, s) for s in seqs]
     for s in seqs:
         if s.shape[0] < n_states:
             raise DataError(
                 f"sequence length {s.shape[0]} shorter than state count {n_states}")
-        if s.shape[1] != d:
-            raise DataError("observation dimensions differ across sequences")
+    blank = HmmModel(np.eye(n_states)[0], np.eye(n_states), np.zeros((n_states, d)),
+                     np.ones((n_states, d)))
+    paths = [(np.arange(len(s)) * n_states) // len(s) for s in seqs]
+    return _reestimate_from_paths(blank, seqs, paths)
 
-    per_state: list[list[np.ndarray]] = [[] for _ in range(n_states)]
-    seg_lengths = np.zeros((len(seqs), n_states))
-    for si, s in enumerate(seqs):
-        states = _uniform_states(s.shape[0], n_states)
-        for i in range(n_states):
-            mask = states == i
-            per_state[i].append(s[mask])
-            seg_lengths[si, i] = int(mask.sum())
-    means = np.zeros((n_states, d))
-    variances = np.zeros((n_states, d))
-    for i in range(n_states):
-        obs = np.vstack(per_state[i])
-        means[i] = obs.mean(axis=0)
-        variances[i] = np.maximum(obs.var(axis=0), VAR_FLOOR)
 
-    trans = np.zeros((n_states, n_states))
-    mean_len = seg_lengths.mean(axis=0)
-    for i in range(n_states - 1):
-        trans[i, i + 1] = 1.0 / mean_len[i]
-        trans[i, i] = 1.0 - trans[i, i + 1]
-    trans[n_states - 1, n_states - 1] = 1.0
-    start = np.zeros(n_states)
-    start[0] = 1.0
-    return HmmModel(start, trans, means, variances)
+def _reestimate(model: HmmModel, stay: np.ndarray, move: np.ndarray, occupancy: np.ndarray,
+                means: np.ndarray, variances: np.ndarray) -> HmmModel:
+    """The M-step of both trainers, from per-state statistics.
+
+    Row i becomes (stay[i], move[i]) / (stay[i] + move[i]); a state that is
+    never left keeps its row, and the last row stays absorbing. A state whose
+    occupancy is at most _GAMMA_FLOOR keeps its Gaussian and counts a warning.
+    """
+    occupied = occupancy > _GAMMA_FLOOR
+    trans = model.trans.copy()
+    for i in range(model.n_states - 1):
+        total = stay[i] + move[i]
+        if total <= 0.0:
+            continue  # state never left; keep previous row
+        trans[i, i] = stay[i] / total
+        trans[i, i + 1] = move[i] / total
+    for i in np.flatnonzero(~occupied):
+        log.warning("state %d is empty; keeping previous parameters", i)
+    keep = ~occupied[:, None]
+    return replace(model, trans=trans, means=np.where(keep, model.means, means),
+                   variances=np.where(keep, model.variances, np.maximum(variances, VAR_FLOOR)),
+                   warnings=model.warnings + int(np.count_nonzero(~occupied)))
 
 
 def _reestimate_from_paths(model: HmmModel, seqs: list[np.ndarray],
                            paths: list[np.ndarray]) -> HmmModel:
     """Segmental M-step: Gaussians from state assignments, rows from counts."""
     n = model.n_states
-    warnings = model.warnings
     obs = np.concatenate(seqs)
     states = np.concatenate(paths)
     src = np.concatenate([path[:-1] for path in paths])
     dst = np.concatenate([path[1:] for path in paths])
     stay = np.bincount(src[src == dst], minlength=n).astype(np.float64)
     move = np.bincount(src[src != dst], minlength=n).astype(np.float64)
-
-    means = model.means.copy()
-    variances = model.variances.copy()
-    for i in range(n):
+    counts = np.bincount(states, minlength=n)
+    means = np.zeros_like(model.means)
+    variances = np.zeros_like(model.variances)
+    for i in np.flatnonzero(counts):
         assigned = obs[states == i]  # rows in sequence order, then time order
-        if not assigned.size:
-            warnings += 1
-            log.warning("state %d received no observations; keeping previous parameters", i)
-            continue
         means[i] = assigned.mean(axis=0)
-        variances[i] = np.maximum(assigned.var(axis=0), VAR_FLOOR)
-
-    trans = model.trans.copy()
-    for i in range(n - 1):
-        total = stay[i] + move[i]
-        if total <= 0.0:
-            continue  # state never left by any path; keep previous row
-        trans[i, i] = stay[i] / total
-        trans[i, i + 1] = move[i] / total
-    trans[n - 1] = 0.0
-    trans[n - 1, n - 1] = 1.0
-    return replace(model, trans=trans, means=means, variances=variances, warnings=warnings)
+        variances[i] = assigned.var(axis=0)
+    return _reestimate(model, stay, move, counts, means, variances)
 
 
-def _by_length(seqs: list[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
-    """Equal-length sequences stacked: (input indices, B x T x d batch) per length."""
+def _fit(model: HmmModel, seqs: list[np.ndarray], tol: float, max_iter: int,
+         history: list[float] | None, step: Callable) -> HmmModel:
+    """The iteration loop of both trainers.
+
+    step(model, seqs, batches) returns the total log-likelihood under model
+    and a callable that re-estimates it, called only if the loop goes on.
+    batches holds (input indices, B x T x d stack) per sequence length.
+    """
+    if max_iter < 0:
+        raise DataError("max_iter must be >= 0")
+    seqs = [_check_seq(model.dim, s) for s in seqs]
+    if not seqs:
+        raise DataError("no training sequences")
     groups: dict[int, list[int]] = {}
     for k, seq in enumerate(seqs):
         groups.setdefault(seq.shape[0], []).append(k)
-    return [(idx, np.stack([seqs[k] for k in idx])) for idx in groups.values()]
+    batches = [(idx, np.stack([seqs[k] for k in idx])) for idx in groups.values()]
+    prev = None
+    for iteration in range(max_iter):
+        try:
+            total, m_step = step(model, seqs, batches)
+        except NumericError as exc:
+            raise NumericError(f"iteration {iteration}: {exc}") from exc
+        if history is not None:
+            history.append(total)
+        if prev is not None and abs(total - prev) <= tol * max(1.0, abs(prev)):
+            break
+        model = m_step()
+        prev = total
+    return model
+
+
+def _segment(model: HmmModel, seqs: list[np.ndarray], batches: list) -> tuple[float, Callable]:
+    """Segmental k-means step: total Viterbi score; re-estimate from the paths."""
+    p = _stack([model])
+    paths, scores = [None] * len(seqs), [0.0] * len(seqs)
+    for idx, batch in batches:
+        batch_paths, batch_scores = _viterbi(p.trans, _log_emissions(p, batch))
+        for k, path, score in zip(idx, batch_paths, batch_scores.tolist()):
+            paths[k], scores[k] = path, score
+    return float(sum(scores)), lambda: _reestimate_from_paths(model, seqs, paths)
 
 
 def viterbi_train(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL,
@@ -444,28 +463,44 @@ def viterbi_train(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_
     input model unchanged; a negative tol disables the convergence test so
     exactly max_iter updates run.
     """
-    if max_iter < 0:
-        raise DataError("max_iter must be >= 0")
-    seqs = [_check_seq(model.dim, s) for s in seqs]
-    if not seqs:
-        raise DataError("no training sequences")
-    batches = _by_length(seqs)
-    prev = None
-    for _ in range(max_iter):
-        p = _stack([model])
-        paths, scores = [None] * len(seqs), [0.0] * len(seqs)
-        for idx, batch in batches:
-            batch_paths, batch_scores = _viterbi(p.trans, _log_emissions(p, batch))
-            for k, path, score in zip(idx, batch_paths, batch_scores.tolist()):
-                paths[k], scores[k] = path, score
-        total = float(sum(scores))
-        if history is not None:
-            history.append(total)
-        if prev is not None and abs(total - prev) <= tol * max(1.0, abs(prev)):
-            return model
-        model = _reestimate_from_paths(model, seqs, paths)
-        prev = total
-    return model
+    return _fit(model, seqs, tol, max_iter, history, _segment)
+
+
+def _expect(model: HmmModel, seqs: list[np.ndarray], batches: list) -> tuple[float, Callable]:
+    """Baum-Welch step: total forward log-likelihood; re-estimate from posteriors."""
+    n = model.n_states
+    p = _stack([model])
+    # per sequence, in input order: (logL, gamma T x N, xi (T-1) x N x N)
+    stats: list = [None] * len(seqs)
+    for idx, batch in batches:
+        alpha, scales, b, ll = _scaled_forward(p.trans, _log_emissions(p, batch))
+        beta = np.zeros_like(alpha)
+        beta[:, -1] = 1.0
+        for t in range(batch.shape[1] - 2, -1, -1):
+            ahead = (b[:, t + 1] * beta[:, t + 1])[:, :, None]
+            beta[:, t] = np.matmul(model.trans, ahead)[:, :, 0] / scales[:, t + 1, None]
+        gamma = alpha * beta  # rows sum to 1
+        xi = (alpha[:, :-1, :, None] * model.trans
+              * (b[:, 1:] * beta[:, 1:])[:, :, None, :]) / scales[:, 1:, None, None]
+        for j, k in enumerate(idx):
+            stats[k] = (float(ll[j]), gamma[j], xi[j])
+    total = 0.0
+    gamma_sum = np.zeros(n)
+    obs_sum = np.zeros((n, model.dim))
+    obs_sq_sum = np.zeros((n, model.dim))
+    for seq, (ll, gamma, _) in zip(seqs, stats):
+        total += ll
+        gamma_sum += gamma.sum(axis=0)
+        obs_sum += gamma.T @ seq
+        obs_sq_sum += gamma.T @ (seq * seq)
+    # added step by step from zero in input order, so the rounding is a running total's
+    trans_num = np.add.reduce(
+        np.concatenate([np.zeros((1, n, n))] + [xi for _, _, xi in stats]), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # empty states are not read
+        means = obs_sum / gamma_sum[:, None]
+        variances = obs_sq_sum / gamma_sum[:, None] - means ** 2
+    return total, lambda: _reestimate(model, np.diagonal(trans_num), np.diagonal(trans_num, 1),
+                                      gamma_sum, means, variances)
 
 
 def baum_welch(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL,
@@ -480,74 +515,7 @@ def baum_welch(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL
     a negative tol disables the convergence test so exactly max_iter updates
     run.
     """
-    if max_iter < 0:
-        raise DataError("max_iter must be >= 0")
-    seqs = [_check_seq(model.dim, s) for s in seqs]
-    if not seqs:
-        raise DataError("no training sequences")
-    batches = _by_length(seqs)
-    n = model.n_states
-    prev = None
-    for iteration in range(max_iter):
-        p = _stack([model])
-        # per sequence, in input order: (logL, gamma T x N, xi (T-1) x N x N)
-        stats: list = [None] * len(seqs)
-        for idx, batch in batches:
-            try:
-                alpha, scales, b, ll = _scaled_forward(p.trans, _log_emissions(p, batch))
-            except NumericError as exc:
-                raise NumericError(f"iteration {iteration}: {exc}") from exc
-            beta = np.zeros_like(alpha)
-            beta[:, -1] = 1.0
-            for t in range(batch.shape[1] - 2, -1, -1):
-                ahead = (b[:, t + 1] * beta[:, t + 1])[:, :, None]
-                beta[:, t] = np.matmul(model.trans, ahead)[:, :, 0] / scales[:, t + 1, None]
-            gamma = alpha * beta  # rows sum to 1
-            xi = (alpha[:, :-1, :, None] * model.trans
-                  * (b[:, 1:] * beta[:, 1:])[:, :, None, :]) / scales[:, 1:, None, None]
-            for j, k in enumerate(idx):
-                stats[k] = (float(ll[j]), gamma[j], xi[j])
-        total = 0.0
-        gamma_sum = np.zeros(n)
-        obs_sum = np.zeros((n, model.dim))
-        obs_sq_sum = np.zeros((n, model.dim))
-        for seq, (ll, gamma, _) in zip(seqs, stats):
-            total += ll
-            gamma_sum += gamma.sum(axis=0)
-            obs_sum += gamma.T @ seq
-            obs_sq_sum += gamma.T @ (seq * seq)
-        # added step by step from zero in input order, so the rounding is a running total's
-        trans_num = np.add.reduce(
-            np.concatenate([np.zeros((1, n, n))] + [xi for _, _, xi in stats]), axis=0)
-        if history is not None:
-            history.append(total)
-        if prev is not None and abs(total - prev) <= tol * max(1.0, abs(prev)):
-            return model
-
-        trans = model.trans.copy()
-        for i in range(n - 1):
-            denom = trans_num[i, i] + trans_num[i, i + 1]
-            if denom <= 0.0:
-                continue  # unreachable state; keep previous row
-            trans[i, i] = trans_num[i, i] / denom
-            trans[i, i + 1] = trans_num[i, i + 1] / denom
-        trans[n - 1] = 0.0
-        trans[n - 1, n - 1] = 1.0
-
-        means = model.means.copy()
-        variances = model.variances.copy()
-        warnings = model.warnings
-        for i in range(n):
-            if gamma_sum[i] <= _GAMMA_FLOOR:
-                warnings += 1
-                log.warning("state %d has near-zero occupancy; keeping previous parameters", i)
-                continue
-            means[i] = obs_sum[i] / gamma_sum[i]
-            second = obs_sq_sum[i] / gamma_sum[i]
-            variances[i] = np.maximum(second - means[i] ** 2, VAR_FLOOR)
-        model = replace(model, trans=trans, means=means, variances=variances, warnings=warnings)
-        prev = total
-    return model
+    return _fit(model, seqs, tol, max_iter, history, _expect)
 
 
 def features_for(bank: SubjectBank, image: GrayImage) -> np.ndarray:

@@ -237,3 +237,22 @@ def test_bad_policy_value_is_data_error(trained_all, banded_dir, tmp_path, capsy
         err = capsys.readouterr().err
         assert err.startswith("data error:") and key in err and err.count("\n") == 1
         assert str(policy) in err
+
+
+@pytest.mark.parametrize("case", ["train_out", "report", "all_out_is_file"])
+def test_unusable_output_path_is_data_error(trained_all, banded_dir, tmp_path, capsys, case):
+    missing = tmp_path / "missing"
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    argv, path = {
+        "train_out": (["train", "--method", "eigen", "--dataset", str(banded_dir), "--k", "12",
+                       "--out", str(missing / "eigen.ffm")], missing),
+        "report": (["evaluate", "--model", str(trained_all / "eigen.ffm"),
+                    "--dataset", str(banded_dir), "--report", str(missing / "r.csv")], missing),
+        "all_out_is_file": (["train", "--method", "all", "--dataset", str(banded_dir),
+                             "--out", str(afile)], afile),
+    }[case]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(path) in err and err.count("\n") == 1

@@ -409,6 +409,25 @@ class TestBaumWelch:
         assert np.abs(one_more.trans - fitted.trans).max() <= 1e-3
 
 
+@pytest.mark.parametrize("train", [viterbi_train, baum_welch])
+def test_empty_states_keep_their_parameters(train, caplog):
+    # states 2 and 3 sit far from every observation, so no path reaches them
+    model = lr_model([(0.5, 0.5), (0.5, 0.5), (0.3, 0.7), (1.0, 0.0)],
+                     [[0.0], [5.0], [1e3], [1e3]], [[1.0], [1.0], [2.0], [3.0]])
+    rng = np.random.default_rng(55)
+    seqs = [np.concatenate([rng.normal(0.0, 1.0, (6, 1)), rng.normal(5.0, 1.0, (6, 1))])
+            for _ in range(3)]
+    with caplog.at_level("WARNING", logger="facelab.hmm1d"):
+        trained = train(model, seqs, tol=0.0, max_iter=1)
+    assert np.array_equal(trained.means[2:], model.means[2:])
+    assert np.array_equal(trained.variances[2:], model.variances[2:])
+    assert np.array_equal(trained.trans[2], model.trans[2])  # state 2 is never left
+    assert not np.array_equal(trained.means[:2], model.means[:2])
+    assert trained.warnings == model.warnings + 2
+    assert [r.getMessage() for r in caplog.records] == [
+        f"state {i} is empty; keeping previous parameters" for i in (2, 3)]
+
+
 class TestBank:
     def _image(self, rows, width=6, noise=None, seed=0):
         """Stack per-row levels into an image, optionally with noise."""
@@ -478,7 +497,7 @@ class TestModelValidation:
 
     def test_subject_bank_labels_sorted(self):
         model = lr_model([(1.0, 0.0)], [[0.0]], [[1.0]])
-        bank = SubjectBank(BlockParams(2, 1, (4, 2)), None,
+        bank = SubjectBank(BlockParams(1, 0, (4, 1)), None,
                            {"z": model, "a": model}, feature_mode=FEATURE_RAW)
         assert bank.labels == ["a", "z"]
 
@@ -486,7 +505,13 @@ class TestModelValidation:
         one = lr_model([(1.0, 0.0)], [[0.0]], [[1.0]])
         two = lr_model([(0.5, 0.5), (1.0, 0.0)], [[0.0], [1.0]], [[1.0], [1.0]])
         with pytest.raises(DataError, match="share state count"):
-            SubjectBank(BlockParams(2, 1, (4, 2)), None, {"a": one, "b": two},
+            SubjectBank(BlockParams(1, 0, (4, 1)), None, {"a": one, "b": two},
+                        feature_mode=FEATURE_RAW)
+
+    def test_raw_bank_state_dimension_must_match_blocks(self):
+        model = lr_model([(1.0, 0.0)], [[0.0]], [[1.0]])
+        with pytest.raises(DataError, match="state dimension 1 != observation dimension 4"):
+            SubjectBank(BlockParams(2, 1, (4, 2)), None, {"a": model},
                         feature_mode=FEATURE_RAW)
 
 
