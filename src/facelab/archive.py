@@ -30,8 +30,8 @@ def _fmt(x: float) -> str:
 def _emit_array(lines: list[str], name: str, array: np.ndarray) -> None:
     array = np.atleast_2d(np.asarray(array, dtype=np.float64))
     lines.append(f"array {name} {array.shape[0]} {array.shape[1]}")
-    for row in array:
-        lines.append(" ".join(_fmt(v) for v in row))
+    row_format = " ".join(["%.17g"] * array.shape[1])  # the same digits as _fmt
+    lines.extend(row_format % tuple(row) for row in array.tolist())
 
 
 def _emit_labels(lines: list[str], labels: list[str]) -> None:

@@ -100,6 +100,9 @@ class HmmModel:
         if self.trans.shape != (n, n) or self.means.shape[0] != n:
             raise DataError("inconsistent HMM parameter shapes")
         require_shape("HMM variances", self.variances, self.means.shape)
+        # every check below compares, and any comparison with NaN is false
+        if not all(np.isfinite(a).all() for a in (self.trans, self.means, self.variances)):
+            raise DataError("HMM parameters must be finite")
         if self.start.shape != (n,) or self.start[0] != 1.0 or np.any(self.start[1:] != 0.0):
             raise DataError("left-to-right HMM must start deterministically in state 0")
         off = self.trans.copy()
@@ -200,20 +203,25 @@ def extract_blocks(image: GrayImage, params: BlockParams) -> np.ndarray:
     return windows.transpose(0, 2, 1).reshape(params.block_count, -1)
 
 
-def fit_klt(blocks: np.ndarray, d: int) -> KltBasis:
+def fit_klt(blocks: np.ndarray | list[np.ndarray], d: int) -> KltBasis:
     """PCA of the block set, truncated to min(d, surviving rank) components.
 
-    numerics.gram_pca picks the Gram-matrix route when there are no more
-    blocks than block dimensions, the direct scatter matrix otherwise.
+    blocks is one n x (L*W) matrix or a list of per-image block matrices;
+    they are stacked into one fresh buffer and centred in place, so the
+    caller's arrays are never modified. numerics.gram_pca picks the
+    Gram-matrix route when there are no more blocks than block dimensions,
+    the direct scatter matrix otherwise.
     """
-    blocks = np.asarray(blocks, dtype=np.float64)
-    n, _ = blocks.shape
+    centered = np.vstack([blocks] if isinstance(blocks, np.ndarray) else blocks,
+                         dtype=np.float64)
+    n = centered.shape[0]
     if n < 2:
         raise DataError(f"need at least 2 blocks to fit a KLT basis, got {n}")
     if d < 1:
         raise DataError(f"coefficient count must be >= 1, got {d}")
-    mean = blocks.mean(axis=0)
-    components = gram_pca((blocks - mean).T, d)[0]
+    mean = centered.mean(axis=0)
+    centered -= mean
+    components = gram_pca(centered.T, d)[0]
     return KltBasis(mean, components.T.copy())
 
 
@@ -410,47 +418,68 @@ def _reestimate_from_paths(model: HmmModel, seqs: list[np.ndarray],
     return _reestimate(model, stay, move, counts, means, variances)
 
 
-def _fit(model: HmmModel, seqs: list[np.ndarray], tol: float, max_iter: int,
-         history: list[float] | None, step: Callable) -> HmmModel:
-    """The iteration loop of both trainers.
+def _fit(models: list[HmmModel], seqs: list[list[np.ndarray]], tol: float, max_iter: int,
+         histories: list[list[float]], e_step: Callable, m_step: Callable) -> list[HmmModel]:
+    """The iteration loop of both trainers, over independent same-shape models.
 
-    step(model, seqs, batches) returns the total log-likelihood under model
-    and a callable that re-estimates it, called only if the loop goes on.
-    batches holds (input indices, B x T x d stack) per sequence length.
+    models[s] is fitted to seqs[s], and histories[s] receives its totals.
+    Each iteration stacks the sequences of every model still iterating into
+    one batch per sequence length, each row with its own model's parameters.
+    e_step(params, B x T x d stack) returns per-row statistics whose first
+    entry is the row's log-likelihood; a model's total sums them in input
+    order. A model stops at its own convergence test; otherwise
+    m_step(model, its seqs, its row statistics in input order) re-estimates it.
     """
     if max_iter < 0:
         raise DataError("max_iter must be >= 0")
-    seqs = [_check_seq(model.dim, s) for s in seqs]
-    if not seqs:
+    seqs = [[_check_seq(m.dim, s) for s in subject] for m, subject in zip(models, seqs)]
+    if not all(seqs):
         raise DataError("no training sequences")
-    groups: dict[int, list[int]] = {}
-    for k, seq in enumerate(seqs):
-        groups.setdefault(seq.shape[0], []).append(k)
-    batches = [(idx, np.stack([seqs[k] for k in idx])) for idx in groups.values()]
-    prev = None
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for s, subject in enumerate(seqs):
+        for k, seq in enumerate(subject):
+            groups.setdefault(seq.shape[0], []).append((s, k))
+    # per length: (model of each row, (model, sequence) of each row, B x T x d stack)
+    batches = [(np.array([s for s, _ in rows]), rows, np.stack([seqs[s][k] for s, k in rows]))
+               for rows in groups.values()]
+    models = list(models)
+    prev: list[float | None] = [None] * len(models)
+    active = np.ones(len(models), dtype=bool)
     for iteration in range(max_iter):
+        if not active.any():
+            break
+        p = _stack(models)
+        stats = {s: [None] * len(seqs[s]) for s in np.flatnonzero(active).tolist()}
         try:
-            total, m_step = step(model, seqs, batches)
+            for owner, rows, stack in batches:
+                live = np.flatnonzero(active[owner])
+                if live.size:
+                    row_stats = e_step(p._make(a[owner[live]] for a in p), stack[live])
+                    for j, one in zip(live.tolist(), row_stats):
+                        s, k = rows[j]
+                        stats[s][k] = one
         except NumericError as exc:
             raise NumericError(f"iteration {iteration}: {exc}") from exc
-        if history is not None:
-            history.append(total)
-        if prev is not None and abs(total - prev) <= tol * max(1.0, abs(prev)):
-            break
-        model = m_step()
-        prev = total
-    return model
+        for s, subject_stats in stats.items():
+            total = float(sum(row[0] for row in subject_stats))
+            histories[s].append(total)
+            if prev[s] is not None and abs(total - prev[s]) <= tol * max(1.0, abs(prev[s])):
+                active[s] = False
+                continue
+            models[s] = m_step(models[s], seqs[s], subject_stats)
+            prev[s] = total
+    return models
 
 
-def _segment(model: HmmModel, seqs: list[np.ndarray], batches: list) -> tuple[float, Callable]:
-    """Segmental k-means step: total Viterbi score; re-estimate from the paths."""
-    p = _stack([model])
-    paths, scores = [None] * len(seqs), [0.0] * len(seqs)
-    for idx, batch in batches:
-        batch_paths, batch_scores = _viterbi(p.trans, _log_emissions(p, batch))
-        for k, path, score in zip(idx, batch_paths, batch_scores.tolist()):
-            paths[k], scores[k] = path, score
-    return float(sum(scores)), lambda: _reestimate_from_paths(model, seqs, paths)
+def _segment(p: _Stacked, batch: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """Segmental k-means E-step: per row, (Viterbi score, state path)."""
+    paths, scores = _viterbi(p.trans, _log_emissions(p, batch))
+    return list(zip(scores.tolist(), paths))
+
+
+def _segment_m_step(model: HmmModel, seqs: list[np.ndarray], stats: list) -> HmmModel:
+    """Segmental M-step from the state paths of every sequence."""
+    return _reestimate_from_paths(model, seqs, [path for _, path in stats])
 
 
 def viterbi_train(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL,
@@ -463,33 +492,31 @@ def viterbi_train(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_
     input model unchanged; a negative tol disables the convergence test so
     exactly max_iter updates run.
     """
-    return _fit(model, seqs, tol, max_iter, history, _segment)
+    history = [] if history is None else history
+    return _fit([model], [seqs], tol, max_iter, [history], _segment, _segment_m_step)[0]
 
 
-def _expect(model: HmmModel, seqs: list[np.ndarray], batches: list) -> tuple[float, Callable]:
-    """Baum-Welch step: total forward log-likelihood; re-estimate from posteriors."""
+def _expect(p: _Stacked, batch: np.ndarray) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """Baum-Welch E-step: per row, (logL, gamma T x N, xi (T-1) x N x N)."""
+    alpha, scales, b, ll = _scaled_forward(p.trans, _log_emissions(p, batch))
+    beta = np.zeros_like(alpha)
+    beta[:, -1] = 1.0
+    for t in range(batch.shape[1] - 2, -1, -1):
+        ahead = (b[:, t + 1] * beta[:, t + 1])[:, :, None]
+        beta[:, t] = np.matmul(p.trans, ahead)[:, :, 0] / scales[:, t + 1, None]
+    gamma = alpha * beta  # rows sum to 1
+    xi = (alpha[:, :-1, :, None] * p.trans[:, None]
+          * (b[:, 1:] * beta[:, 1:])[:, :, None, :]) / scales[:, 1:, None, None]
+    return list(zip(ll.tolist(), gamma, xi))
+
+
+def _expect_m_step(model: HmmModel, seqs: list[np.ndarray], stats: list) -> HmmModel:
+    """Re-estimate from the posteriors of every sequence, accumulated in input order."""
     n = model.n_states
-    p = _stack([model])
-    # per sequence, in input order: (logL, gamma T x N, xi (T-1) x N x N)
-    stats: list = [None] * len(seqs)
-    for idx, batch in batches:
-        alpha, scales, b, ll = _scaled_forward(p.trans, _log_emissions(p, batch))
-        beta = np.zeros_like(alpha)
-        beta[:, -1] = 1.0
-        for t in range(batch.shape[1] - 2, -1, -1):
-            ahead = (b[:, t + 1] * beta[:, t + 1])[:, :, None]
-            beta[:, t] = np.matmul(model.trans, ahead)[:, :, 0] / scales[:, t + 1, None]
-        gamma = alpha * beta  # rows sum to 1
-        xi = (alpha[:, :-1, :, None] * model.trans
-              * (b[:, 1:] * beta[:, 1:])[:, :, None, :]) / scales[:, 1:, None, None]
-        for j, k in enumerate(idx):
-            stats[k] = (float(ll[j]), gamma[j], xi[j])
-    total = 0.0
     gamma_sum = np.zeros(n)
     obs_sum = np.zeros((n, model.dim))
     obs_sq_sum = np.zeros((n, model.dim))
-    for seq, (ll, gamma, _) in zip(seqs, stats):
-        total += ll
+    for seq, (_, gamma, _) in zip(seqs, stats):
         gamma_sum += gamma.sum(axis=0)
         obs_sum += gamma.T @ seq
         obs_sq_sum += gamma.T @ (seq * seq)
@@ -499,8 +526,8 @@ def _expect(model: HmmModel, seqs: list[np.ndarray], batches: list) -> tuple[flo
     with np.errstate(divide="ignore", invalid="ignore"):  # empty states are not read
         means = obs_sum / gamma_sum[:, None]
         variances = obs_sq_sum / gamma_sum[:, None] - means ** 2
-    return total, lambda: _reestimate(model, np.diagonal(trans_num), np.diagonal(trans_num, 1),
-                                      gamma_sum, means, variances)
+    return _reestimate(model, np.diagonal(trans_num), np.diagonal(trans_num, 1),
+                       gamma_sum, means, variances)
 
 
 def baum_welch(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL,
@@ -515,7 +542,8 @@ def baum_welch(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL
     a negative tol disables the convergence test so exactly max_iter updates
     run.
     """
-    return _fit(model, seqs, tol, max_iter, history, _expect)
+    history = [] if history is None else history
+    return _fit([model], [seqs], tol, max_iter, [history], _expect, _expect_m_step)[0]
 
 
 def features_for(bank: SubjectBank, image: GrayImage) -> np.ndarray:
@@ -538,7 +566,9 @@ def train_bank(
     """One left-to-right HMM per subject over a shared KLT feature space.
 
     Pipeline per subject: uniform segmentation init, Viterbi re-estimation,
-    then Baum-Welch.
+    then Baum-Welch. Each stage steps every subject in one batch, and each
+    subject stops at its own convergence, so the models are those of
+    training each subject alone.
     """
     if feature_mode not in (FEATURE_KLT, FEATURE_RAW):
         raise DataError(f"unknown feature mode {feature_mode!r}")
@@ -561,18 +591,17 @@ def train_bank(
 
     klt = None
     if feature_mode == FEATURE_KLT:
-        klt = fit_klt(np.vstack(all_blocks), klt_dim)
+        klt = fit_klt(all_blocks, klt_dim)
 
     def to_obs(blocks: np.ndarray) -> np.ndarray:
         return blocks if klt is None else observe(blocks, klt)
 
-    models: dict[str, HmmModel] = {}
-    for label in sorted(by_label):
-        seqs = [to_obs(b) for b in by_label[label]]
-        model = init_uniform(seqs, n_states)
-        model = viterbi_train(model, seqs, tol, max_iter)
-        models[label] = baum_welch(model, seqs, tol, max_iter)
-    return SubjectBank(params, klt, models, feature_mode)
+    labels = sorted(by_label)
+    seqs = [[to_obs(b) for b in by_label[label]] for label in labels]
+    models = [init_uniform(subject, n_states) for subject in seqs]
+    for e_step, m_step in ((_segment, _segment_m_step), (_expect, _expect_m_step)):
+        models = _fit(models, seqs, tol, max_iter, [[] for _ in labels], e_step, m_step)
+    return SubjectBank(params, klt, dict(zip(labels, models)), feature_mode)
 
 
 def recognize(bank: SubjectBank, image: GrayImage) -> tuple[str, dict[str, float]]:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from facelab import bench
+from facelab import archive, bench
 from facelab.archive import load_model, method_of, save_model
 from facelab.dataset import GrayImage, flatten
 from facelab.eigenfaces import EigenModel, classify, train_eigen
@@ -162,6 +163,22 @@ class TestFormat:
         save_model(banded_models.eigen, tmp_path / "m.ffm")
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+                1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e16]
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+              elements=st.one_of(st.floats(width=64), st.sampled_from(_EDGE_FLOATS),
+                                 st.integers(-2 ** 60, 2 ** 60).map(float))))
+def test_row_text_equals_per_value_format(array):
+    lines = []
+    archive._emit_array(lines, "x", array)
+    rows = np.atleast_2d(array)
+    assert lines[0] == f"array x {rows.shape[0]} {rows.shape[1]}"
+    assert lines[1:] == [" ".join(format(float(v), ".17g") for v in row) for row in rows]
 
 
 def _array_headers(path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import norm
 
-from facelab import hmm1d
+from facelab import hmm1d, synth
 from facelab.dataset import GrayImage
 from facelab.errors import DataError, NumericError
 from facelab.hmm1d import (BlockParams, FEATURE_RAW, HmmModel, KltBasis, SubjectBank,
@@ -508,6 +508,15 @@ class TestModelValidation:
             SubjectBank(BlockParams(1, 0, (4, 1)), None, {"a": one, "b": two},
                         feature_mode=FEATURE_RAW)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["trans", "means", "variances"])
+    def test_non_finite_parameters_rejected(self, name, value):
+        model = two_state_example()
+        bad = getattr(model, name).copy()
+        bad[0] = value
+        with pytest.raises(DataError, match="finite"):
+            replace(model, **{name: bad})
+
     def test_raw_bank_state_dimension_must_match_blocks(self):
         model = lr_model([(1.0, 0.0)], [[0.0]], [[1.0]])
         with pytest.raises(DataError, match="state dimension 1 != observation dimension 4"):
@@ -572,6 +581,24 @@ class TestBatchedKernels:
         assert_left_to_right(model)
         assert all(b >= a - 1e-9 for a, b in zip(history, history[1:]))
         assert history[0] == sum(loglik(start, s) for s in seqs)
+
+    def test_bank_training_equals_training_each_subject_alone(self):
+        entries = synth.make_banded_dataset(4, 3, 24, 8, seed=0)
+        bank = train_bank(entries, BlockParams(4, 3, (24, 8)), n_states=4, klt_dim=3)
+        iterations, empty_states = [], 0
+        for label, batched in bank.models.items():
+            seqs = [features_for(bank, image) for lb, image in entries if lb == label]
+            segmental, em = [], []
+            alone = baum_welch(viterbi_train(init_uniform(seqs, 4), seqs, history=segmental),
+                               seqs, history=em)
+            for name in ("trans", "means", "variances"):
+                assert np.array_equal(getattr(batched, name), getattr(alone, name))
+            assert batched.warnings == alone.warnings
+            iterations.append((len(segmental), len(em)))
+            empty_states += alone.warnings
+        # subjects stop after different numbers of iterations in both stages
+        assert all(len(set(stage)) > 1 for stage in zip(*iterations))
+        assert empty_states > 0
 
     def test_vanished_subject_fails_recognition(self, banded, banded_models):
         bank = banded_models.bank
