@@ -56,6 +56,8 @@ def _split_arg(text: str) -> tuple[SplitSpec, str]:
         raise argparse.ArgumentTypeError(f"split part must be train or test, got {part!r}")
     if k < 1:
         raise argparse.ArgumentTypeError("split k must be >= 1")
+    if seed < 0:
+        raise argparse.ArgumentTypeError("split seed must be >= 0")
     return SplitSpec(k=k, seed=seed), part
 
 
@@ -150,7 +152,8 @@ def _cmd_train(args) -> int:
     bank = train_bank(images, _hmm_params(args, dims), args.states, args.klt_d,
                       feature_mode=args.features)
     train_images = [img for _, _, img in entries]
-    context = dispatcher.calibrate_context(train_images, bank)
+    residuals = [dispatcher.block_residuals(bank, img) for img in train_images]
+    context = dispatcher.calibrate_context(train_images, residuals)
     if args.frontal_ref is not None:
         ref_path = args.frontal_ref
         ref_image = load_pgm_file(ref_path)
@@ -161,7 +164,7 @@ def _cmd_train(args) -> int:
         ref_path = entries[idx][1]
         ref_image = entries[idx][2]
     frontal = flatten(ref_image)
-    policy = dispatcher.calibrate_policy(train_images, eigen, frontal, bank, context)
+    policy = dispatcher.calibrate_policy(train_images, eigen, frontal, residuals, context)
     save_model(eigen, out_dir / "eigen.ffm")
     save_model(fisher, out_dir / "fisher.ffm")
     save_model(bank, out_dir / "hmm.ffm")

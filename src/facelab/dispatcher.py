@@ -95,32 +95,37 @@ def block_residuals(bank: hmm1d.SubjectBank, image: GrayImage) -> np.ndarray:
 
 
 def calibrate_context(train_images: list[GrayImage],
-                      bank: hmm1d.SubjectBank) -> ProfileContext:
-    """Standardization statistics from clean training images."""
+                      residuals: list[np.ndarray]) -> ProfileContext:
+    """Standardization statistics from clean training images and their
+    block_residuals, one array per image."""
     if not train_images:
         raise DataError("no training images to calibrate on")
     means = np.array([img.pixels.mean() for img in train_images])
     asyms = np.array([_half_asymmetry(img) for img in train_images])
-    resids = np.concatenate([block_residuals(bank, img) for img in train_images])
     return ProfileContext(
         mean_mu=float(means.mean()),
         mean_sigma=max(float(means.std()), _SIGMA_FLOOR),
         asym_sigma=max(float(asyms.std()), _SIGMA_FLOOR),
-        resid_p99=float(np.percentile(resids, 99)),
+        resid_p99=float(np.percentile(np.concatenate(residuals), 99)),
     )
+
+
+def _profile(image: GrayImage, eigen: eigenfaces.EigenModel, ref_weights: np.ndarray,
+             residuals: np.ndarray, context: ProfileContext) -> ImageProfile:
+    """profile, given the frontal reference's eigen weights and the image's
+    block residuals."""
+    pose = float(np.linalg.norm(eigenfaces.project(eigen, flatten(image)) - ref_weights))
+    mean_term = abs(float(image.pixels.mean()) - context.mean_mu) / context.mean_sigma
+    asym_term = _half_asymmetry(image) / context.asym_sigma
+    occlusion = float(np.mean(residuals > context.resid_p99))
+    return ImageProfile(pose, mean_term + asym_term, occlusion)
 
 
 def profile(image: GrayImage, eigen: eigenfaces.EigenModel, frontal_ref: np.ndarray,
             bank: hmm1d.SubjectBank, context: ProfileContext) -> ImageProfile:
     """Measure pose, illumination and occlusion properties of a probe."""
-    face = flatten(image)
-    pose = float(np.linalg.norm(
-        eigenfaces.project(eigen, face) - eigenfaces.project(eigen, frontal_ref)))
-    mean_term = abs(float(image.pixels.mean()) - context.mean_mu) / context.mean_sigma
-    asym_term = _half_asymmetry(image) / context.asym_sigma
-    resids = block_residuals(bank, image)
-    occlusion = float(np.mean(resids > context.resid_p99))
-    return ImageProfile(pose, mean_term + asym_term, occlusion)
+    return _profile(image, eigen, eigenfaces.project(eigen, frontal_ref),
+                    block_residuals(bank, image), context)
 
 
 def select(prof: ImageProfile, policy: DispatchPolicy) -> str:
@@ -150,11 +155,14 @@ def frontal_ref_index(train_images: list[GrayImage], context: ProfileContext) ->
 
 
 def calibrate_policy(train_images: list[GrayImage], eigen: eigenfaces.EigenModel,
-                     frontal_ref: np.ndarray, bank: hmm1d.SubjectBank,
+                     frontal_ref: np.ndarray, residuals: list[np.ndarray],
                      context: ProfileContext, percentile: float = 95.0,
                      default_method: str = METHOD_EIGEN) -> DispatchPolicy:
-    """Thresholds at the given percentile of clean-training profiles."""
-    profiles = [profile(img, eigen, frontal_ref, bank, context) for img in train_images]
+    """Thresholds at the given percentile of clean-training profiles; residuals
+    holds each training image's block_residuals, as given to calibrate_context."""
+    ref_weights = eigenfaces.project(eigen, frontal_ref)
+    profiles = [_profile(img, eigen, ref_weights, resids, context)
+                for img, resids in zip(train_images, residuals, strict=True)]
     return DispatchPolicy(
         tau_illum=float(np.percentile([p.illumination_deviation for p in profiles], percentile)),
         tau_pose=float(np.percentile([p.pose_deviation for p in profiles], percentile)),

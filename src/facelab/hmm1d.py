@@ -22,7 +22,7 @@ import numpy as np
 from .dataset import GrayImage
 from .errors import DataError, NumericError
 # sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
-from .numerics import gram_pca, require_shape, sym_eigen
+from .numerics import EPS_CUT_REL, gram_pca, require_shape, scatter_pca, sym_eigen
 
 log = logging.getLogger(__name__)
 
@@ -189,6 +189,13 @@ class SubjectBank:
         return label, scores[label]
 
 
+def _windows(pixels: np.ndarray, params: BlockParams) -> np.ndarray:
+    """T x (L*W) read-only view of the blocks of an H x W pixel array."""
+    windows = np.lib.stride_tricks.sliding_window_view(
+        pixels, params.height, axis=0)[::params.stride]  # T x W x L
+    return windows.transpose(0, 2, 1).reshape(params.block_count, -1)
+
+
 def extract_blocks(image: GrayImage, params: BlockParams) -> np.ndarray:
     """T x (L*W) matrix of flattened blocks, top to bottom.
 
@@ -198,31 +205,60 @@ def extract_blocks(image: GrayImage, params: BlockParams) -> np.ndarray:
     """
     if (image.h, image.w) != params.image_dims:
         raise DataError(f"image dims {(image.h, image.w)} != params dims {params.image_dims}")
-    windows = np.lib.stride_tricks.sliding_window_view(
-        image.pixels, params.height, axis=0)[::params.stride]  # T x W x L
-    return windows.transpose(0, 2, 1).reshape(params.block_count, -1)
+    return _windows(image.pixels, params)
 
 
-def fit_klt(blocks: np.ndarray | list[np.ndarray], d: int) -> KltBasis:
-    """PCA of the block set, truncated to min(d, surviving rank) components.
+def fit_klt(images: list[np.ndarray], params: BlockParams, d: int) -> KltBasis:
+    """PCA of the blocks of H x W pixel arrays, truncated to min(d, surviving rank).
 
-    blocks is one n x (L*W) matrix or a list of per-image block matrices;
-    they are stacked into one fresh buffer and centred in place, so the
-    caller's arrays are never modified. numerics.gram_pca picks the
-    Gram-matrix route when there are no more blocks than block dimensions,
-    the direct scatter matrix otherwise.
+    With no more blocks than block dimensions the blocks are stacked and
+    numerics.gram_pca takes the Gram-matrix route. Otherwise the D x D
+    scatter is summed from lagged row products, never forming the n x D
+    block matrix: block (r, r+k) of the scatter is the sum over images and
+    blocks t of x[t*s + r]^T x[t*s + r + k], for x the image rows and s the
+    stride. Rows are first shifted by their per-column mean, which leaves
+    the scatter unchanged and keeps the cancellation in removing
+    n * mean mean^T small; numerics.scatter_pca then solves for the top d
+    eigenpairs only. The caller's arrays are never modified.
     """
-    centered = np.vstack([blocks] if isinstance(blocks, np.ndarray) else blocks,
-                         dtype=np.float64)
-    n = centered.shape[0]
+    for pixels in images:
+        require_shape("training image", pixels, params.image_dims)
+    n = len(images) * params.block_count
     if n < 2:
         raise DataError(f"need at least 2 blocks to fit a KLT basis, got {n}")
     if d < 1:
         raise DataError(f"coefficient count must be >= 1, got {d}")
-    mean = centered.mean(axis=0)
-    centered -= mean
-    components = gram_pca(centered.T, d)[0]
-    return KltBasis(mean, components.T.copy())
+    if n <= params.block_dim:
+        centered = np.vstack([_windows(pixels, params) for pixels in images], dtype=np.float64)
+        mean = centered.mean(axis=0)
+        centered -= mean
+        return KltBasis(mean, gram_pca(centered.T, d)[0].T.copy())
+
+    height, stride, width = params.height, params.stride, params.image_dims[1]
+    span = (params.block_count - 1) * stride + 1  # from row r of the first block to the last's
+    last = span + height - 1  # rows from here on are in no block
+    rows = np.empty((params.image_dims[0], len(images), width))  # rows[j, i]: row j of image i
+    for i, pixels in enumerate(images):
+        rows[:, i] = pixels
+    column_mean = rows.mean(axis=(0, 1))
+    rows -= column_mean
+    shifted_mean = _windows(rows.sum(axis=1), params).sum(axis=0) / n
+    scatter = np.empty((params.block_dim, params.block_dim))
+    first = rows.transpose(0, 2, 1)  # H x W x images
+    for lag in range(height):
+        products = np.matmul(first[:last - lag], rows[lag:last])  # x[j]^T x[j + lag]
+        for r in range(height - lag):
+            block = products[r:r + span:stride].sum(axis=0)
+            a, b = r * width, (r + lag) * width
+            scatter[a:a + width, b:b + width] = block
+            scatter[b:b + width, a:a + width] = block.T
+    raw_trace = np.trace(scatter)
+    scatter -= n * np.outer(shifted_mean, shifted_mean)
+    # a variance this far below the raw sums is their rounding: the blocks are identical
+    if np.trace(scatter) <= EPS_CUT_REL * raw_trace:
+        raise NumericError("zero variance: all training samples are identical")
+    components = scatter_pca(scatter, d)[0]
+    return KltBasis(shifted_mean + np.tile(column_mean, height), components.T.copy())
 
 
 def observe(blocks: np.ndarray, basis: KltBasis) -> np.ndarray:
@@ -583,15 +619,12 @@ def train_bank(
             f"requested; reduce the state count or the block height")
 
     by_label: dict[str, list[np.ndarray]] = {}
-    all_blocks = []
     for label, image in train:
-        blocks = extract_blocks(image, params)
-        by_label.setdefault(label, []).append(blocks)
-        all_blocks.append(blocks)
+        by_label.setdefault(label, []).append(extract_blocks(image, params))
 
     klt = None
     if feature_mode == FEATURE_KLT:
-        klt = fit_klt(all_blocks, klt_dim)
+        klt = fit_klt([image.pixels for _, image in train], params, klt_dim)
 
     def to_obs(blocks: np.ndarray) -> np.ndarray:
         return blocks if klt is None else observe(blocks, klt)

@@ -95,28 +95,52 @@ def gen_sym_eigen(B: np.ndarray, W: np.ndarray, m: int) -> tuple[np.ndarray, np.
     return res.eigenvalues[:m].copy(), fix_signs(vectors)
 
 
+def _keep_count(values: np.ndarray, k: int) -> int:
+    """How many leading (descending) eigenvalues a PCA keeps: at most k, and
+    only those above EPS_CUT_REL * lambda_max; NumericError when none is."""
+    lam_max = float(values[0])
+    surviving = int(np.sum(values > EPS_CUT_REL * max(lam_max, 0.0)))
+    if lam_max <= 0.0 or surviving == 0:
+        raise NumericError("zero variance: all training samples are identical")
+    return min(k, surviving)
+
+
+def scatter_pca(scatter: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top min(k, D, surviving rank) eigenpairs of a D x D scatter matrix.
+
+    Only the top min(k, D) eigenpairs are computed (LAPACK's MRRR driver);
+    the rank cut, sign convention and checks are those of gram_pca. Returns
+    (D x keep orthonormal basis, eigenvalues descending).
+    """
+    scatter = _check_square_symmetric(scatter, "scatter_pca input")
+    d = scatter.shape[0]
+    k = min(k, d)
+    try:
+        vals, vecs = scipy.linalg.eigh(scatter, subset_by_index=[d - k, d - 1], driver="evr")
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"symmetric eigensolver did not converge: {exc}") from exc
+    order = np.argsort(-vals, kind="stable")
+    keep = _keep_count(vals[order], k)
+    return fix_signs(vecs[:, order[:keep]]), vals[order[:keep]]
+
+
 def gram_pca(phi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top min(k, surviving rank) principal directions of D x M centred columns.
 
     With M <= D the small M x M Gram matrix phi^T phi is eigendecomposed and
-    its eigenvectors mapped back through phi by 1/sqrt(lambda); otherwise the
-    D x D scatter phi phi^T is solved directly. Eigenvalues below
-    EPS_CUT_REL * lambda_max are dropped, so the map back never divides by
-    sqrt(lambda) ~ 0. Returns (D x keep orthonormal basis, eigenvalues
-    descending).
+    its eigenvectors mapped back through phi by 1/sqrt(lambda); otherwise
+    scatter_pca solves the D x D scatter phi phi^T for the top k only.
+    Eigenvalues below EPS_CUT_REL * lambda_max are dropped, so the map back
+    never divides by sqrt(lambda) ~ 0. Returns (D x keep orthonormal basis,
+    eigenvalues descending).
     """
     d, m = phi.shape
-    gram_route = m <= d
-    square = phi.T @ phi if gram_route else phi @ phi.T
+    if m > d:
+        return scatter_pca(phi @ phi.T, k)
+    square = phi.T @ phi
     res = sym_eigen(0.5 * (square + square.T))
-    lam_max = float(res.eigenvalues[0])
-    surviving = int(np.sum(res.eigenvalues > EPS_CUT_REL * max(lam_max, 0.0)))
-    if lam_max <= 0.0 or surviving == 0:
-        raise NumericError("zero variance: all training samples are identical")
-    keep = min(k, surviving)
+    keep = _keep_count(res.eigenvalues, k)
     lam = res.eigenvalues[:keep].copy()
-    if not gram_route:
-        return res.eigenvectors[:, :keep], lam
     return fix_signs(phi @ res.eigenvectors[:, :keep] / np.sqrt(lam)), lam
 
 

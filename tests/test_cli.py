@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from facelab import synth
+from facelab.archive import load_model
 from facelab.cli import main
 from facelab.dataset import GrayImage, write_pgm
 
@@ -256,3 +257,34 @@ def test_unusable_output_path_is_data_error(trained_all, banded_dir, tmp_path, c
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(path) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_negative_split_seed_is_usage_error(trained_all, banded_dir, tmp_path, capsys, command):
+    argv = {
+        "train": ["train", "--method", "eigen", "--dataset", str(banded_dir), "--k", "12",
+                  "--out", str(tmp_path / "eigen.ffm")],
+        "evaluate": ["evaluate", "--model", str(trained_all / "eigen.ffm"),
+                     "--dataset", str(banded_dir)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--split", "k:5,seed:-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "seed" in err.splitlines()[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags,klt_dim", [
+    (["--block-l", "64", "--overlap", "0", "--states", "1"], 10),  # 40 blocks of 4096: Gram route
+    (["--block-l", "6", "--overlap", "1"], 10),  # 480 blocks of 384, stride 5, 3 rows in none
+    (["--block-l", "1", "--overlap", "0", "--klt-d", "100"], 64),  # 100 asked of 64 dimensions
+], ids=["gram_route", "scatter_route_stride5", "klt_d_clamped"])
+def test_hmm_trains_on_either_klt_route(banded_dir, tmp_path, capsys, flags, klt_dim):
+    model = tmp_path / "hmm.ffm"
+    assert main(["train", "--method", "hmm", "--dataset", str(banded_dir),
+                 "--out", str(model)] + flags) == 0
+    assert load_model(model).klt.dim == klt_dim
+    capsys.readouterr()
+    assert main(["inspect", "--model", str(model)]) == 0
+    out = capsys.readouterr().out
+    assert f"block_height,{flags[1]}" in out and f"overlap,{flags[3]}" in out

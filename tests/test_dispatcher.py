@@ -106,9 +106,9 @@ class TestCalibration:
         idx = frontal_ref_index(banded_models.train_images, banded_models.context)
         assert 0 <= idx < len(banded_models.train_images)
 
-    def test_context_requires_images(self, banded_models):
+    def test_context_requires_images(self):
         with pytest.raises(DataError):
-            calibrate_context([], banded_models.bank)
+            calibrate_context([], [])
 
 
 class TestRecognizeMulti:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from facelab.errors import DataError, NumericError
 from facelab.hmm1d import (BlockParams, FEATURE_RAW, HmmModel, KltBasis, SubjectBank,
                            baum_welch, extract_blocks, features_for, fit_klt, init_uniform,
                            loglik, observe, recognize, train_bank, viterbi, viterbi_train)
+from facelab.numerics import sym_eigen
 
 RT2 = np.sqrt(2.0)
 
@@ -159,7 +161,8 @@ class TestBlockExtraction:
 
 class TestKlt:
     def test_two_point_basis(self):
-        basis = fit_klt(np.array([[1.0, 0.0], [0.0, 1.0]]), d=1)
+        blocks = np.array([[1.0, 0.0], [0.0, 1.0]])
+        basis = fit_klt([blocks], BlockParams(1, 0, blocks.shape), d=1)
         assert np.allclose(basis.mean, [0.5, 0.5])
         assert basis.basis.shape == (1, 2)
         assert np.allclose(basis.basis[0], [1 / RT2, -1 / RT2], atol=1e-10)
@@ -167,28 +170,77 @@ class TestKlt:
     def test_d_truncated_to_rank(self):
         rng = np.random.default_rng(0)
         two_dim = rng.normal(size=(20, 2)) @ rng.normal(size=(2, 10))
-        basis = fit_klt(two_dim, d=7)
+        basis = fit_klt([two_dim], BlockParams(1, 0, two_dim.shape), d=7)
         assert basis.dim == 2
 
     def test_identical_blocks_rejected(self):
         with pytest.raises(NumericError, match="identical"):
-            fit_klt(np.ones((5, 4)), d=2)
+            fit_klt([np.ones((5, 4))], BlockParams(1, 0, (5, 4)), d=2)
 
     def test_rows_orthonormal_both_routes(self):
         rng = np.random.default_rng(1)
         for n, dim in ((6, 12), (40, 5)):  # gram route and scatter route
-            basis = fit_klt(rng.normal(size=(n, dim)), d=4)
+            blocks = rng.normal(size=(n, dim))
+            basis = fit_klt([blocks], BlockParams(1, 0, blocks.shape), d=4)
             gram = basis.basis @ basis.basis.T
             assert np.abs(gram - np.eye(basis.dim)).max() <= 1e-8
 
     def test_observe_centered_projection(self):
         rng = np.random.default_rng(2)
         blocks = rng.normal(size=(12, 6))
-        basis = fit_klt(blocks, d=3)
+        basis = fit_klt([blocks], BlockParams(1, 0, blocks.shape), d=3)
         assert np.allclose(observe(basis.mean[None, :], basis), 0.0, atol=1e-10)
         probe = basis.mean + basis.basis[1]
         assert np.allclose(observe(probe[None, :], basis)[0], [0.0, 1.0, 0.0], atol=1e-8)
         assert observe(blocks, basis).shape == (12, 3)
+
+    @pytest.mark.parametrize("count,dims,height,overlap", [
+        (20, (24, 6), 10, 9),  # stride 1
+        (30, (11, 5), 4, 1),  # stride 3: the last row is in no block
+        (30, (13, 5), 4, 0),  # no overlap: the last row is in no block
+        (10, (8, 6), 8, 0),  # one block per image, fewer blocks than dimensions: Gram route
+        (1, (40, 3), 2, 1),  # a single image
+    ], ids=["stride1", "stride3_trailing_row", "no_overlap", "gram_route", "single_image"])
+    def test_matches_stacked_block_pca(self, count, dims, height, overlap):
+        rng = np.random.default_rng(4)
+        images = [rng.uniform(0.0, 255.0, size=dims) for _ in range(count)]
+        copies = [img.copy() for img in images]
+        klt = fit_klt(images, BlockParams(height, overlap, dims), d=4)
+        assert all(np.array_equal(a, b) for a, b in zip(images, copies))
+        # the definition: every block stacked, centred, and the full scatter spectrum
+        stride = height - overlap
+        blocks = np.array([img[t:t + height].reshape(-1) for img in images
+                           for t in range(0, dims[0] - height + 1, stride)])
+        mean = blocks.mean(axis=0)
+        centered = blocks - mean
+        full = sym_eigen(centered.T @ centered)
+        assert np.abs(klt.mean - mean).max() <= 1e-12 * np.abs(mean).max()
+        assert klt.dim == 4
+        assert np.abs(klt.basis - full.eigenvectors[:, :4].T).max() <= 1e-10
+
+    def test_identical_blocks_of_unequal_rows_rejected(self):
+        # stride 3 over rows repeating every 3: each block is the same, though
+        # the rows differ, so only rounding is left once the mean is removed
+        rng = np.random.default_rng(5)
+        image = np.tile(rng.uniform(0.0, 255.0, size=(3, 5)), (5, 1))[:14]
+        with pytest.raises(NumericError, match="identical"):
+            fit_klt([image] * 40, BlockParams(6, 3, image.shape), d=2)
+
+    def test_image_dims_checked(self):
+        with pytest.raises(DataError):
+            fit_klt([np.zeros((6, 4)), np.zeros((5, 4))], BlockParams(2, 1, (6, 4)), d=2)
+
+    def test_scatter_route_never_holds_the_block_matrix(self):
+        rng = np.random.default_rng(0)
+        images = [rng.integers(0, 256, size=(112, 92)).astype(np.float64) for _ in range(200)]
+        tracemalloc.start()
+        try:
+            klt = fit_klt(images, BlockParams(10, 9, (112, 92)), d=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert klt.dim == 10
+        assert peak < 60e6  # the 20,600 x 920 float64 block matrix alone is 152 MB
 
     def test_observe_dimension_check(self):
         basis = KltBasis(np.zeros(4), np.eye(4)[:2])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from facelab.errors import DataError, SingularOrIndefinite
-from facelab.numerics import cholesky, fix_signs, gen_sym_eigen, sym_eigen
+from facelab.errors import DataError, NumericError, SingularOrIndefinite
+from facelab.numerics import (EPS_CUT_REL, cholesky, fix_signs, gen_sym_eigen, scatter_pca,
+                              sym_eigen)
 
 RT2 = np.sqrt(2.0)
 
@@ -147,6 +148,34 @@ class TestGenSymEigen:
                 for k in range(m):
                     resid = b @ vecs[:, k] - vals[k] * (w_mat @ vecs[:, k])
                     assert np.linalg.norm(resid) <= 1e-6 * scale
+
+
+class TestScatterPca:
+    """The top-k eigensolve against the full spectrum of sym_eigen."""
+
+    @pytest.mark.parametrize("rank,k,keep", [(12, 5, 5), (4, 7, 4), (12, 30, 12)],
+                             ids=["random", "rank_deficient", "k_above_dim"])
+    def test_matches_full_spectrum(self, rank, k, keep):
+        rng = np.random.default_rng(3)
+        phi = rng.normal(size=(12, rank)) @ rng.normal(size=(rank, 40))
+        scatter = phi @ phi.T
+        vectors, values = scatter_pca(scatter, k)
+        full = sym_eigen(scatter)
+        lam_max = full.eigenvalues[0]
+        assert int(np.sum(full.eigenvalues[:k] > EPS_CUT_REL * lam_max)) == keep
+        assert vectors.shape == (12, keep) and values.shape == (keep,)
+        assert np.abs(values - full.eigenvalues[:keep]).max() <= 1e-12 * lam_max
+        assert np.abs(vectors - full.eigenvectors[:, :keep]).max() <= 1e-9
+
+    def test_identical_samples_rejected(self):
+        with pytest.raises(NumericError, match="identical"):
+            scatter_pca(np.zeros((5, 5)), 2)
+
+    def test_input_checks(self):
+        with pytest.raises(DataError):
+            scatter_pca(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)
+        with pytest.raises(DataError):
+            scatter_pca(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1)
 
 
 def test_fix_signs_tie_breaks_to_lowest_index():
