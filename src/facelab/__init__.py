@@ -8,7 +8,7 @@ recognizer best suited to its lighting, pose, and occlusion properties.
 
 from .archive import load_model, save_model
 from .dataset import (DatasetManifest, GrayImage, SplitSpec, flatten, load_pgm,
-                      scan_dataset, split, unflatten, write_pgm)
+                      scan_dataset, split, write_pgm)
 from .dispatcher import (DispatchPolicy, ImageProfile, ProfileContext, profile,
                          recognize_multi, select)
 from .eigenfaces import EigenDecision, EigenModel, train_eigen

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -44,10 +45,11 @@ class ErrorReport:
         return len(self.records)
 
 
-def predict(model, image: GrayImage) -> tuple[str, float]:
-    """(predicted label or marker, score) of any model; DataError for other objects."""
+def predict(model, images: Sequence[GrayImage]) -> list[tuple[str, float]]:
+    """Per image, (predicted label or marker, score) under any model; DataError
+    for other objects."""
     method_of(model)
-    return model.predict(image)
+    return model.predict(images)
 
 
 def evaluate_entries(model, entries: list[tuple[str, str, GrayImage]],
@@ -61,8 +63,9 @@ def evaluate_entries(model, entries: list[tuple[str, str, GrayImage]],
         raise DataError(f"test labels not covered by the model: {', '.join(missing)}")
     records = []
     confusion: dict[tuple[str, str], int] = {}
-    for truth, path, image in sorted(entries, key=lambda e: e[1]):
-        prediction, score = predict(model, image)
+    ordered = sorted(entries, key=lambda e: e[1])
+    predictions = predict(model, [image for _, _, image in ordered])
+    for (truth, path, _), (prediction, score) in zip(ordered, predictions):
         correct = prediction == truth
         records.append(ReportRecord(path, truth, prediction, score, correct))
         confusion[(truth, prediction)] = confusion.get((truth, prediction), 0) + 1

@@ -194,7 +194,7 @@ def _cmd_recognize(args) -> int:
         print(f"{args.image},{method},{label}")
         return EXIT_OK
     model = load_model(args.model)
-    prediction, score = bench.predict(model, image)
+    [(prediction, score)] = bench.predict(model, [image])
     print(f"{args.image},{prediction},{format(score, '.17g')}")
     return EXIT_OK
 

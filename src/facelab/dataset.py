@@ -7,9 +7,7 @@ global rescale would not change any decision).
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +16,7 @@ import numpy as np
 from .errors import DataError
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+HEADER_BYTES = 256  # first read of a PGM header when only the dimensions are needed
 
 PER_CLASS_K_TRAIN = "per-class-k-train"
 LEAVE_ONE_OUT = "leave-one-out"
@@ -130,13 +129,31 @@ def write_pgm(image: GrayImage) -> bytes:
 
 
 def read_pgm_dims(path: Path) -> tuple[int, int]:
-    """Read only the header of a PGM file and return (h, w)."""
+    """(h, w) from a PGM file's header, read without its raster.
+
+    A first read of HEADER_BYTES holds any header without long comments;
+    while the header runs to the end of what was read (a comment or a
+    number may be cut there) and the file goes on, the read is doubled.
+    """
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            data = fh.read(HEADER_BYTES)
+            at_end = len(data) < HEADER_BYTES
+            while True:
+                try:
+                    _, w, h, _, end = _parse_header(data)
+                    if end < len(data) or at_end:
+                        return h, w
+                except DataError:
+                    if at_end:
+                        raise
+                more = fh.read(len(data))
+                at_end = len(more) < len(data)
+                data += more
     except OSError as exc:
         raise DataError(f"unreadable file {path}: {exc}") from exc
-    _, w, h, _, _ = _parse_header(data)
-    return h, w
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def load_pgm_file(path: Path) -> GrayImage:
@@ -153,14 +170,6 @@ def load_pgm_file(path: Path) -> GrayImage:
 def flatten(image: GrayImage) -> np.ndarray:
     """Row-major concatenation of the pixel rows; length h*w."""
     return image.pixels.reshape(-1).copy()
-
-
-def unflatten(values: np.ndarray, h: int, w: int) -> GrayImage:
-    """Inverse of flatten for the given dimensions."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size != h * w:
-        raise DataError(f"vector length {values.size} does not match {h}x{w}")
-    return GrayImage(h, w, values.reshape(h, w))
 
 
 @dataclass(frozen=True)
@@ -263,18 +272,6 @@ def split(manifest: DatasetManifest, spec: SplitSpec) -> tuple[DatasetManifest, 
         train[label] = tuple(files[i] for i in perm[:k])
         test[label] = tuple(files[i] for i in perm[k:])
     return DatasetManifest(train, manifest.dims), DatasetManifest(test, manifest.dims)
-
-
-def manifest_to_csv(manifest: DatasetManifest) -> str:
-    """UTF-8 CSV export with columns label,path,h,w."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "path", "h", "w"])
-    h, w = manifest.dims
-    for label, files in manifest.classes.items():
-        for f in files:
-            writer.writerow([label, str(f), h, w])
-    return buf.getvalue()
 
 
 def load_labeled_images(manifest: DatasetManifest) -> list[tuple[str, Path, GrayImage]]:

@@ -190,7 +190,7 @@ def recognize_multi(
     prof = profile(image, eigen, frontal_ref, bank, context)
     method = select(prof, policy)
     model = {METHOD_EIGEN: eigen, METHOD_FISHER: fisher, METHOD_HMM: bank}[method]
-    return method, model.predict(image)[0], prof
+    return method, model.predict([image])[0][0], prof
 
 
 def write_policy_file(path: Path, policy: DispatchPolicy, context: ProfileContext,

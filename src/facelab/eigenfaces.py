@@ -9,7 +9,8 @@ rescales eigenvalues only and affects no decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -17,7 +18,8 @@ from scipy.spatial.distance import pdist
 from .dataset import GrayImage, flatten
 from .errors import DataError
 # sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
-from .numerics import check_face, gram_pca, nearest, require_shape, sort_rows, sym_eigen
+from .numerics import (check_face, gram_pca, nearest, require_shape, require_spread, sort_rows,
+                       sym_eigen)
 
 FACE = "face"
 UNKNOWN_FACE = "unknown-face"
@@ -56,12 +58,13 @@ class EigenModel:
     def labels(self) -> list[str]:
         return list(dict.fromkeys(self.row_labels))
 
-    def predict(self, image: GrayImage) -> tuple[str, float]:
-        """(label or rejection marker, score); the score is the nearest-neighbor
-        distance, or the face-space distance for a probe rejected as not a face."""
-        decision = classify(self, flatten(image))
-        score = decision.distance if decision.distance is not None else decision.dffs
-        return predicted_label(decision), float(score)
+    def predict(self, images: Sequence[GrayImage]) -> list[tuple[str, float]]:
+        """Per image, (label or rejection marker, score); the score is the
+        nearest-neighbor distance, or the face-space distance for a probe
+        rejected as not a face."""
+        decisions = [classify(self, flatten(image)) for image in images]
+        return [(predicted_label(d), float(d.dffs if d.distance is None else d.distance))
+                for d in decisions]
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,7 @@ def train_eigen(
 
     psi = gamma.mean(axis=1)
     phi = gamma - psi[:, None]
+    require_spread(np.einsum("ij,ij->", phi, phi), np.einsum("ij,ij->", gamma, gamma))
     basis, lam = gram_pca(phi, min(k, m - 1))
 
     weights = basis.T @ phi  # K x M
@@ -176,13 +180,3 @@ def classify(model: EigenModel, face: np.ndarray) -> EigenDecision:
         return EigenDecision(UNKNOWN_FACE, best_label, best_dist, residual, weights)
     return EigenDecision(FACE, best_label, best_dist, residual, weights)
 
-
-def enroll(model: EigenModel, face: np.ndarray, label: str) -> EigenModel:
-    """Add a face's weight pattern to the gallery; the basis is unchanged."""
-    residual = dffs(model, face)
-    if residual > model.theta_face:
-        raise DataError(
-            f"cannot enroll: face-space distance {residual:g} exceeds theta_face "
-            f"{model.theta_face:g}")
-    return replace(model, gallery=np.vstack([model.gallery, project(model, face)]),
-                   row_labels=model.row_labels + (label,))

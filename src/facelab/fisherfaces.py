@@ -10,6 +10,7 @@ c - 1 discriminant directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .dataset import GrayImage, flatten
 from .errors import DataError, NumericError, SingularOrIndefinite
 # sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
 from .numerics import (check_face, fix_signs, gen_sym_eigen, gram_pca, nearest, require_shape,
-                       sort_rows, sym_eigen)
+                       require_spread, sort_rows, sym_eigen)
 
 RIDGE_REL = 1e-8  # ridge added to within-class scatter when Cholesky fails
 EIGENVALUE_REL_CUT = 1e-10  # generalized eigenvalues kept relative to largest
@@ -29,11 +30,6 @@ RESIDUAL_RTOL = 1e-6
 class ScatterPair:
     between: np.ndarray  # S_B, symmetric PSD
     within: np.ndarray  # S_W, symmetric PSD
-    dim: int
-    class_count: int
-    counts: dict[str, int]
-    class_means: dict[str, np.ndarray]
-    mean: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -65,9 +61,9 @@ class FisherModel:
     def labels(self) -> list[str]:
         return list(self.row_labels)
 
-    def predict(self, image: GrayImage) -> tuple[str, float]:
-        """(nearest-centroid label, its discriminant-space distance)."""
-        return classify(self, flatten(image))
+    def predict(self, images: Sequence[GrayImage]) -> list[tuple[str, float]]:
+        """Per image, (nearest-centroid label, its discriminant-space distance)."""
+        return [classify(self, flatten(image)) for image in images]
 
 
 def _group(samples: list[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -97,18 +93,15 @@ def compute_scatter(samples: list[tuple[str, np.ndarray]]) -> ScatterPair:
 
     between = np.zeros((d, d))
     within = np.zeros((d, d))
-    counts, class_means = {}, {}
     for label, g in groups.items():
         mu_i = g.mean(axis=0)
-        counts[label] = g.shape[0]
-        class_means[label] = mu_i
         diff = mu_i - mean
         between += g.shape[0] * np.outer(diff, diff)
         centered = g - mu_i
         within += centered.T @ centered
     between = 0.5 * (between + between.T)
     within = 0.5 * (within + within.T)
-    return ScatterPair(between, within, d, len(groups), counts, class_means, mean)
+    return ScatterPair(between, within)
 
 
 def _solve_fld(between: np.ndarray, within: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,6 +147,7 @@ def train_fisher(
     gamma = np.vstack([groups[label] for label in groups]).T  # D x N
     mean = gamma.mean(axis=1)
     phi = gamma - mean[:, None]
+    require_spread(np.einsum("ij,ij->", phi, phi), np.einsum("ij,ij->", gamma, gamma))
     pca = gram_pca(phi, n_total - c)[0]
 
     reduced = [(label, pca.T @ (vec - mean))

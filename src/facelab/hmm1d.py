@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .dataset import GrayImage
 from .errors import DataError, NumericError
 # sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
-from .numerics import EPS_CUT_REL, gram_pca, require_shape, scatter_pca, sym_eigen
+from .numerics import gram_pca, require_shape, require_spread, scatter_pca, sym_eigen
 
 log = logging.getLogger(__name__)
 
@@ -33,6 +33,8 @@ DEFAULT_OVERLAP = 9
 DEFAULT_KLT_DIM = 10
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 20
+# probes per recognize forward pass: 320 rows for 40 subjects, about 1.3 MB per kernel array
+PROBE_CHUNK = 8
 
 FEATURE_KLT = "klt"
 FEATURE_RAW = "raw"
@@ -183,10 +185,9 @@ class SubjectBank:
     def dims(self) -> tuple[int, int]:
         return self.params.image_dims
 
-    def predict(self, image: GrayImage) -> tuple[str, float]:
-        """(maximum-likelihood subject, its forward log-likelihood)."""
-        label, scores = recognize(self, image)
-        return label, scores[label]
+    def predict(self, images: Sequence[GrayImage]) -> list[tuple[str, float]]:
+        """Per image, (maximum-likelihood subject, its forward log-likelihood)."""
+        return [(label, scores[label]) for label, scores in recognize(self, images)]
 
 
 def _windows(pixels: np.ndarray, params: BlockParams) -> np.ndarray:
@@ -230,8 +231,10 @@ def fit_klt(images: list[np.ndarray], params: BlockParams, d: int) -> KltBasis:
         raise DataError(f"coefficient count must be >= 1, got {d}")
     if n <= params.block_dim:
         centered = np.vstack([_windows(pixels, params) for pixels in images], dtype=np.float64)
+        raw_trace = np.einsum("ij,ij->", centered, centered)
         mean = centered.mean(axis=0)
         centered -= mean
+        require_spread(np.einsum("ij,ij->", centered, centered), raw_trace)
         return KltBasis(mean, gram_pca(centered.T, d)[0].T.copy())
 
     height, stride, width = params.height, params.stride, params.image_dims[1]
@@ -254,9 +257,7 @@ def fit_klt(images: list[np.ndarray], params: BlockParams, d: int) -> KltBasis:
             scatter[b:b + width, a:a + width] = block.T
     raw_trace = np.trace(scatter)
     scatter -= n * np.outer(shifted_mean, shifted_mean)
-    # a variance this far below the raw sums is their rounding: the blocks are identical
-    if np.trace(scatter) <= EPS_CUT_REL * raw_trace:
-        raise NumericError("zero variance: all training samples are identical")
+    require_spread(np.trace(scatter), raw_trace)
     components = scatter_pca(scatter, d)[0]
     return KltBasis(shifted_mean + np.tile(column_mean, height), components.T.copy())
 
@@ -349,34 +350,37 @@ def _scaled_forward(trans: np.ndarray, logb: np.ndarray
     long or surprising sequences nor overflows through states the
     left-to-right support cannot reach yet. The shifted emissions and scales
     are mutually consistent, which is what the backward pass relies on.
+    The per-step state is kept T-major, so each step reads and writes one
+    contiguous B x N slab; alpha_hat and the shifted emissions are returned
+    as B x T x N views of it.
     """
     batch, t_len, n = logb.shape
-    alpha = np.zeros((batch, t_len, n))
-    masses = np.zeros((batch, t_len, n))
+    by_step = np.ascontiguousarray(logb.transpose(1, 0, 2))  # T x B x N
+    alpha = np.empty((t_len, batch, n))
+    masses = np.empty((t_len, batch, n))
     scales = np.zeros((batch, t_len))
     shifts = np.zeros((batch, t_len))
-    mass = np.zeros((batch, n))
-    mass[:, 0] = 1.0  # pi = (1, 0, ..., 0)
+    masses[0] = 0.0
+    masses[0, :, 0] = 1.0  # pi = (1, 0, ..., 0)
     # a vanished step yields NaN from here on; it is reported after the loop
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(t_len):
             if t:
-                mass = np.matmul(alpha[:, t - 1, None, :], trans)[:, 0]
-            masses[:, t] = mass
-            log_unnorm = np.log(mass) + logb[:, t]  # -inf where unreachable
+                np.matmul(alpha[t - 1, :, None, :], trans, out=masses[t, :, None, :])
+            log_unnorm = np.log(masses[t]) + by_step[t]  # -inf where unreachable
             shift = log_unnorm.max(axis=1)
             unnorm = np.exp(log_unnorm - shift[:, None])
             total = unnorm.sum(axis=1)  # >= 1: the max term contributes exactly 1
             scales[:, t] = total
             shifts[:, t] = shift
-            alpha[:, t] = unnorm / total[:, None]
+            np.divide(unnorm, total[:, None], out=alpha[t])
     vanished = ~np.isfinite(shifts).all(axis=0)
     if vanished.any():
         raise NumericError(f"forward recursion vanished at step {int(np.argmax(vanished))}")
-    shifted = np.exp(np.minimum(logb - shifts[:, :, None], 700.0))
+    shifted = np.exp(np.minimum(by_step - shifts.T[:, :, None], 700.0))
     b_shifted = np.where(masses > 0.0, shifted, 0.0)
     total_ll = np.sum(np.log(scales), axis=1) + np.sum(shifts, axis=1)
-    return alpha, scales, b_shifted, total_ll
+    return alpha.transpose(1, 0, 2), scales, b_shifted.transpose(1, 0, 2), total_ll
 
 
 def loglik(model: HmmModel, seq: np.ndarray) -> float:
@@ -637,15 +641,28 @@ def train_bank(
     return SubjectBank(params, klt, dict(zip(labels, models)), feature_mode)
 
 
-def recognize(bank: SubjectBank, image: GrayImage) -> tuple[str, dict[str, float]]:
-    """Maximum-forward-likelihood subject; ties go to the smallest label.
+def recognize(bank: SubjectBank, images: Sequence[GrayImage]
+              ) -> list[tuple[str, dict[str, float]]]:
+    """Per image, (maximum-forward-likelihood subject, log-likelihood of every
+    subject); ties go to the smallest label.
 
-    One batched forward pass scores the probe under every subject at once.
+    Probes are scored PROBE_CHUNK at a time: the emissions of each probe under
+    every subject are stacked into one batch, and one forward pass scores the
+    chunk, each row under its own subject's transitions. One probe is a chunk
+    of one, and each score is that of the probe alone.
     """
-    if bank.stacked is None:
+    p = bank.stacked
+    if p is None:
         raise DataError("HMM bank has no subjects")
-    obs = _check_seq(bank.stacked.dim, features_for(bank, image))
-    scores = _scaled_forward(bank.stacked.trans, _log_emissions(bank.stacked, obs[None]))[3]
     labels = bank.labels
-    # labels are sorted and argmax returns the first maximum: ties keep the lowest label
-    return labels[int(np.argmax(scores))], dict(zip(labels, scores.tolist()))
+    trans = np.tile(p.trans, (min(len(images), PROBE_CHUNK), 1, 1))
+    results = []
+    for start in range(0, len(images), PROBE_CHUNK):
+        logb = np.concatenate([
+            _log_emissions(p, _check_seq(p.dim, features_for(bank, image))[None])
+            for image in images[start:start + PROBE_CHUNK]])
+        scores = _scaled_forward(trans[:len(logb)], logb)[3].reshape(-1, len(labels))
+        # labels are sorted and argmax returns the first maximum: ties keep the lowest label
+        results.extend((labels[int(np.argmax(row))], dict(zip(labels, row.tolist())))
+                       for row in scores)
+    return results

@@ -20,6 +20,7 @@ from .errors import DataError, NumericError, SingularOrIndefinite
 
 SYM_RTOL = 1e-10  # relative entrywise symmetry requirement on inputs
 EPS_CUT_REL = 1e-10  # PCA drops eigenvalues below this fraction of the largest
+_IDENTICAL = "zero variance: all training samples are identical"
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,15 @@ def _keep_count(values: np.ndarray, k: int) -> int:
     lam_max = float(values[0])
     surviving = int(np.sum(values > EPS_CUT_REL * max(lam_max, 0.0)))
     if lam_max <= 0.0 or surviving == 0:
-        raise NumericError("zero variance: all training samples are identical")
+        raise NumericError(_IDENTICAL)
     return min(k, surviving)
+
+
+def require_spread(centred_trace: float, raw_trace: float) -> None:
+    """NumericError when centring left at most EPS_CUT_REL of the samples' raw
+    sum of squares: what is left is rounding, so the samples are identical."""
+    if centred_trace <= EPS_CUT_REL * raw_trace:
+        raise NumericError(_IDENTICAL)
 
 
 def scatter_pca(scatter: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

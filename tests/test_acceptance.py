@@ -260,7 +260,7 @@ def test_criterion_7_banded_hmm_recognition(banded):
         images = [(lb, im) for lb, _, im in banded.train_entries]
         bank = train_bank(images, BlockParams(10, 9, banded.manifest.dims),
                           n_states=5, klt_dim=10)
-        correct = sum(recognize(bank, im)[0] == truth
+        correct = sum(recognize(bank, [im])[0][0] == truth
                       for truth, _, im in banded.test_entries)
         accuracy = correct / len(banded.test_entries)
         assert accuracy >= 0.95
@@ -279,7 +279,7 @@ def test_criterion_7_optional_orl():
         bank = train_bank(images, BlockParams(10, 9, manifest.dims),
                           n_states=5, klt_dim=10)
         test_images = load_labeled_images(test_m)
-        correct = sum(recognize(bank, im)[0] == truth for truth, _, im in test_images)
+        correct = sum(recognize(bank, [im])[0][0] == truth for truth, _, im in test_images)
         assert correct / len(test_images) >= 0.70
 
 
@@ -335,4 +335,4 @@ def test_criterion_9_determinism_and_persistence(banded, banded_models, data_roo
             save_model(model, path)
             loaded = load_model(path)
             for img in probes:
-                assert bench.predict(loaded, img) == bench.predict(model, img)
+                assert bench.predict(loaded, [img]) == bench.predict(model, [img])

@@ -83,7 +83,7 @@ class TestBankRoundTrip:
         save_model(banded_models.bank, path)
         loaded = load_model(path)
         for truth, _, img in banded.test_entries[:8]:
-            assert bench.predict(loaded, img) == bench.predict(banded_models.bank, img)
+            assert bench.predict(loaded, [img]) == bench.predict(banded_models.bank, [img])
 
 
 class TestFormat:

@@ -1,6 +1,7 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 
 from facelab import bench
@@ -23,6 +24,17 @@ class TestEvaluate:
                      ("s04", entries[3][1], entries[3][2])]
         report = bench.evaluate_entries(banded_models.bank, sabotaged)
         assert report.error_rate == 0.25
+
+    @pytest.mark.parametrize("method", ["eigen", "fisher", "bank"])
+    def test_report_equals_per_probe_predictions(self, banded, banded_models, method):
+        model = getattr(banded_models, method)
+        report = bench.evaluate_entries(model, banded.test_entries)
+        by_path = {path: image for _, path, image in banded.test_entries}
+        assert [rec.path for rec in report.records] == sorted(by_path)
+        for rec in report.records:
+            [(prediction, score)] = model.predict([by_path[rec.path]])
+            assert rec.prediction == prediction
+            assert np.float64(rec.score).view(np.int64) == np.float64(score).view(np.int64)
 
     def test_confusion_counts_sum_to_total(self, banded, banded_models):
         report = bench.evaluate_entries(banded_models.eigen, banded.test_entries)
@@ -121,9 +133,9 @@ class TestThresholdSweep:
 
 class TestPredict:
     def test_eigen_markers(self, banded, banded_models):
-        prediction, _ = bench.predict(banded_models.eigen, banded.train_entries[0][2])
+        [(prediction, _)] = bench.predict(banded_models.eigen, [banded.train_entries[0][2]])
         assert prediction == banded.train_entries[0][0]
 
     def test_unsupported_model(self, banded):
         with pytest.raises(DataError):
-            bench.predict(object(), banded.train_entries[0][2])
+            bench.predict(object(), [banded.train_entries[0][2]])

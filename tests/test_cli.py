@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,22 @@ def test_corrupt_model_is_data_error(tmp_path, banded_dir, capsys):
     bogus.write_text("not a model\n")
     probe = sorted((banded_dir / "s01").glob("*.pgm"))[0]
     assert main(["recognize", "--model", str(bogus), "--image", str(probe)]) == 2
+
+
+def test_truncated_raster_is_found_by_evaluate_not_the_scan(banded_dir, tmp_path, capsys):
+    root = tmp_path / "banded"
+    shutil.copytree(banded_dir, root)
+    model = tmp_path / "eigen.ffm"
+    assert main(["train", "--method", "eigen", "--dataset", str(root),
+                 "--out", str(model)]) == 0
+    cut = sorted((root / "s02").glob("*.pgm"))[1]
+    cut.write_bytes(cut.read_bytes()[:-10])
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--dataset", str(root)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"data error: {cut}: truncated P5 pixel data")
 
 
 def test_evaluate_split_reports_are_deterministic(banded_dir, tmp_path, capsys):

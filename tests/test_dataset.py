@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facelab.dataset import (GrayImage, SplitSpec, flatten, load_pgm, manifest_to_csv,
-                             read_pgm_dims, scan_dataset, split, unflatten, write_pgm,
+from facelab.dataset import (HEADER_BYTES, GrayImage, SplitSpec, flatten, load_pgm,
+                             load_pgm_file, read_pgm_dims, scan_dataset, split, write_pgm,
                              LEAVE_ONE_OUT)
 from facelab.errors import DataError
 
@@ -72,18 +72,6 @@ class TestFlatten:
     def test_column_image(self):
         img = GrayImage(3, 1, np.array([[1.0], [2.0], [3.0]]))
         assert np.array_equal(flatten(img), [1, 2, 3])
-
-    @given(h=st.integers(1, 6), w=st.integers(1, 6), seed=st.integers(0, 1000))
-    @settings(max_examples=40, deadline=None)
-    def test_unflatten_inverts_flatten(self, h, w, seed):
-        rng = np.random.default_rng(seed)
-        img = GrayImage(h, w, rng.integers(0, 256, size=(h, w)).astype(float))
-        back = unflatten(flatten(img), h, w)
-        assert np.array_equal(back.pixels, img.pixels)
-
-    def test_unflatten_length_check(self):
-        with pytest.raises(DataError):
-            unflatten(np.zeros(5), 2, 2)
 
 
 class TestWritePgm:
@@ -166,17 +154,31 @@ class TestScanDataset:
         assert manifest.labels == ["a", "b"]
         assert [p.name for p in manifest.classes["a"]] == ["a.pgm", "z.pgm"]
 
-    def test_csv_export(self, tmp_path):
-        _write_tree(tmp_path, {"a": [_img(2, 2, 0)]})
-        manifest = scan_dataset(tmp_path)
-        csv_text = manifest_to_csv(manifest)
-        lines = csv_text.splitlines()
-        assert lines[0] == "label,path,h,w"
-        assert lines[1].startswith("a,") and lines[1].endswith(",2,2")
-
     def test_read_pgm_dims_header_only(self, tmp_path):
         _write_tree(tmp_path, {"a": [_img(3, 5, 9)]})
         assert read_pgm_dims(tmp_path / "a" / "0.pgm") == (3, 5)
+
+    @pytest.mark.parametrize("length", [HEADER_BYTES - 12, HEADER_BYTES - 8, HEADER_BYTES,
+                                        5 * HEADER_BYTES])
+    def test_read_pgm_dims_past_a_long_comment(self, tmp_path, length):
+        # the comment ends at, or runs past, the end of the first read
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5\n#" + b"c" * length + b"\n92 112\n255\n" + bytes(3))
+        assert read_pgm_dims(path) == (112, 92)
+
+    def test_read_pgm_dims_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n92 112\n")
+        with pytest.raises(DataError, match="bad.pgm: truncated PGM header: missing maxval"):
+            read_pgm_dims(path)
+
+    def test_truncated_raster_passes_the_scan(self, tmp_path):
+        _write_tree(tmp_path, {"a": [_img(3, 5, 9)]})
+        path = tmp_path / "a" / "0.pgm"
+        path.write_bytes(path.read_bytes()[:-4])
+        assert scan_dataset(tmp_path).dims == (3, 5)
+        with pytest.raises(DataError, match="0.pgm: truncated P5 pixel data"):
+            load_pgm_file(path)
 
 
 class TestSplit:

@@ -20,8 +20,6 @@ class TestComputeScatter:
         pair = compute_scatter(SAMPLES)
         assert np.allclose(pair.between, [[24.0, 0.0], [0.0, 0.0]], atol=1e-12)
         assert np.allclose(pair.within, [[4 / 3, -2 / 3], [-2 / 3, 4 / 3]], atol=1e-12)
-        assert pair.class_count == 2
-        assert pair.counts == {"c1": 3, "c2": 3}
 
     def test_single_sample_classes_have_zero_within(self):
         pair = compute_scatter([("a", np.array([1.0, 2.0])), ("b", np.array([3.0, 4.0]))])

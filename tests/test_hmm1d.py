@@ -226,6 +226,13 @@ class TestKlt:
         with pytest.raises(NumericError, match="identical"):
             fit_klt([image] * 40, BlockParams(6, 3, image.shape), d=2)
 
+    def test_identical_non_integer_images_rejected_on_gram_route(self):
+        # one block per image and fewer blocks than dimensions: the Gram route
+        for seed in range(20):
+            image = np.random.default_rng(seed).uniform(0.0, 255.0, size=(6, 5))
+            with pytest.raises(NumericError, match="identical"):
+                fit_klt([image, image.copy(), image.copy()], BlockParams(6, 0, (6, 5)), d=2)
+
     def test_image_dims_checked(self):
         with pytest.raises(DataError):
             fit_klt([np.zeros((6, 4)), np.zeros((5, 4))], BlockParams(2, 1, (6, 4)), d=2)
@@ -502,7 +509,7 @@ class TestBank:
         img = self._image(list(range(40, 140, 10)), noise=1.0)
         bank = train_bank([("only", img)], BlockParams(3, 2, (10, 6)),
                           n_states=3, klt_dim=4)
-        assert recognize(bank, img)[0] == "only"
+        assert recognize(bank, [img])[0][0] == "only"
 
     def test_block_count_incompatible_with_states(self):
         # H=12, L=10, P=9 gives T=3 blocks, below the 5 requested states
@@ -514,7 +521,7 @@ class TestBank:
         entries = self._banded_pair()
         bank = train_bank(entries, BlockParams(4, 3, (16, 6)), n_states=4, klt_dim=4)
         for label, img in entries:
-            best, scores = recognize(bank, img)
+            [(best, scores)] = recognize(bank, [img])
             assert best == label
             other = "b" if label == "a" else "a"
             assert scores[label] > scores[other]
@@ -526,13 +533,13 @@ class TestBank:
                           klt_dim=4, feature_mode=FEATURE_RAW)
         assert bank.klt is None
         for label, img in entries:
-            assert recognize(bank, img)[0] == label
+            assert recognize(bank, [img])[0][0] == label
 
     def test_recognize_dims_check(self):
         entries = self._banded_pair()
         bank = train_bank(entries, BlockParams(4, 3, (16, 6)), n_states=4, klt_dim=4)
         with pytest.raises(DataError):
-            recognize(bank, GrayImage(8, 6, np.zeros((8, 6))))
+            recognize(bank, [GrayImage(8, 6, np.zeros((8, 6)))])
 
 
 class TestModelValidation:
@@ -592,10 +599,40 @@ class TestBatchedKernels:
         bank = banded_models.bank
         for _, _, image in banded.test_entries:
             obs = features_for(bank, image)
-            scores = recognize(bank, image)[1]
+            scores = recognize(bank, [image])[0][1]
             assert list(scores) == bank.labels
             for label, score in scores.items():
                 assert score == loglik(bank.models[label], obs)
+
+    def test_chunked_scores_equal_each_probe_alone(self, banded, banded_models):
+        bank = banded_models.bank
+        probes = [image for _, _, image in banded.test_entries]
+        count = 2 * hmm1d.PROBE_CHUNK + 3  # three chunks, the last one short
+        assert count <= len(probes)
+        probes = probes[:count]
+        batched = recognize(bank, probes)
+        predicted = bank.predict(probes)
+        assert len(batched) == len(predicted) == count
+        for image, (best, scores), (label, score) in zip(probes, batched, predicted):
+            [(alone_label, alone_score)] = bank.predict([image])
+            assert (label, best) == (alone_label, alone_label)
+            assert np.float64(score).view(np.int64) == np.float64(alone_score).view(np.int64)
+            obs = features_for(bank, image)
+            single = np.array([loglik(bank.models[lb], obs) for lb in bank.labels])
+            assert np.array_equal(np.array(list(scores.values())).view(np.int64),
+                                  single.view(np.int64))
+            assert score == scores[label] == single.max()
+
+    def test_wrong_size_probe_anywhere_in_a_batch_is_data_error(self, banded, banded_models):
+        probes = [image for _, _, image in banded.test_entries][:2 * hmm1d.PROBE_CHUNK + 1]
+        odd = GrayImage(8, 6, np.zeros((8, 6)))
+        for model in (banded_models.eigen, banded_models.fisher, banded_models.bank):
+            for at in (0, hmm1d.PROBE_CHUNK - 1, hmm1d.PROBE_CHUNK + 2, len(probes)):
+                with pytest.raises(DataError):
+                    model.predict(probes[:at] + [odd] + probes[at:])
+
+    def test_empty_batch_scores_nothing(self, banded_models):
+        assert recognize(banded_models.bank, []) == []
 
     @pytest.fixture
     def mixed_lengths(self):
@@ -658,4 +695,4 @@ class TestBatchedKernels:
         far = replace(bank.models[label], means=np.full_like(bank.models[label].means, 1e200))
         broken = replace(bank, models={**bank.models, label: far})
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="vanished"):
-            recognize(broken, banded.test_entries[0][2])
+            recognize(broken, [banded.test_entries[0][2]])
