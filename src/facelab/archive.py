@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +84,7 @@ def save_model(model, path: Path) -> None:
     """Serialize a trained model; the write is atomic."""
     method = method_of(model)
     lines = [MAGIC, f"method {method}", f"dims {model.dims[0]} {model.dims[1]}"]
-    _FORMATS[method][0](lines, model)
+    _FORMATS[method][1](lines, model)
     lines.append("end")
     path = Path(path)
     payload = "\n".join(lines) + "\n"
@@ -134,40 +135,40 @@ class _Reader:
             raise DataError(f"{self.path}: malformed array header for {name!r}") from None
         if rows < 0 or cols < 0:
             raise DataError(f"{self.path}: negative array shape for {name!r}")
-        values = []  # grown row by row: a header's shape claim allocates nothing
-        for r in range(rows):
-            fields = self.next_line().split()
-            if len(fields) != cols:
-                raise DataError(f"{self.path}: truncated section: array {name!r} row {r}")
-            try:
-                values.extend(map(float, fields))
-            except ValueError:
-                raise DataError(f"{self.path}: malformed float in array {name!r}") from None
-        out = np.array(values, dtype=np.float64).reshape(rows, cols)
+        if self.pos + rows > len(self.lines):  # so a header's shape claim allocates nothing
+            raise DataError(f"{self.path}: truncated archive")
+        block = self.lines[self.pos:self.pos + rows]
+        self.pos += rows
+        out = None  # loadtxt skips blank lines, and warns on a block with no fields
+        if rows and cols and len(block[0].split()) == cols:
+            with suppress(ValueError):
+                out = np.loadtxt(block, dtype=np.float64, comments=None, ndmin=2)
+        if out is None or out.shape != (rows, cols):
+            for r, line in enumerate(block):
+                if len(line.split()) != cols:
+                    raise DataError(f"{self.path}: truncated section: array {name!r} row {r}")
+            if rows and cols:
+                raise DataError(f"{self.path}: malformed float in array {name!r}")
+            out = np.empty((rows, cols))
         if not np.all(np.isfinite(out)):
             raise DataError(f"{self.path}: non-finite value in array {name!r}")
         return out
 
-    def read_scalar(self, name: str) -> float:
-        args = self.expect("scalar")
+    def read_value(self, keyword: str, name: str, parse):
+        """The value of a one-field record `<keyword> <name> <value>`, read by `parse`."""
+        args = self.expect(keyword)
         if len(args) != 2 or args[0] != name:
-            raise DataError(f"{self.path}: expected scalar {name!r}, got {args!r}")
+            raise DataError(f"{self.path}: expected {keyword} {name!r}, got {args!r}")
         try:
-            value = float(args[1])
+            return parse(args[1])
         except ValueError:
-            raise DataError(f"{self.path}: malformed scalar {name!r}") from None
+            raise DataError(f"{self.path}: malformed {keyword} {name!r}") from None
+
+    def read_scalar(self, name: str) -> float:
+        value = self.read_value("scalar", name, float)
         if not np.isfinite(value):
             raise DataError(f"{self.path}: non-finite scalar {name!r}")
         return value
-
-    def read_int(self, name: str) -> int:
-        args = self.expect("int")
-        if len(args) != 2 or args[0] != name:
-            raise DataError(f"{self.path}: expected int {name!r}, got {args!r}")
-        try:
-            return int(args[1])
-        except ValueError:
-            raise DataError(f"{self.path}: malformed int {name!r}") from None
 
     def read_labels(self) -> list[str]:
         args = self.expect("labels")
@@ -215,8 +216,8 @@ def _load_hmm(r: _Reader, prefix: str) -> HmmModel:
 
 
 def _load_bank(r: _Reader, dims: tuple[int, int]) -> SubjectBank:
-    height = r.read_int("block_height")
-    overlap = r.read_int("overlap")
+    height = r.read_value("int", "block_height", int)
+    overlap = r.read_value("int", "overlap", int)
     mode_args = r.expect("mode")
     if len(mode_args) != 1 or mode_args[0] not in (FEATURE_KLT, FEATURE_RAW):
         raise DataError(f"{r.path}: bad feature mode record {mode_args!r}")
@@ -234,11 +235,11 @@ def _load_bank(r: _Reader, dims: tuple[int, int]) -> SubjectBank:
     return SubjectBank(params, klt, models, mode)
 
 
-# method record -> (body writer, body reader); the header and end are shared
+# method record -> (model type, body writer, body reader); the header and end are shared
 _FORMATS = {
-    "eigen": (_write_eigen, _load_eigen),
-    "fisher": (_write_fisher, _load_fisher),
-    "hmm": (_write_bank, _load_bank),
+    "eigen": (EigenModel, _write_eigen, _load_eigen),
+    "fisher": (FisherModel, _write_fisher, _load_fisher),
+    "hmm": (SubjectBank, _write_bank, _load_bank),
 }
 
 
@@ -261,7 +262,7 @@ def load_model(path: Path):
     method = method_args[0]
     if method not in _FORMATS:
         raise DataError(f"{path}: unknown method {method!r}")
-    model = _FORMATS[method][1](r, dims)
+    model = _FORMATS[method][2](r, dims)
     if r.next_line().strip() != "end":
         raise DataError(f"{path}: missing end record")
     return model
@@ -269,10 +270,7 @@ def load_model(path: Path):
 
 def method_of(model) -> str:
     """The method record of a model: the one place that maps types to methods."""
-    if isinstance(model, EigenModel):
-        return "eigen"
-    if isinstance(model, FisherModel):
-        return "fisher"
-    if isinstance(model, SubjectBank):
-        return "hmm"
+    for method, (kind, _, _) in _FORMATS.items():
+        if isinstance(model, kind):
+            return method
     raise DataError(f"unknown model type {type(model).__name__}")

@@ -217,7 +217,7 @@ def read_policy_file(path: Path) -> tuple[DispatchPolicy, ProfileContext, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read policy file {path}: {exc}") from exc
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

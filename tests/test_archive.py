@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,18 +169,88 @@ class TestFormat:
 
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
                 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e16]
+_EDGE_AND_INTEGRAL = (st.sampled_from(_EDGE_FLOATS), st.integers(-2 ** 60, 2 ** 60).map(float))
 
 
 @settings(max_examples=200, deadline=None)
 @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
-              elements=st.one_of(st.floats(width=64), st.sampled_from(_EDGE_FLOATS),
-                                 st.integers(-2 ** 60, 2 ** 60).map(float))))
+              elements=st.one_of(st.floats(width=64), *_EDGE_AND_INTEGRAL)))
 def test_row_text_equals_per_value_format(array):
     lines = []
     archive._emit_array(lines, "x", array)
     rows = np.atleast_2d(array)
     assert lines[0] == f"array x {rows.shape[0]} {rows.shape[1]}"
     assert lines[1:] == [" ".join(format(float(v), ".17g") for v in row) for row in rows]
+
+
+@pytest.fixture(scope="module")
+def array_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("arrays") / "x.ffm"
+
+
+def _read_back(path, lines):
+    """Array `x` read from a file holding `lines`, with every warning raised."""
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return archive._Reader(path).read_array("x")
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+              elements=st.one_of(st.floats(width=64, allow_nan=False, allow_infinity=False),
+                                 *_EDGE_AND_INTEGRAL)))
+def test_read_array_returns_the_written_bits(array_file, array):
+    lines = []
+    archive._emit_array(lines, "x", array)
+    out = _read_back(array_file, lines)
+    assert out.shape == array.shape and out.dtype == np.float64
+    assert out.tobytes() == array.tobytes()
+
+
+@pytest.mark.parametrize("lines, shape", [(["array x 0 3"], (0, 3)),
+                                          (["array x 2 0", "", ""], (2, 0)),
+                                          (["array x 0 0"], (0, 0))])
+def test_empty_array_records(array_file, lines, shape):
+    assert _read_back(array_file, lines).shape == shape
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["array x 2 2", "1 2", "3 4 #"], "truncated section: array 'x' row 1"),  # '#' is no comment
+    (["array x 2 2", "# 2", "3 4"], "malformed float"),
+    (["array x 3 2", "1 2", "", "3 4"], "truncated section: array 'x' row 1"),
+    (["array x 3 2", "1 2", "", ""], "truncated section: array 'x' row 1"),
+    (["array x 2 2", " ", "\t"], "truncated section: array 'x' row 0"),
+    (["array x 3 2", "1 2 3", "4 5 6", "7 8 9"], "truncated section: array 'x' row 0"),
+    (["array x 2 2", "1 2", "3"], "truncated section: array 'x' row 1"),
+    (["array x 2 2", "1 2", "3 1_0"], "malformed float"),  # float() reads "1_0" as 10.0
+    (["array x 2 2", "1 2", "3 0x10"], "malformed float"),
+    (["array x 2 2", "1 2", "3 1,5"], "malformed float"),
+    (["array x 2 2", "1 2", "3 infinity"], "non-finite"),
+    (["array x 2 2", "1 2"], "truncated archive"),
+    (["array x 2 -2", "1 2"], "negative array shape"),
+    (["array x 2 two", "1 2", "3 4"], "malformed array header"),
+])
+def test_malformed_array_records(array_file, lines, message):
+    with pytest.raises(DataError, match=message):
+        _read_back(array_file, lines)
+
+
+@pytest.mark.parametrize("which", ["eigen", "fisher", "bank"])
+def test_saved_arrays_equal_per_value_floats(tmp_path, banded_models, which):
+    path = tmp_path / "m.ffm"
+    save_model(getattr(banded_models, which), path)
+    reader = archive._Reader(path)
+    headers = [at for at, line in enumerate(reader.lines) if line.startswith("array ")]
+    assert len(headers) >= 4
+    for at in headers:
+        _, name, rows, cols = reader.lines[at].split()
+        reader.pos = at
+        out = reader.read_array(name)
+        expected = [np.array(list(map(float, line.split())))
+                    for line in reader.lines[at + 1:at + 1 + int(rows)]]
+        assert out.shape == (int(rows), int(cols))
+        assert [row.tobytes() for row in out] == [row.tobytes() for row in expected]
 
 
 def _array_headers(path):
@@ -242,7 +314,8 @@ def tiny_archives(tmp_path_factory):
 
 
 _TOKENS = st.one_of(st.sampled_from(["0", "1", "-1", "2", "9999999999999", "nan", "inf",
-                                     "1e400", "s0", "s9", "array", "labels", "end", ""]),
+                                     "1e400", "s0", "s9", "array", "labels", "end", "",
+                                     "1_0", "infinity", "+1", "1e-400", "0x10", "#", "1,5"]),
                     st.text(st.characters(min_codepoint=33, max_codepoint=126), max_size=4))
 
 
@@ -264,7 +337,9 @@ def test_mutated_archive_loads_consistently_or_is_data_error(tiny_archives, whic
         lines[at] = " ".join(fields)
     path.write_text("\n".join(lines) + "\n")
     try:
-        model = load_model(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = load_model(path)
     except DataError:
         return
     records = {line.split()[0]: line.split()[1:] for line in lines[1:] if line.split()}

@@ -258,6 +258,20 @@ def test_bad_policy_value_is_data_error(trained_all, banded_dir, tmp_path, capsy
         assert str(policy) in err
 
 
+@pytest.mark.parametrize("command", ["recognize", "assess"])
+def test_policy_file_not_utf8_is_data_error(trained_all, banded_dir, tmp_path, capsys, command):
+    policy = tmp_path / "bad.cfg"
+    policy.write_bytes(b"tau_illum=1\xff\xfe\n")
+    probe = sorted((banded_dir / "s01").glob("*.pgm"))[0]
+    argv = {"recognize": ["recognize", "--model", str(trained_all), "--multi"],
+            "assess": ["assess", "--models", str(trained_all)]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--policy", str(policy), "--image", str(probe)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read policy file {policy}:")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("case", ["train_out", "report", "all_out_is_file"])
 def test_unusable_output_path_is_data_error(trained_all, banded_dir, tmp_path, capsys, case):
     missing = tmp_path / "missing"
