@@ -33,7 +33,8 @@ DEFAULT_OVERLAP = 9
 DEFAULT_KLT_DIM = 10
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 20
-# probes per recognize forward pass: 320 rows for 40 subjects, about 1.3 MB per kernel array
+# probes per recognize forward pass: 320 rows for 40 subjects, so the one emission
+# buffer and each forward array hold about 1.3 MB
 PROBE_CHUNK = 8
 
 FEATURE_KLT = "klt"
@@ -107,12 +108,7 @@ class HmmModel:
             raise DataError("HMM parameters must be finite")
         if self.start.shape != (n,) or self.start[0] != 1.0 or np.any(self.start[1:] != 0.0):
             raise DataError("left-to-right HMM must start deterministically in state 0")
-        off = self.trans.copy()
-        for i in range(n):
-            off[i, i] = 0.0
-            if i + 1 < n:
-                off[i, i + 1] = 0.0
-        if np.any(off != 0.0):
+        if np.tril(self.trans, -1).any() or np.triu(self.trans, 2).any():
             raise DataError("transition matrix violates left-to-right structure")
         if np.abs(self.trans.sum(axis=1) - 1.0).max() > 1e-12:
             raise DataError("transition rows must sum to 1")
@@ -134,19 +130,22 @@ class _Stacked(NamedTuple):
     """The parameters of S same-shape HMMs, stacked on a leading axis."""
 
     trans: np.ndarray  # S x N x N
-    means: np.ndarray  # S x N x d
-    inv_var: np.ndarray  # S x N x d, 1 / variances
-    logdet: np.ndarray  # S x N, per-state log det(2*pi*Sigma)
+    weights: np.ndarray  # S x 2d x N, rows [1 / variances; -2 means / variances]
+    const: np.ndarray  # S x N, sum of means^2 / variances plus log det(2*pi*Sigma)
 
     @property
     def dim(self) -> int:
-        return self.means.shape[2]
+        return self.weights.shape[1] // 2
 
 
 def _stack(models: list[HmmModel]) -> _Stacked:
+    means = np.stack([m.means for m in models])
     variances = np.stack([m.variances for m in models])
-    return _Stacked(np.stack([m.trans for m in models]), np.stack([m.means for m in models]),
-                    1.0 / variances, np.sum(np.log(2.0 * np.pi * variances), axis=2))
+    inv_var = 1.0 / variances
+    with np.errstate(over="ignore"):  # a mean too far for its variance gives -inf emissions
+        weights = np.concatenate([inv_var, -2.0 * means * inv_var], axis=2).transpose(0, 2, 1)
+        const = np.sum(means * means * inv_var + np.log(2.0 * np.pi * variances), axis=2)
+    return _Stacked(np.stack([m.trans for m in models]), np.ascontiguousarray(weights), const)
 
 
 @dataclass(frozen=True)
@@ -280,16 +279,19 @@ def _check_seq(dim: int, seq: np.ndarray) -> np.ndarray:
     return seq
 
 
-def _log_emissions(p: _Stacked, seqs: np.ndarray) -> np.ndarray:
-    """B x T x N per-state diagonal-Gaussian log densities.
+def _log_emissions(p: _Stacked, seqs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """B x T x N per-state diagonal-Gaussian log densities, written to out if given.
 
     seqs is B x T x d; either it or the stack may have a leading axis of 1,
-    which is shared across the other's batch.
+    which is shared across the other's batch. One matmul scores every state:
+    -0.5 * ([x^2, x] @ weights + const). Its rounding error grows as
+    eps * sum((x^2 + means^2) / variances), at most 5.5e-12 on ORL-scale KLT
+    features but 0.024 on random 920-pixel raw blocks at the variance floor.
     """
-    diff = seqs[:, :, None, :] - p.means[:, None, :, :]
-    inv_var = np.broadcast_to(p.inv_var, (diff.shape[0],) + p.inv_var.shape[1:])
-    quad = np.einsum("stnd,snd->stn", diff * diff, inv_var)
-    return -0.5 * (quad + p.logdet[:, None, :])
+    out = np.matmul(np.concatenate([seqs * seqs, seqs], axis=2), p.weights, out=out)
+    out += p.const[:, None, :]
+    out *= -0.5
+    return out
 
 
 def _viterbi(trans: np.ndarray, logb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,54 +342,54 @@ def viterbi(model: HmmModel, seq: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _scaled_forward(trans: np.ndarray, logb: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched scaled forward pass over B sequences.
 
-    trans is B x N x N (or 1 x N x N, shared), logb is B x T x N. Returns
-    (alpha_hat B x T x N, scales B x T, shifted emissions B x T x N, logL B).
-    Each step's emissions are shifted by the maximum of the propagated
-    log-mass before exponentiation, so the recursion neither underflows on
-    long or surprising sequences nor overflows through states the
-    left-to-right support cannot reach yet. The shifted emissions and scales
-    are mutually consistent, which is what the backward pass relies on.
-    The per-step state is kept T-major, so each step reads and writes one
-    contiguous B x N slab; alpha_hat and the shifted emissions are returned
-    as B x T x N views of it.
+    trans is B x N x N (or 1 x N x N, shared) and left-to-right, logb is
+    B x T x N. Returns (alpha_hat, propagated masses, scales, shifts, logL),
+    shaped B x T x N, B x T x N, B x T, B x T and B. Each step's emissions are
+    shifted by the maximum of the propagated log-mass before exponentiation,
+    so the recursion neither underflows on long or surprising sequences nor
+    overflows through states the left-to-right support cannot reach yet.
+    The per-step state is kept state-major, T x N x B: each step moves mass
+    along the stay and move diagonals and reduces over the N states with
+    whole-row operations of length B.
     """
     batch, t_len, n = logb.shape
-    by_step = np.ascontiguousarray(logb.transpose(1, 0, 2))  # T x B x N
-    alpha = np.empty((t_len, batch, n))
-    masses = np.empty((t_len, batch, n))
+    # N x B (or N x 1) a[j][j], and (N-1) x B a[j-1][j] for j >= 1
+    stay, move = (np.ascontiguousarray(np.diagonal(trans, k, 1, 2).T) for k in (0, 1))
+    by_step = np.ascontiguousarray(logb.transpose(1, 2, 0))  # T x N x B
+    alpha = np.empty((t_len, n, batch))
+    masses = np.empty((t_len, n, batch))
     scales = np.zeros((batch, t_len))
     shifts = np.zeros((batch, t_len))
     masses[0] = 0.0
-    masses[0, :, 0] = 1.0  # pi = (1, 0, ..., 0)
+    masses[0, 0] = 1.0  # pi = (1, 0, ..., 0)
     # a vanished step yields NaN from here on; it is reported after the loop
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(t_len):
             if t:
-                np.matmul(alpha[t - 1, :, None, :], trans, out=masses[t, :, None, :])
+                np.multiply(alpha[t - 1], stay, out=masses[t])
+                masses[t, 1:] += alpha[t - 1, :-1] * move
             log_unnorm = np.log(masses[t]) + by_step[t]  # -inf where unreachable
-            shift = log_unnorm.max(axis=1)
-            unnorm = np.exp(log_unnorm - shift[:, None])
-            total = unnorm.sum(axis=1)  # >= 1: the max term contributes exactly 1
+            shift = log_unnorm.max(axis=0)
+            unnorm = np.exp(log_unnorm - shift)
+            total = unnorm.sum(axis=0)  # >= 1: the max term contributes exactly 1
             scales[:, t] = total
             shifts[:, t] = shift
-            np.divide(unnorm, total[:, None], out=alpha[t])
+            np.divide(unnorm, total, out=alpha[t])
     vanished = ~np.isfinite(shifts).all(axis=0)
     if vanished.any():
         raise NumericError(f"forward recursion vanished at step {int(np.argmax(vanished))}")
-    shifted = np.exp(np.minimum(by_step - shifts.T[:, :, None], 700.0))
-    b_shifted = np.where(masses > 0.0, shifted, 0.0)
     total_ll = np.sum(np.log(scales), axis=1) + np.sum(shifts, axis=1)
-    return alpha.transpose(1, 0, 2), scales, b_shifted.transpose(1, 0, 2), total_ll
+    return alpha.transpose(2, 0, 1), masses.transpose(2, 0, 1), scales, shifts, total_ll
 
 
 def loglik(model: HmmModel, seq: np.ndarray) -> float:
     """Total forward log-likelihood (sum over all feasible paths)."""
     seq = _check_seq(model.dim, seq)
     p = _stack([model])
-    return float(_scaled_forward(p.trans, _log_emissions(p, seq[None]))[3][0])
+    return float(_scaled_forward(p.trans, _log_emissions(p, seq[None]))[-1][0])
 
 
 def init_uniform(seqs: list[np.ndarray], n_states: int) -> HmmModel:
@@ -538,12 +540,19 @@ def viterbi_train(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_
 
 def _expect(p: _Stacked, batch: np.ndarray) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Baum-Welch E-step: per row, (logL, gamma T x N, xi (T-1) x N x N)."""
-    alpha, scales, b, ll = _scaled_forward(p.trans, _log_emissions(p, batch))
+    logb = _log_emissions(p, batch)
+    alpha, masses, scales, shifts, ll = _scaled_forward(p.trans, logb)
     beta = np.zeros_like(alpha)
     beta[:, -1] = 1.0
-    for t in range(batch.shape[1] - 2, -1, -1):
-        ahead = (b[:, t + 1] * beta[:, t + 1])[:, :, None]
-        beta[:, t] = np.matmul(p.trans, ahead)[:, :, 0] / scales[:, t + 1, None]
+    # an unlikely state with a far better emission can overflow b * beta; checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.where(masses > 0.0, np.exp(np.minimum(logb - shifts[:, :, None], 700.0)), 0.0)
+        for t in range(batch.shape[1] - 2, -1, -1):
+            ahead = (b[:, t + 1] * beta[:, t + 1])[:, :, None]
+            beta[:, t] = np.matmul(p.trans, ahead)[:, :, 0] / scales[:, t + 1, None]
+    overflowed = np.flatnonzero(~np.isfinite(beta).all(axis=(0, 2)))
+    if overflowed.size:
+        raise NumericError(f"backward recursion overflowed at step {overflowed[-1]}")
     gamma = alpha * beta  # rows sum to 1
     xi = (alpha[:, :-1, :, None] * p.trans[:, None]
           * (b[:, 1:] * beta[:, 1:])[:, :, None, :]) / scales[:, 1:, None, None]
@@ -655,13 +664,17 @@ def recognize(bank: SubjectBank, images: Sequence[GrayImage]
     if p is None:
         raise DataError("HMM bank has no subjects")
     labels = bank.labels
-    trans = np.tile(p.trans, (min(len(images), PROBE_CHUNK), 1, 1))
+    chunk = min(len(images), PROBE_CHUNK)
+    trans = np.tile(p.trans, (chunk, 1, 1))
+    # one emission buffer, probe by subject by block by state, reused by every chunk
+    logb = np.empty((chunk, len(labels), bank.params.block_count, p.trans.shape[1]))
     results = []
     for start in range(0, len(images), PROBE_CHUNK):
-        logb = np.concatenate([
-            _log_emissions(p, _check_seq(p.dim, features_for(bank, image))[None])
-            for image in images[start:start + PROBE_CHUNK]])
-        scores = _scaled_forward(trans[:len(logb)], logb)[3].reshape(-1, len(labels))
+        probes = images[start:start + PROBE_CHUNK]
+        for k, image in enumerate(probes):
+            _log_emissions(p, _check_seq(p.dim, features_for(bank, image))[None], out=logb[k])
+        batch = logb[:len(probes)].reshape(-1, *logb.shape[2:])
+        scores = _scaled_forward(trans[:len(batch)], batch)[-1].reshape(-1, len(labels))
         # labels are sorted and argmax returns the first maximum: ties keep the lowest label
         results.extend((labels[int(np.argmax(row))], dict(zip(labels, row.tolist())))
                        for row in scores)

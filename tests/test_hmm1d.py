@@ -1,19 +1,22 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 from scipy.stats import norm
 
 from facelab import hmm1d, synth
 from facelab.dataset import GrayImage
 from facelab.errors import DataError, NumericError
-from facelab.hmm1d import (BlockParams, FEATURE_RAW, HmmModel, KltBasis, SubjectBank,
-                           baum_welch, extract_blocks, features_for, fit_klt, init_uniform,
-                           loglik, observe, recognize, train_bank, viterbi, viterbi_train)
+from facelab.hmm1d import (BlockParams, FEATURE_RAW, VAR_FLOOR, HmmModel, KltBasis,
+                           SubjectBank, baum_welch, extract_blocks, features_for, fit_klt,
+                           init_uniform, loglik, observe, recognize, train_bank, viterbi,
+                           viterbi_train)
 from facelab.numerics import sym_eigen
 
 RT2 = np.sqrt(2.0)
@@ -104,6 +107,25 @@ def sample_sequences(model, rng, n_seqs, t_len):
             seq[t] = rng.normal(model.means[state], np.sqrt(model.variances[state]))
         out.append(seq)
     return out
+
+
+def direct_log_emissions(model, seq):
+    """T x N log densities in the difference form, -0.5 * sum((x - mean)^2 / var + log 2 pi var)."""
+    diff = seq[:, None, :] - model.means[None]
+    return -0.5 * np.sum(diff * diff / model.variances + np.log(2.0 * np.pi * model.variances),
+                         axis=2)
+
+
+def direct_loglik(model, seq):
+    """Forward log-likelihood in log space over the difference-form emissions."""
+    logb = direct_log_emissions(model, seq)
+    with np.errstate(divide="ignore"):
+        loga = np.log(model.trans)
+    log_alpha = np.full(model.n_states, -np.inf)
+    log_alpha[0] = logb[0, 0]
+    for t in range(1, len(seq)):
+        log_alpha = logsumexp(log_alpha[:, None] + loga, axis=0) + logb[t]
+    return float(logsumexp(log_alpha))
 
 
 class TestBlockExtraction:
@@ -467,6 +489,20 @@ class TestBaumWelch:
         assert np.abs(one_more.variances - fitted.variances).max() <= 1e-3
         assert np.abs(one_more.trans - fitted.trans).max() <= 1e-3
 
+    def test_backward_overflow_is_numeric_error(self):
+        # at x = -2 state 1 sits 720 nats below state 0, so it keeps a mass near
+        # exp(-720); at v state 0, which holds the mass, sits 700 nats below
+        # state 2, which only that tiny mass reaches, and b * beta overflows
+        model = lr_model([(0.5, 0.5), (0.5, 0.5), (1.0, 0.0)],
+                         [[0.0], [-40.0], [38.0]], [[1.0], [1.0], [1.0]])
+        v = (700.0 + 0.5 * 38.0 ** 2) / 38.0
+        seq = np.array([[0.0], [-2.0], [v], [v], [v]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match="iteration 0: backward recursion overflowed at step"):
+                baum_welch(model, [seq], max_iter=1)
+
 
 @pytest.mark.parametrize("train", [viterbi_train, baum_welch])
 def test_empty_states_keep_their_parameters(train, caplog):
@@ -693,6 +729,92 @@ class TestBatchedKernels:
         bank = banded_models.bank
         label = bank.labels[-1]
         far = replace(bank.models[label], means=np.full_like(bank.models[label].means, 1e200))
-        broken = replace(bank, models={**bank.models, label: far})
-        with np.errstate(over="ignore"), pytest.raises(NumericError, match="vanished"):
-            recognize(broken, [banded.test_entries[0][2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # means^2 / variances overflows inside the stack
+            broken = replace(bank, models={**bank.models, label: far})
+            with np.errstate(over="ignore"), pytest.raises(NumericError, match="vanished"):
+                recognize(broken, [banded.test_entries[0][2]])
+
+
+@st.composite
+def emission_cases(draw):
+    """(seq T x d, means N x d, variances N x d) at KLT-like or raw-pixel magnitudes."""
+    n, d, t_len = draw(st.integers(1, 5)), draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    if draw(st.booleans()):  # raw pixel blocks with every variance at the floor
+        values = st.floats(0.0, 255.0)
+        variances = np.full((n, d), VAR_FLOOR)
+    else:  # KLT coefficients as the ORL-scale banks see them
+        values = st.floats(-3e3, 3e3)
+        variances = draw(arrays(np.float64, (n, d), elements=st.floats(10.0, 7e6)))
+    return (draw(arrays(np.float64, (t_len, d), elements=values)),
+            draw(arrays(np.float64, (n, d), elements=values)), variances)
+
+
+def random_bank(rng, subjects, n_states, params, d):
+    """A bank of random valid models over a random orthonormal KLT basis, untrained."""
+    basis = np.linalg.qr(rng.normal(size=(params.block_dim, d)))[0].T
+    klt = KltBasis(rng.uniform(0.0, 255.0, params.block_dim), basis)
+    models = {f"s{i:02d}": replace(random_lr_model(rng, n_states, d),
+                                   means=rng.normal(0.0, 300.0, (n_states, d)),
+                                   variances=rng.uniform(10.0, 1e4, (n_states, d)))
+              for i in range(subjects)}
+    return SubjectBank(params, klt, models)
+
+
+class TestExpandedEmissions:
+    """The one-matmul emissions against the difference form, and the forward's edge cases."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(emission_cases())
+    def test_log_emissions_within_rounding_of_the_difference_form(self, case):
+        seq, means, variances = case
+        n, d = means.shape
+        model = lr_model([(0.5, 0.5)] * (n - 1) + [(1.0, 0.0)], means, variances)
+        got = hmm1d._log_emissions(hmm1d._stack([model]), seq[None])[0]
+        logdet = np.sum(np.log(2.0 * np.pi * variances), axis=1)
+        size = np.sum((seq[:, None, :] ** 2 + means[None] ** 2) / variances, axis=2) + abs(logdet)
+        # recursive summation of the 2d + 2 terms of each form, each term at most 2 * size
+        bound = 4 * (d + 1) * np.finfo(float).eps * size
+        assert np.all(np.abs(got - direct_log_emissions(model, seq)) <= bound)
+
+    def test_recognize_scores_match_the_difference_form(self, banded, banded_models):
+        bank = banded_models.bank
+        probes = [image for _, _, image in banded.test_entries]
+        for image, (_, scores) in zip(probes, recognize(bank, probes)):
+            obs = features_for(bank, image)
+            for label, score in scores.items():
+                direct = direct_loglik(bank.models[label], obs)
+                assert abs(score - direct) <= 1e-12 * abs(direct)
+
+    def test_recognize_working_memory(self):
+        # 40 subjects x 16 probes at ORL scale: scoring each probe through its
+        # 1.6 MB of state-by-block differences peaked at 8.8 MB; the one emission
+        # buffer and the forward pass's state peak at 6.2 MB
+        params = BlockParams(10, 9, (112, 92))
+        rng = np.random.default_rng(71)
+        bank = random_bank(rng, 40, 5, params, 10)
+        probes = [GrayImage(112, 92, rng.uniform(0.0, 255.0, (112, 92))) for _ in range(16)]
+        tracemalloc.start()
+        try:
+            results = recognize(bank, probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 16
+        assert peak < 7.5e6
+
+    @pytest.mark.parametrize("n_states, height", [(1, 8), (3, 3), (1, 3)])
+    def test_one_state_and_one_block_banks(self, n_states, height):
+        # one state leaves the move diagonal empty; an image one block high gives T = 1
+        rng = np.random.default_rng(72)
+        params = BlockParams(3, 2, (height, 4))
+        bank = random_bank(rng, 3, n_states, params, 2)
+        probes = [GrayImage(height, 4, rng.uniform(0.0, 255.0, (height, 4))) for _ in range(3)]
+        for image, (best, scores) in zip(probes, recognize(bank, probes)):
+            obs = features_for(bank, image)
+            assert obs.shape[0] == height - 2
+            for label, score in scores.items():
+                assert score == loglik(bank.models[label], obs)
+                direct = direct_loglik(bank.models[label], obs)
+                assert abs(score - direct) <= 1e-12 * abs(direct)
+            assert scores[best] == max(scores.values())
