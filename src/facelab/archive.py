@@ -258,6 +258,8 @@ def load_model(path: Path):
         height, width = map(int, dims_args)  # exactly two tokens
     except ValueError:
         raise DataError(f"{path}: malformed dims record") from None
+    if height < 1 or width < 1:
+        raise DataError(f"{path}: dims {height} {width} must be positive")
     dims = (height, width)
     method = method_args[0]
     if method not in _FORMATS:

@@ -1,4 +1,4 @@
-"""Evaluation harness: closed-set error reports and threshold sweeps.
+"""Evaluation harness: closed-set error reports.
 
 Rejections (unknown-face / not-a-face verdicts from the eigenface model)
 count as errors against labeled test images, matching a single error-rate
@@ -13,14 +13,9 @@ import io
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from . import eigenfaces
 from .archive import method_of
-from .dataset import DatasetManifest, GrayImage, flatten, load_labeled_images
-from .eigenfaces import EigenModel
+from .dataset import DatasetManifest, GrayImage, load_labeled_images
 from .errors import DataError
-from .numerics import nearest
 
 
 @dataclass(frozen=True)
@@ -92,37 +87,3 @@ def report_to_csv(report: ErrorReport) -> str:
                          format(rec.score, ".17g"), int(rec.correct)])
     return buf.getvalue()
 
-
-def threshold_sweep(model: EigenModel, known: list[GrayImage],
-                    impostors: list[GrayImage], steps: int
-                    ) -> list[tuple[float, float, float]]:
-    """(theta_known, FAR, FRR) over theta in [0, max observed distance].
-
-    FAR counts impostors accepted as some gallery identity; FRR counts known
-    faces rejected, among those passing the face-space test (faces failing it
-    are rejected at every theta and excluded from the FRR denominator).
-    """
-    if steps < 2:
-        raise DataError(f"steps must be >= 2, got {steps}")
-    if not known or not impostors:
-        raise DataError("both known and impostor sets must be non-empty")
-
-    def stats(images: list[GrayImage]) -> list[tuple[bool, float]]:
-        out = []
-        for image in images:
-            face = flatten(image)
-            residual = eigenfaces.dffs(model, face)
-            mind = nearest(model.gallery, eigenfaces.project(model, face))[1]
-            out.append((residual <= model.theta_face, mind))
-        return out
-
-    known_stats = stats(known)
-    imp_stats = stats(impostors)
-    max_dist = max(d for _, d in known_stats + imp_stats)
-    passing = [d for ok, d in known_stats if ok]
-    curve = []
-    for theta in np.linspace(0.0, max_dist, steps):
-        far = sum(1 for ok, d in imp_stats if ok and d <= theta) / len(imp_stats)
-        frr = (sum(1 for d in passing if d > theta) / len(passing)) if passing else 0.0
-        curve.append((float(theta), far, frr))
-    return curve

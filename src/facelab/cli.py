@@ -194,6 +194,8 @@ def _cmd_recognize(args) -> int:
         print(f"{args.image},{method},{label}")
         return EXIT_OK
     model = load_model(args.model)
+    if (image.h, image.w) != model.dims:
+        raise DataError(f"image dims {(image.h, image.w)} != model dims {model.dims}")
     [(prediction, score)] = bench.predict(model, [image])
     print(f"{args.image},{prediction},{format(score, '.17g')}")
     return EXIT_OK

@@ -20,6 +20,7 @@ import numpy as np
 from . import eigenfaces, fisherfaces, hmm1d
 from .dataset import GrayImage, flatten
 from .errors import DataError
+from .numerics import affine_residual
 
 METHOD_EIGEN = "eigen"
 METHOD_FISHER = "fisher"
@@ -89,9 +90,7 @@ def block_residuals(bank: hmm1d.SubjectBank, image: GrayImage) -> np.ndarray:
     if bank.klt is None:
         raise DataError("occlusion profiling requires a KLT-based bank")
     blocks = hmm1d.extract_blocks(image, bank.params)
-    centered = blocks - bank.klt.mean
-    recon = (centered @ bank.klt.basis.T) @ bank.klt.basis
-    return np.linalg.norm(centered - recon, axis=1)
+    return affine_residual(blocks, bank.klt.mean, bank.klt.basis.T)[1]
 
 
 def calibrate_context(train_images: list[GrayImage],
@@ -110,15 +109,19 @@ def calibrate_context(train_images: list[GrayImage],
     )
 
 
+def _illumination(image: GrayImage, context: ProfileContext) -> float:
+    """Standardized mean-intensity shift plus standardized left/right asymmetry."""
+    return (abs(float(image.pixels.mean()) - context.mean_mu) / context.mean_sigma
+            + _half_asymmetry(image) / context.asym_sigma)
+
+
 def _profile(image: GrayImage, eigen: eigenfaces.EigenModel, ref_weights: np.ndarray,
              residuals: np.ndarray, context: ProfileContext) -> ImageProfile:
     """profile, given the frontal reference's eigen weights and the image's
     block residuals."""
     pose = float(np.linalg.norm(eigenfaces.project(eigen, flatten(image)) - ref_weights))
-    mean_term = abs(float(image.pixels.mean()) - context.mean_mu) / context.mean_sigma
-    asym_term = _half_asymmetry(image) / context.asym_sigma
     occlusion = float(np.mean(residuals > context.resid_p99))
-    return ImageProfile(pose, mean_term + asym_term, occlusion)
+    return ImageProfile(pose, _illumination(image, context), occlusion)
 
 
 def profile(image: GrayImage, eigen: eigenfaces.EigenModel, frontal_ref: np.ndarray,
@@ -144,14 +147,10 @@ def select(prof: ImageProfile, policy: DispatchPolicy) -> str:
 
 
 def frontal_ref_index(train_images: list[GrayImage], context: ProfileContext) -> int:
-    """Pick the most representative frontal face: minimal illumination score."""
-    best, best_score = 0, np.inf
-    for i, img in enumerate(train_images):
-        score = (abs(float(img.pixels.mean()) - context.mean_mu) / context.mean_sigma
-                 + _half_asymmetry(img) / context.asym_sigma)
-        if score < best_score:
-            best, best_score = i, score
-    return best
+    """Pick the most representative frontal face: minimal illumination score,
+    the first one on ties (0 for no images)."""
+    return min(range(len(train_images)), default=0,
+               key=lambda i: _illumination(train_images[i], context))
 
 
 def calibrate_policy(train_images: list[GrayImage], eigen: eigenfaces.EigenModel,

@@ -18,8 +18,8 @@ from scipy.spatial.distance import pdist
 from .dataset import GrayImage, flatten
 from .errors import DataError
 # sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
-from .numerics import (check_face, gram_pca, nearest, require_shape, require_spread, sort_rows,
-                       sym_eigen)
+from .numerics import (affine_coords, affine_residual, check_face, gram_pca, nearest,
+                       require_shape, require_spread, sort_rows, sym_eigen)
 
 FACE = "face"
 UNKNOWN_FACE = "unknown-face"
@@ -124,14 +124,11 @@ def train_eigen(
     require_spread(np.einsum("ij,ij->", phi, phi), np.einsum("ij,ij->", gamma, gamma))
     basis, lam = gram_pca(phi, min(k, m - 1))
 
-    weights = basis.T @ phi  # K x M
-    residual = phi - basis @ weights
-    train_dffs = np.linalg.norm(residual, axis=0)
+    gallery, train_dffs = affine_residual(gamma.T, psi, basis)  # one row per image
 
     scale = float(np.sqrt(np.mean(np.sum(phi * phi, axis=0))))
     if theta_face is None:
         theta_face = max(3.0 * float(np.percentile(train_dffs, 95)), 1e-9 * scale)
-    gallery = weights.T
     if theta_known is None:
         row_labels = np.array(labels)
         largest_intra = max(float(pdist(gallery[row_labels == label]).max(initial=0.0))
@@ -144,8 +141,7 @@ def train_eigen(
 
 def project(model: EigenModel, face: np.ndarray) -> np.ndarray:
     """Weights omega = U^T (face - mean)."""
-    face = check_face(face, model.mean)
-    return model.basis.T @ (face - model.mean)
+    return affine_coords(check_face(face, model.mean), model.mean, model.basis)
 
 
 def reconstruct(model: EigenModel, weights: np.ndarray) -> np.ndarray:
@@ -156,22 +152,14 @@ def reconstruct(model: EigenModel, weights: np.ndarray) -> np.ndarray:
     return model.mean + model.basis @ weights
 
 
-def dffs(model: EigenModel, face: np.ndarray) -> float:
-    """Distance from face space: norm of the component outside span(U)."""
-    face = check_face(face, model.mean)
-    phi = face - model.mean
-    return float(np.linalg.norm(phi - model.basis @ (model.basis.T @ phi)))
-
-
 def classify(model: EigenModel, face: np.ndarray) -> EigenDecision:
-    """Face-space test, then nearest gallery weight vector in L2.
+    """Face-space test on the distance from face space, then nearest gallery
+    weight vector in L2.
 
     Ties go to the lexicographically smallest label (gallery row order).
     """
-    face = check_face(face, model.mean)
-    phi = face - model.mean
-    weights = model.basis.T @ phi
-    residual = float(np.linalg.norm(phi - model.basis @ weights))
+    weights, residual = affine_residual(check_face(face, model.mean), model.mean, model.basis)
+    residual = float(residual)
     if residual > model.theta_face:
         return EigenDecision(NOT_A_FACE, None, None, residual, weights)
     row, best_dist = nearest(model.gallery, weights)

@@ -17,8 +17,8 @@ import numpy as np
 from .dataset import GrayImage, flatten
 from .errors import DataError, NumericError, SingularOrIndefinite
 # sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
-from .numerics import (check_face, fix_signs, gen_sym_eigen, gram_pca, nearest, require_shape,
-                       require_spread, sort_rows, sym_eigen)
+from .numerics import (affine_coords, check_face, fix_signs, gen_sym_eigen, gram_pca, nearest,
+                       require_shape, require_spread, sort_rows, sym_eigen)
 
 RIDGE_REL = 1e-8  # ridge added to within-class scatter when Cholesky fails
 EIGENVALUE_REL_CUT = 1e-10  # generalized eigenvalues kept relative to largest
@@ -150,8 +150,7 @@ def train_fisher(
     require_spread(np.einsum("ij,ij->", phi, phi), np.einsum("ij,ij->", gamma, gamma))
     pca = gram_pca(phi, n_total - c)[0]
 
-    reduced = [(label, pca.T @ (vec - mean))
-               for label, g in groups.items() for vec in g]
+    reduced = [(label, affine_coords(vec, mean, pca)) for label, g in groups.items() for vec in g]
     scatter = compute_scatter(reduced)
     vals, vecs, within_used = _solve_fld(scatter.between, scatter.within)
 
@@ -176,14 +175,13 @@ def train_fisher(
 
     projection = fix_signs(pca @ fld)
     class_means = np.vstack([g.mean(axis=0) for g in groups.values()])
-    centroids = (class_means - mean) @ projection
+    centroids = affine_coords(class_means, mean, projection)
     return FisherModel(dims, mean, projection, centroids, tuple(groups), lam)
 
 
 def project(model: FisherModel, face: np.ndarray) -> np.ndarray:
     """Discriminant-space coordinates W_opt^T (face - mean)."""
-    face = check_face(face, model.mean)
-    return model.projection.T @ (face - model.mean)
+    return affine_coords(check_face(face, model.mean), model.mean, model.projection)
 
 
 def classify(model: FisherModel, face: np.ndarray) -> tuple[str, float]:

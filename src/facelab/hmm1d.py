@@ -22,7 +22,8 @@ import numpy as np
 from .dataset import GrayImage
 from .errors import DataError, NumericError
 # sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
-from .numerics import gram_pca, require_shape, require_spread, scatter_pca, sym_eigen
+from .numerics import (affine_coords, gram_pca, require_shape, require_spread, scatter_pca,
+                       sym_eigen)
 
 log = logging.getLogger(__name__)
 
@@ -267,7 +268,7 @@ def observe(blocks: np.ndarray, basis: KltBasis) -> np.ndarray:
     if blocks.ndim != 2 or blocks.shape[1] != basis.mean.size:
         raise DataError(
             f"block dimension {blocks.shape} does not match basis dimension {basis.mean.size}")
-    return (blocks - basis.mean) @ basis.basis.T
+    return affine_coords(blocks, basis.mean, basis.basis.T)
 
 
 def _check_seq(dim: int, seq: np.ndarray) -> np.ndarray:
@@ -595,12 +596,14 @@ def baum_welch(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL
     return _fit([model], [seqs], tol, max_iter, [history], _expect, _expect_m_step)[0]
 
 
+def _features(blocks: np.ndarray, klt: KltBasis | None) -> np.ndarray:
+    """Observation sequence of an image's blocks: raw, or their KLT coefficients."""
+    return blocks if klt is None else observe(blocks, klt)
+
+
 def features_for(bank: SubjectBank, image: GrayImage) -> np.ndarray:
     """Observation sequence for an image under the bank's feature transform."""
-    blocks = extract_blocks(image, bank.params)
-    if bank.feature_mode == FEATURE_RAW:
-        return blocks
-    return observe(blocks, bank.klt)
+    return _features(extract_blocks(image, bank.params), bank.klt)
 
 
 def train_bank(
@@ -639,11 +642,8 @@ def train_bank(
     if feature_mode == FEATURE_KLT:
         klt = fit_klt([image.pixels for _, image in train], params, klt_dim)
 
-    def to_obs(blocks: np.ndarray) -> np.ndarray:
-        return blocks if klt is None else observe(blocks, klt)
-
     labels = sorted(by_label)
-    seqs = [[to_obs(b) for b in by_label[label]] for label in labels]
+    seqs = [[_features(b, klt) for b in by_label[label]] for label in labels]
     models = [init_uniform(subject, n_states) for subject in seqs]
     for e_step, m_step in ((_segment, _segment_m_step), (_expect, _expect_m_step)):
         models = _fit(models, seqs, tol, max_iter, [[] for _ in labels], e_step, m_step)

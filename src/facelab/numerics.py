@@ -1,6 +1,6 @@
 """Dense symmetric eigendecomposition, Cholesky, the whitened generalized
-symmetric eigenproblem, PCA, the nearest-row rule and the shape checks
-shared by all recognizers.
+symmetric eigenproblem, PCA, the affine-subspace rule, the nearest-row rule
+and the shape checks shared by all recognizers.
 
 Conventions enforced on every spectrum:
   * eigenvalues sorted descending,
@@ -150,6 +150,30 @@ def gram_pca(phi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     keep = _keep_count(res.eigenvalues, k)
     lam = res.eigenvalues[:keep].copy()
     return fix_signs(phi @ res.eigenvectors[:, :keep] / np.sqrt(lam)), lam
+
+
+def affine_coords(points: np.ndarray, mean: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Coordinates (points - mean) @ basis of a vector, or of each row, in the
+    affine frame (mean, basis) of a D x K basis."""
+    return (points - mean) @ basis
+
+
+def affine_residual(points: np.ndarray, mean: np.ndarray, basis: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray | float]:
+    """(coordinates, distance from the affine subspace) of a vector, or of each
+    row, for a D x K basis with orthonormal columns.
+
+    The distance is the norm of what the reconstruction coordinates @ basis^T
+    leaves of points - mean: Turk & Pentland's distance from face space, and
+    the KLT block residual. The residual keeps the memory layout of
+    points - mean, and the norms sum in that order: a vector's norm is one
+    dot product, and F-ordered rows (the transpose of column samples) sum as
+    the columns would.
+    """
+    centred = points - mean
+    coords = centred @ basis
+    centred -= coords @ basis.T
+    return coords, np.linalg.norm(centred, axis=None if centred.ndim == 1 else -1)
 
 
 def check_face(face: np.ndarray, mean: np.ndarray) -> np.ndarray:

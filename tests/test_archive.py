@@ -134,6 +134,19 @@ class TestFormat:
         with pytest.raises(DataError, match="non-finite"):
             load_model(path)
 
+    @pytest.mark.parametrize("which", ["eigen", "fisher"])
+    @pytest.mark.parametrize("dims", ["-1 -4096", "0 4096", "4096 0"])
+    def test_non_positive_dims_rejected(self, tmp_path, banded_models, which, dims):
+        # the pixel count still matches the stored arrays: only the signs are wrong
+        path = tmp_path / "m.ffm"
+        save_model(getattr(banded_models, which), path)
+        lines = path.read_text().splitlines()
+        assert lines[2] == "dims 64 64"
+        lines[2] = f"dims {dims}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="must be positive"):
+            load_model(path)
+
     def test_unknown_method(self, tmp_path, banded_models):
         path = tmp_path / "m.ffm"
         save_model(banded_models.eigen, path)

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from facelab import bench
-from facelab.dataset import flatten
-from facelab.eigenfaces import train_eigen
 from facelab.errors import DataError
 
 
@@ -91,44 +89,6 @@ class TestEvaluate:
         report = bench.evaluate(banded_models.bank, banded.test, "k=5,seed=0,part=test")
         assert report.split_desc == "k=5,seed=0,part=test"
         assert report.error_rate <= 0.05
-
-
-class TestThresholdSweep:
-    @pytest.fixture()
-    def sweep_setup(self, banded):
-        # enroll two subjects; the other two become impostors
-        known_labels = {"s01", "s02"}
-        train = [(lb, flatten(im)) for lb, _, im in banded.train_entries
-                 if lb in known_labels]
-        model = train_eigen(train, k=6, dims=(64, 64))
-        known = [im for lb, _, im in banded.test_entries if lb in known_labels]
-        impostors = [im for lb, _, im in banded.test_entries if lb not in known_labels]
-        return model, known, impostors
-
-    def test_endpoints(self, sweep_setup):
-        model, known, impostors = sweep_setup
-        curve = bench.threshold_sweep(model, known, impostors, steps=21)
-        theta0, far0, _ = curve[0]
-        assert theta0 == 0.0 and far0 == 0.0
-        _, _, frr_last = curve[-1]
-        assert frr_last == 0.0  # everything passing the face test is accepted
-
-    def test_monotonicity(self, sweep_setup):
-        model, known, impostors = sweep_setup
-        curve = bench.threshold_sweep(model, known, impostors, steps=33)
-        fars = [far for _, far, _ in curve]
-        frrs = [frr for _, _, frr in curve]
-        assert all(b >= a for a, b in zip(fars, fars[1:]))
-        assert all(b <= a for a, b in zip(frrs, frrs[1:]))
-
-    def test_validation(self, sweep_setup):
-        model, known, impostors = sweep_setup
-        with pytest.raises(DataError):
-            bench.threshold_sweep(model, known, impostors, steps=1)
-        with pytest.raises(DataError):
-            bench.threshold_sweep(model, [], impostors, steps=5)
-        with pytest.raises(DataError):
-            bench.threshold_sweep(model, known, [], steps=5)
 
 
 class TestPredict:

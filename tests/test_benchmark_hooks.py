@@ -2,7 +2,9 @@
 
 benchmarks/facebench wraps every name in its layer and hook lists wherever a
 facelab module bound it, and calls archive.method_of directly; a rename or
-a move of any of them would break the benchmark without failing a test.
+a move of any of them would break the benchmark without failing a test. The
+wrapping finds bindings by object identity, so two names bound to one
+function (an alias) would merge their counts into one layer.
 """
 
 import importlib
@@ -17,7 +19,18 @@ from facebench.layers import TRACED  # noqa: E402
 from facebench.speed import HOOKS  # noqa: E402
 
 
+def _resolve(name):
+    module, func = name.rsplit(".", 1)
+    return getattr(importlib.import_module(f"facelab.{module}"), func, None)
+
+
 @pytest.mark.parametrize("name", sorted(set(TRACED) | set(HOOKS) | {"archive.method_of"}))
 def test_named_function_is_a_module_level_callable(name):
-    module, func = name.rsplit(".", 1)
-    assert callable(getattr(importlib.import_module(f"facelab.{module}"), func, None))
+    assert callable(_resolve(name))
+
+
+def test_named_functions_are_distinct_objects():
+    by_object = {}
+    for name in sorted(set(TRACED) | set(HOOKS)):
+        by_object.setdefault(id(_resolve(name)), []).append(name)
+    assert [names for names in by_object.values() if len(names) > 1] == []

@@ -170,6 +170,27 @@ def test_single_recognize_prints_prediction(banded_dir, tmp_path, capsys):
     assert out.split(",")[1] == "s03"
 
 
+@pytest.mark.parametrize("method", ["eigen", "fisher"])
+def test_archive_dims_are_checked_against_the_probe(banded_dir, tmp_path, capsys, method):
+    model = tmp_path / f"{method}.ffm"
+    assert main(["train", "--method", method, "--dataset", str(banded_dir),
+                 "--out", str(model)]) == 0
+    trained = model.read_text()
+    assert "\ndims 64 64\n" in trained
+    probe = sorted((banded_dir / "s01").glob("*.pgm"))[0]
+    # each edit keeps the pixel count of the stored arrays
+    for dims, code in (("4096 1", 2), ("-1 -4096", 2), ("64 64", 0)):
+        model.write_text(trained.replace("\ndims 64 64\n", f"\ndims {dims}\n"))
+        capsys.readouterr()
+        assert main(["recognize", "--model", str(model), "--image", str(probe)]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == (code != 0)
+        assert code == 0 or (err.startswith("data error:") and "dims" in err)
+        if dims.startswith("-"):
+            assert main(["inspect", "--model", str(model)]) == 2
+            assert "dims,-1" not in capsys.readouterr().out
+
+
 def test_inspect_dumps_metadata(banded_dir, tmp_path, capsys):
     model = tmp_path / "hmm.ffm"
     assert main(["train", "--method", "hmm", "--dataset", str(banded_dir),

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from facelab.eigenfaces import (EigenModel, FACE, NOT_A_FACE, UNKNOWN_FACE, classify,
-                                dffs, predicted_label, project, reconstruct,
-                                train_eigen)
+                                predicted_label, project, reconstruct, train_eigen)
 from facelab.errors import DataError, NumericError
 from facelab.numerics import sym_eigen
 
@@ -132,7 +131,7 @@ class TestReconstruct:
 class TestDffs:
     def test_in_span_is_zero(self, small_model):
         _, model = small_model
-        assert dffs(model, model.mean + 3.0 * model.basis[:, 0]) <= 1e-8
+        assert classify(model, model.mean + 3.0 * model.basis[:, 0]).dffs <= 1e-8
 
     def test_orthogonal_component_measured_exactly(self, small_model):
         _, model = small_model
@@ -140,12 +139,12 @@ class TestDffs:
         z = rng.normal(size=model.mean.size)
         z -= model.basis @ (model.basis.T @ z)  # now orthogonal to the span
         z *= 5.0 / np.linalg.norm(z)
-        assert dffs(model, model.mean + z) == pytest.approx(5.0, abs=1e-8)
+        assert classify(model, model.mean + z).dffs == pytest.approx(5.0, abs=1e-8)
 
     def test_training_images_near_zero_at_full_rank(self, small_model):
         samples, model = small_model
         for _, vec in samples:
-            assert dffs(model, vec) <= 1e-6
+            assert classify(model, vec).dffs <= 1e-6
 
 
 class TestClassify:
@@ -247,6 +246,6 @@ class TestInvariants:
         mean_energy = np.mean(np.sum(phi * phi, axis=0))
         for k in (1, 3, 5, 8):
             model = train_eigen(samples, k=k)
-            mean_dffs_sq = np.mean([dffs(model, v) ** 2 for _, v in samples])
+            mean_dffs_sq = np.mean([classify(model, v).dffs ** 2 for _, v in samples])
             total = model.eigenvalues.sum() / len(samples) + mean_dffs_sq
             assert total == pytest.approx(mean_energy, rel=1e-8)

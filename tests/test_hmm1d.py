@@ -503,6 +503,21 @@ class TestBaumWelch:
                                match="iteration 0: backward recursion overflowed at step"):
                 baum_welch(model, [seq], max_iter=1)
 
+    def test_unreachable_state_with_a_far_better_emission_is_masked(self):
+        # state 0 is never left, so state 1 is never reached; at x = 0 its
+        # emission beats state 0's by 450 nats a step, so the backward pass
+        # must not carry it, or b * beta overflows within two steps
+        model = lr_model([(1.0, 0.0), (1.0, 0.0)], [[30.0], [0.0]], [[1.0], [1.0]])
+        seq = np.zeros((6, 1))
+        history = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trained = baum_welch(model, [seq], tol=0.0, max_iter=1, history=history)
+        assert history == [loglik(model, seq)]
+        assert trained.means[0, 0] == 0.0 and trained.variances[0, 0] == VAR_FLOOR
+        assert np.array_equal(trained.means[1], model.means[1])
+        assert trained.warnings == model.warnings + 1  # state 1 is empty
+
 
 @pytest.mark.parametrize("train", [viterbi_train, baum_welch])
 def test_empty_states_keep_their_parameters(train, caplog):

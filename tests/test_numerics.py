@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from facelab.errors import DataError, NumericError, SingularOrIndefinite
-from facelab.numerics import (EPS_CUT_REL, cholesky, fix_signs, gen_sym_eigen, scatter_pca,
-                              sym_eigen)
+from facelab.numerics import (EPS_CUT_REL, affine_coords, affine_residual, cholesky, fix_signs,
+                              gen_sym_eigen, scatter_pca, sym_eigen)
 
 RT2 = np.sqrt(2.0)
 
@@ -184,3 +184,42 @@ def test_fix_signs_tie_breaks_to_lowest_index():
     fixed = fix_signs(vecs)
     assert np.array_equal(fixed[:, 0], [0.5, -0.5, 0.5, -0.5])
     assert np.array_equal(fixed[:, 1], [0.5, 0.5, -0.5, -0.5])
+
+
+class TestAffineSubspace:
+    @pytest.fixture()
+    def frame(self):
+        rng = np.random.default_rng(8)
+        basis = np.linalg.qr(rng.normal(size=(12, 3)))[0]  # orthonormal columns
+        mean = rng.normal(size=12)
+        coords = rng.normal(size=(5, 3))
+        off = rng.normal(size=(5, 12))
+        off -= (off @ basis) @ basis.T  # orthogonal to the span
+        off *= (np.arange(5) + 1.0)[:, None] / np.linalg.norm(off, axis=1)[:, None]
+        return basis, mean, coords, mean + coords @ basis.T + off
+
+    def test_splits_points_into_coordinates_and_distance(self, frame):
+        basis, mean, coords, points = frame
+        got, dist = affine_residual(points, mean, basis)
+        assert np.allclose(got, coords, atol=1e-12)
+        assert np.allclose(dist, np.arange(5) + 1.0, atol=1e-12)
+        assert np.array_equal(affine_coords(points, mean, basis), got)
+
+    def test_a_vector_is_a_row(self, frame):
+        basis, mean, _, points = frame
+        rows, dists = affine_residual(points, mean, basis)
+        for point, row, dist in zip(points, rows, dists):
+            coords, one = affine_residual(point, mean, basis)
+            assert np.ndim(one) == 0 and one == pytest.approx(dist, rel=1e-14)
+            assert np.allclose(coords, row, rtol=1e-14, atol=1e-14)
+            assert np.array_equal(affine_coords(point, mean, basis), coords)
+
+    def test_column_samples_as_rows_sum_as_columns(self, frame):
+        # the transpose of D x M column samples gives the column-wise norms bit for bit
+        basis, mean, _, points = frame
+        columns = np.ascontiguousarray(points.T) - mean[:, None]
+        coords = basis.T @ columns
+        expected = np.linalg.norm(columns - basis @ coords, axis=0)
+        got_coords, got = affine_residual(np.ascontiguousarray(points.T).T, mean, basis)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got_coords, coords.T)
