@@ -61,7 +61,6 @@ def _write_fisher(lines: list[str], model: FisherModel) -> None:
 
 
 def _emit_hmm(lines: list[str], prefix: str, model: HmmModel) -> None:
-    _emit_array(lines, f"{prefix}:start", model.start)
     _emit_array(lines, f"{prefix}:trans", model.trans)
     _emit_array(lines, f"{prefix}:means", model.means)
     _emit_array(lines, f"{prefix}:vars", model.variances)
@@ -208,11 +207,10 @@ def _load_fisher(r: _Reader, dims: tuple[int, int]) -> FisherModel:
 
 
 def _load_hmm(r: _Reader, prefix: str) -> HmmModel:
-    start = r.read_array(f"{prefix}:start").reshape(-1)
     trans = r.read_array(f"{prefix}:trans")
     means = r.read_array(f"{prefix}:means")
     variances = r.read_array(f"{prefix}:vars")
-    return HmmModel(start, trans, means, variances)
+    return HmmModel(trans, means, variances)
 
 
 def _load_bank(r: _Reader, dims: tuple[int, int]) -> SubjectBank:
@@ -232,7 +230,7 @@ def _load_bank(r: _Reader, dims: tuple[int, int]) -> SubjectBank:
     if len(set(labels)) != len(labels):
         raise DataError(f"{r.path}: labels record names a subject twice")
     models = {label: _load_hmm(r, f"model:{label}") for label in labels}
-    return SubjectBank(params, klt, models, mode)
+    return SubjectBank(params, klt, models)
 
 
 # method record -> (model type, body writer, body reader); the header and end are shared

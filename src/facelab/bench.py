@@ -29,15 +29,8 @@ class ReportRecord:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    method: str
-    split_desc: str
     error_rate: float
-    confusion: dict[tuple[str, str], int]
     records: list[ReportRecord]
-
-    @property
-    def total(self) -> int:
-        return len(self.records)
 
 
 def predict(model, images: Sequence[GrayImage]) -> list[tuple[str, float]]:
@@ -47,8 +40,7 @@ def predict(model, images: Sequence[GrayImage]) -> list[tuple[str, float]]:
     return model.predict(images)
 
 
-def evaluate_entries(model, entries: list[tuple[str, str, GrayImage]],
-                     split_desc: str = "full") -> ErrorReport:
+def evaluate_entries(model, entries: list[tuple[str, str, GrayImage]]) -> ErrorReport:
     """Classify labeled (truth, path, image) entries into an ErrorReport."""
     if not entries:
         raise DataError("empty test set")
@@ -56,25 +48,21 @@ def evaluate_entries(model, entries: list[tuple[str, str, GrayImage]],
     missing = sorted({truth for truth, _, _ in entries} - known)
     if missing:
         raise DataError(f"test labels not covered by the model: {', '.join(missing)}")
-    records = []
-    confusion: dict[tuple[str, str], int] = {}
     ordered = sorted(entries, key=lambda e: e[1])
     predictions = predict(model, [image for _, _, image in ordered])
-    for (truth, path, _), (prediction, score) in zip(ordered, predictions):
-        correct = prediction == truth
-        records.append(ReportRecord(path, truth, prediction, score, correct))
-        confusion[(truth, prediction)] = confusion.get((truth, prediction), 0) + 1
+    records = [ReportRecord(path, truth, prediction, score, prediction == truth)
+               for (truth, path, _), (prediction, score) in zip(ordered, predictions)]
     wrong = sum(1 for rec in records if not rec.correct)
-    return ErrorReport(method_of(model), split_desc, wrong / len(records), confusion, records)
+    return ErrorReport(wrong / len(records), records)
 
 
-def evaluate(model, test: DatasetManifest, split_desc: str = "full") -> ErrorReport:
+def evaluate(model, test: DatasetManifest) -> ErrorReport:
     """Evaluate against every image referenced by the manifest."""
     if test.dims != model.dims:
         raise DataError(f"dataset dims {test.dims} != model dims {model.dims}")
     entries = [(label, str(path), image)
                for label, path, image in load_labeled_images(test)]
-    return evaluate_entries(model, entries, split_desc)
+    return evaluate_entries(model, entries)
 
 
 def report_to_csv(report: ErrorReport) -> str:

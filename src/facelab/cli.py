@@ -14,8 +14,8 @@ import numpy as np
 
 from . import bench, dispatcher, hmm1d
 from .archive import load_model, method_of, save_model
-from .dataset import (SplitSpec, flatten, load_labeled_images, load_labeled_vectors,
-                      load_pgm_file, scan_dataset, split)
+from .dataset import (SplitSpec, check_dims, flatten, load_labeled_images,
+                      load_labeled_vectors, load_pgm_file, scan_dataset, split)
 from .eigenfaces import EigenModel, train_eigen
 from .errors import DataError, FacelabError, NumericError
 from .fisherfaces import FisherModel, train_fisher
@@ -156,9 +156,7 @@ def _cmd_train(args) -> int:
     context = dispatcher.calibrate_context(train_images, residuals)
     if args.frontal_ref is not None:
         ref_path = args.frontal_ref
-        ref_image = load_pgm_file(ref_path)
-        if (ref_image.h, ref_image.w) != dims:
-            raise DataError(f"frontal reference dims {(ref_image.h, ref_image.w)} != {dims}")
+        ref_image = check_dims(load_pgm_file(ref_path), dims, "frontal reference")
     else:
         idx = dispatcher.frontal_ref_index(train_images, context)
         ref_path = entries[idx][1]
@@ -181,7 +179,8 @@ def _load_dispatch(models_dir: Path, policy_path: Path) -> tuple[
     models = tuple(load_model(models_dir / f"{method}.ffm") for method in dispatcher.METHODS)
     if tuple(method_of(model) for model in models) != dispatcher.METHODS:
         raise DataError(f"{models_dir}: unexpected model types in eigen/fisher/hmm files")
-    return (*models, flatten(load_pgm_file(Path(ref_path))), policy, context)
+    frontal = check_dims(load_pgm_file(Path(ref_path)), models[0].dims, "frontal reference")
+    return (*models, flatten(frontal), policy, context)
 
 
 def _cmd_recognize(args) -> int:
@@ -193,10 +192,7 @@ def _cmd_recognize(args) -> int:
             *_load_dispatch(args.model, args.policy), image)
         print(f"{args.image},{method},{label}")
         return EXIT_OK
-    model = load_model(args.model)
-    if (image.h, image.w) != model.dims:
-        raise DataError(f"image dims {(image.h, image.w)} != model dims {model.dims}")
-    [(prediction, score)] = bench.predict(model, [image])
+    [(prediction, score)] = bench.predict(load_model(args.model), [image])
     print(f"{args.image},{prediction},{format(score, '.17g')}")
     return EXIT_OK
 
@@ -204,13 +200,11 @@ def _cmd_recognize(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     manifest = scan_dataset(args.dataset)
-    desc = "full"
     if args.split is not None:
         spec, part = args.split
         train_m, test_m = split(manifest, spec)
         manifest = train_m if part == "train" else test_m
-        desc = f"k={spec.k},seed={spec.seed},part={part}"
-    report = bench.evaluate(model, manifest, desc)
+    report = bench.evaluate(model, manifest)
     csv_text = bench.report_to_csv(report)
     if args.report is not None:
         args.report.write_text(csv_text, encoding="utf-8")

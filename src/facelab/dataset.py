@@ -18,9 +18,6 @@ from .errors import DataError
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 HEADER_BYTES = 256  # first read of a PGM header when only the dimensions are needed
 
-PER_CLASS_K_TRAIN = "per-class-k-train"
-LEAVE_ONE_OUT = "leave-one-out"
-
 
 @dataclass(frozen=True)
 class GrayImage:
@@ -167,6 +164,14 @@ def load_pgm_file(path: Path) -> GrayImage:
         raise DataError(f"{path}: {exc}") from exc
 
 
+def check_dims(image: GrayImage, dims: tuple[int, int], what: str = "image") -> GrayImage:
+    """The image, or DataError unless it is dims = (h, w): a transposed image has
+    the right pixel count but not the right rows."""
+    if (image.h, image.w) != tuple(dims):
+        raise DataError(f"{what} dims {(image.h, image.w)} != model dims {tuple(dims)}")
+    return image
+
+
 def flatten(image: GrayImage) -> np.ndarray:
     """Row-major concatenation of the pixel rows; length h*w."""
     return image.pixels.reshape(-1).copy()
@@ -195,22 +200,13 @@ class DatasetManifest:
     def labels(self) -> list[str]:
         return list(self.classes)
 
-    @property
-    def total_images(self) -> int:
-        return sum(len(p) for p in self.classes.values())
-
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Deterministic train/test split protocol."""
+    """Deterministic train/test split: k training images per class, the rest test."""
 
-    protocol: str = PER_CLASS_K_TRAIN
     k: int = 1
     seed: int = 0
-
-    def __post_init__(self):
-        if self.protocol not in (PER_CLASS_K_TRAIN, LEAVE_ONE_OUT):
-            raise DataError(f"unknown split protocol {self.protocol!r}")
 
 
 def _validate_label(label: str) -> None:
@@ -258,19 +254,13 @@ def split(manifest: DatasetManifest, spec: SplitSpec) -> tuple[DatasetManifest, 
     test: dict[str, tuple[Path, ...]] = {}
     for label, files in manifest.classes.items():
         n = len(files)
-        if spec.protocol == PER_CLASS_K_TRAIN:
-            if not 1 <= spec.k < n:
-                raise DataError(
-                    f"k={spec.k} out of range for class {label!r} with {n} images "
-                    f"(need 1 <= k < class size)")
-            k = spec.k
-        else:  # leave-one-out: hold out one shuffled image per class
-            if n < 2:
-                raise DataError(f"class {label!r} needs >= 2 images for leave-one-out")
-            k = n - 1
+        if not 1 <= spec.k < n:
+            raise DataError(
+                f"k={spec.k} out of range for class {label!r} with {n} images "
+                f"(need 1 <= k < class size)")
         perm = _label_rng(spec.seed, label).permutation(n)
-        train[label] = tuple(files[i] for i in perm[:k])
-        test[label] = tuple(files[i] for i in perm[k:])
+        train[label] = tuple(files[i] for i in perm[:spec.k])
+        test[label] = tuple(files[i] for i in perm[spec.k:])
     return DatasetManifest(train, manifest.dims), DatasetManifest(test, manifest.dims)
 
 

@@ -12,7 +12,7 @@ learned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,10 @@ METHOD_EIGEN = "eigen"
 METHOD_FISHER = "fisher"
 METHOD_HMM = "hmm"
 METHODS = (METHOD_EIGEN, METHOD_FISHER, METHOD_HMM)
+FRONTAL_REF = "frontal_ref"  # the policy file key of the frontal reference image path
 
 _SIGMA_FLOOR = 1e-9
+POLICY_PERCENTILE = 95.0  # dispatch thresholds sit at this percentile of training profiles
 
 
 @dataclass(frozen=True)
@@ -155,19 +157,15 @@ def frontal_ref_index(train_images: list[GrayImage], context: ProfileContext) ->
 
 def calibrate_policy(train_images: list[GrayImage], eigen: eigenfaces.EigenModel,
                      frontal_ref: np.ndarray, residuals: list[np.ndarray],
-                     context: ProfileContext, percentile: float = 95.0,
-                     default_method: str = METHOD_EIGEN) -> DispatchPolicy:
-    """Thresholds at the given percentile of clean-training profiles; residuals
+                     context: ProfileContext) -> DispatchPolicy:
+    """Thresholds at the POLICY_PERCENTILE of clean-training profiles; residuals
     holds each training image's block_residuals, as given to calibrate_context."""
     ref_weights = eigenfaces.project(eigen, frontal_ref)
     profiles = [_profile(img, eigen, ref_weights, resids, context)
                 for img, resids in zip(train_images, residuals, strict=True)]
-    return DispatchPolicy(
-        tau_illum=float(np.percentile([p.illumination_deviation for p in profiles], percentile)),
-        tau_pose=float(np.percentile([p.pose_deviation for p in profiles], percentile)),
-        tau_occl=float(np.percentile([p.occlusion_degree for p in profiles], percentile)),
-        default_method=default_method,
-    )
+    pose, illum, occl = (float(np.percentile(values, POLICY_PERCENTILE))
+                         for values in zip(*map(astuple, profiles)))
+    return DispatchPolicy(tau_illum=illum, tau_pose=pose, tau_occl=occl)
 
 
 def recognize_multi(
@@ -184,35 +182,32 @@ def recognize_multi(
         raise DataError("models were trained on different label sets")
     if not eigen.dims == fisher.dims == bank.dims:
         raise DataError("models were trained on different image dimensions")
-    if (image.h, image.w) != eigen.dims:
-        raise DataError(f"image dims {(image.h, image.w)} != model dims {eigen.dims}")
-    prof = profile(image, eigen, frontal_ref, bank, context)
+    prof = profile(image, eigen, frontal_ref, bank, context)  # its block cut checks the dims
     method = select(prof, policy)
     model = {METHOD_EIGEN: eigen, METHOD_FISHER: fisher, METHOD_HMM: bank}[method]
     return method, model.predict([image])[0][0], prof
 
 
+def _parse_fields(cls, values: dict[str, str]):
+    """cls from the policy file values of its fields: str fields bare, the rest floats."""
+    return cls(**{f.name: values[f.name] if f.type == "str" else float(values[f.name])
+                  for f in fields(cls)})
+
+
 def write_policy_file(path: Path, policy: DispatchPolicy, context: ProfileContext,
                       frontal_ref: str) -> None:
-    """key=value policy file, including the calibration statistics."""
-    lines = [
-        f"tau_illum={policy.tau_illum!r}",
-        f"tau_pose={policy.tau_pose!r}",
-        f"tau_occl={policy.tau_occl!r}",
-        f"default_method={policy.default_method}",
-        f"frontal_ref={frontal_ref}",
-        f"mean_mu={context.mean_mu!r}",
-        f"mean_sigma={context.mean_sigma!r}",
-        f"asym_sigma={context.asym_sigma!r}",
-        f"resid_p99={context.resid_p99!r}",
-    ]
+    """key=value policy file: the policy fields, the frontal reference, then the
+    calibration statistics; floats by repr."""
+    values = {**asdict(policy), FRONTAL_REF: frontal_ref, **asdict(context)}
+    lines = [f"{key}={value if isinstance(value, str) else repr(float(value))}"
+             for key, value in values.items()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_policy_file(path: Path) -> tuple[DispatchPolicy, ProfileContext, str]:
     """Parse a policy file; every key is required, unknown keys are rejected."""
-    known = {"tau_illum", "tau_pose", "tau_occl", "default_method", "frontal_ref",
-             "mean_mu", "mean_sigma", "asym_sigma", "resid_p99"}
+    known = {f.name for cls in (DispatchPolicy, ProfileContext) for f in fields(cls)}
+    known.add(FRONTAL_REF)
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -233,20 +228,10 @@ def read_policy_file(path: Path) -> tuple[DispatchPolicy, ProfileContext, str]:
     if missing:
         raise DataError(f"{path}: missing policy keys: {', '.join(missing)}")
     try:
-        policy = DispatchPolicy(
-            tau_illum=float(values["tau_illum"]),
-            tau_pose=float(values["tau_pose"]),
-            tau_occl=float(values["tau_occl"]),
-            default_method=values["default_method"],
-        )
-        context = ProfileContext(
-            mean_mu=float(values["mean_mu"]),
-            mean_sigma=float(values["mean_sigma"]),
-            asym_sigma=float(values["asym_sigma"]),
-            resid_p99=float(values["resid_p99"]),
-        )
+        policy = _parse_fields(DispatchPolicy, values)
+        context = _parse_fields(ProfileContext, values)
     except ValueError as exc:
         raise DataError(f"{path}: malformed numeric value: {exc}") from exc
     except DataError as exc:  # a value the policy or the context rejects
         raise DataError(f"{path}: {exc}") from exc
-    return policy, context, values["frontal_ref"]
+    return policy, context, values[FRONTAL_REF]

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .dataset import GrayImage, flatten
+from .dataset import GrayImage, check_dims, flatten
 from .errors import DataError
 # sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
 from .numerics import (affine_coords, affine_residual, check_face, gram_pca, nearest,
@@ -62,7 +62,7 @@ class EigenModel:
         """Per image, (label or rejection marker, score); the score is the
         nearest-neighbor distance, or the face-space distance for a probe
         rejected as not a face."""
-        decisions = [classify(self, flatten(image)) for image in images]
+        decisions = [classify(self, flatten(check_dims(image, self.dims))) for image in images]
         return [(predicted_label(d), float(d.dffs if d.distance is None else d.distance))
                 for d in decisions]
 
@@ -97,13 +97,11 @@ def train_eigen(
     samples: list[tuple[str, np.ndarray]],
     k: int,
     dims: tuple[int, int] | None = None,
-    theta_face: float | None = None,
-    theta_known: float | None = None,
 ) -> EigenModel:
     """Fit mean, eigenface basis and a gallery of one weight row per image.
 
     k is a request: the retained count is min(k, M-1, surviving rank), the
-    rank cut being numerics.gram_pca's. Default thresholds:
+    rank cut being numerics.gram_pca's. Thresholds:
     theta_face = 3x the 95th percentile of training face-space residuals,
     theta_known = 3x the largest intra-class gallery distance (both get a
     small scale-relative floor so full-rank self-matching stays stable).
@@ -127,16 +125,12 @@ def train_eigen(
     gallery, train_dffs = affine_residual(gamma.T, psi, basis)  # one row per image
 
     scale = float(np.sqrt(np.mean(np.sum(phi * phi, axis=0))))
-    if theta_face is None:
-        theta_face = max(3.0 * float(np.percentile(train_dffs, 95)), 1e-9 * scale)
-    if theta_known is None:
-        row_labels = np.array(labels)
-        largest_intra = max(float(pdist(gallery[row_labels == label]).max(initial=0.0))
-                            for label in set(labels))
-        theta_known = max(3.0 * largest_intra, 1e-9 * scale)
-
-    return EigenModel(dims, psi, basis, lam, gallery, tuple(labels),
-                      float(theta_face), float(theta_known))
+    theta_face = max(3.0 * float(np.percentile(train_dffs, 95)), 1e-9 * scale)
+    row_labels = np.array(labels)
+    largest_intra = max(float(pdist(gallery[row_labels == label]).max(initial=0.0))
+                        for label in set(labels))
+    theta_known = max(3.0 * largest_intra, 1e-9 * scale)
+    return EigenModel(dims, psi, basis, lam, gallery, tuple(labels), theta_face, theta_known)
 
 
 def project(model: EigenModel, face: np.ndarray) -> np.ndarray:

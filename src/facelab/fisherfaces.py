@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import GrayImage, flatten
+from .dataset import GrayImage, check_dims, flatten
 from .errors import DataError, NumericError, SingularOrIndefinite
 # sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
 from .numerics import (affine_coords, check_face, fix_signs, gen_sym_eigen, gram_pca, nearest,
@@ -63,7 +63,7 @@ class FisherModel:
 
     def predict(self, images: Sequence[GrayImage]) -> list[tuple[str, float]]:
         """Per image, (nearest-centroid label, its discriminant-space distance)."""
-        return [classify(self, flatten(image)) for image in images]
+        return [classify(self, flatten(check_dims(image, self.dims))) for image in images]
 
 
 def _group(samples: list[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import GrayImage
+from .dataset import GrayImage, check_dims
 from .errors import DataError, NumericError
 # sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
 from .numerics import (affine_coords, gram_pca, require_shape, require_spread, scatter_pca,
@@ -91,9 +91,8 @@ class KltBasis:
 
 @dataclass(frozen=True)
 class HmmModel:
-    """Left-to-right HMM with diagonal-Gaussian emissions."""
+    """Left-to-right HMM with diagonal-Gaussian emissions, started in state 0."""
 
-    start: np.ndarray  # pi = (1, 0, ..., 0)
     trans: np.ndarray  # row-stochastic, a[i][j] = 0 unless j in {i, i+1}
     means: np.ndarray  # n_states x d
     variances: np.ndarray  # n_states x d, floored
@@ -107,8 +106,6 @@ class HmmModel:
         # every check below compares, and any comparison with NaN is false
         if not all(np.isfinite(a).all() for a in (self.trans, self.means, self.variances)):
             raise DataError("HMM parameters must be finite")
-        if self.start.shape != (n,) or self.start[0] != 1.0 or np.any(self.start[1:] != 0.0):
-            raise DataError("left-to-right HMM must start deterministically in state 0")
         if np.tril(self.trans, -1).any() or np.triu(self.trans, 2).any():
             raise DataError("transition matrix violates left-to-right structure")
         if np.abs(self.trans.sum(axis=1) - 1.0).max() > 1e-12:
@@ -154,17 +151,14 @@ class SubjectBank:
     """Per-subject HMMs sharing one block geometry and feature transform."""
 
     params: BlockParams
-    klt: KltBasis | None  # None when feature_mode == FEATURE_RAW
+    klt: KltBasis | None  # None for raw-pixel features
     models: dict[str, HmmModel]
-    feature_mode: str = FEATURE_KLT
     # every subject's parameters in label order, stacked once for recognize
     stacked: _Stacked | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "models",
                            {lb: self.models[lb] for lb in sorted(self.models)})
-        if (self.klt is None) != (self.feature_mode == FEATURE_RAW):
-            raise DataError(f"feature mode {self.feature_mode!r} does not match the KLT basis")
         if self.klt is not None:
             require_shape("KLT mean", self.klt.mean, (self.params.block_dim,))
         obs_dim = self.params.block_dim if self.klt is None else self.klt.dim
@@ -176,6 +170,10 @@ class SubjectBank:
             raise DataError("the subject HMMs of a bank must share state count and dimension")
         object.__setattr__(self, "stacked",
                            _stack(list(self.models.values())) if self.models else None)
+
+    @property
+    def feature_mode(self) -> str:
+        return FEATURE_RAW if self.klt is None else FEATURE_KLT
 
     @property
     def labels(self) -> list[str]:
@@ -204,9 +202,7 @@ def extract_blocks(image: GrayImage, params: BlockParams) -> np.ndarray:
     fill a whole block are discarded. The result is a read-only view of the
     image pixels, so overlapping blocks share their rows in memory.
     """
-    if (image.h, image.w) != params.image_dims:
-        raise DataError(f"image dims {(image.h, image.w)} != params dims {params.image_dims}")
-    return _windows(image.pixels, params)
+    return _windows(check_dims(image, params.image_dims).pixels, params)
 
 
 def fit_klt(images: list[np.ndarray], params: BlockParams, d: int) -> KltBasis:
@@ -411,8 +407,7 @@ def init_uniform(seqs: list[np.ndarray], n_states: int) -> HmmModel:
         if s.shape[0] < n_states:
             raise DataError(
                 f"sequence length {s.shape[0]} shorter than state count {n_states}")
-    blank = HmmModel(np.eye(n_states)[0], np.eye(n_states), np.zeros((n_states, d)),
-                     np.ones((n_states, d)))
+    blank = HmmModel(np.eye(n_states), np.zeros((n_states, d)), np.ones((n_states, d)))
     paths = [(np.arange(len(s)) * n_states) // len(s) for s in seqs]
     return _reestimate_from_paths(blank, seqs, paths)
 
@@ -611,8 +606,6 @@ def train_bank(
     params: BlockParams | None = None,
     n_states: int = DEFAULT_STATES,
     klt_dim: int = DEFAULT_KLT_DIM,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     feature_mode: str = FEATURE_KLT,
 ) -> SubjectBank:
     """One left-to-right HMM per subject over a shared KLT feature space.
@@ -646,8 +639,9 @@ def train_bank(
     seqs = [[_features(b, klt) for b in by_label[label]] for label in labels]
     models = [init_uniform(subject, n_states) for subject in seqs]
     for e_step, m_step in ((_segment, _segment_m_step), (_expect, _expect_m_step)):
-        models = _fit(models, seqs, tol, max_iter, [[] for _ in labels], e_step, m_step)
-    return SubjectBank(params, klt, dict(zip(labels, models)), feature_mode)
+        models = _fit(models, seqs, DEFAULT_TOL, DEFAULT_MAX_ITER, [[] for _ in labels],
+                      e_step, m_step)
+    return SubjectBank(params, klt, dict(zip(labels, models)))
 
 
 def recognize(bank: SubjectBank, images: Sequence[GrayImage]

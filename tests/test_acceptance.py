@@ -198,9 +198,7 @@ def test_criterion_5_hmm_oracle_equivalence():
                 stay = rng.uniform(0.2, 0.8)
                 trans[i, i], trans[i, i + 1] = stay, 1.0 - stay
             trans[-1, -1] = 1.0
-            start_vec = np.zeros(n_states)
-            start_vec[0] = 1.0
-            model = HmmModel(start_vec, trans,
+            model = HmmModel(trans,
                              rng.normal(0.0, 3.0, size=(n_states, 2)),
                              rng.uniform(0.5, 2.0, size=(n_states, 2)))
             seq = rng.normal(0.0, 2.0, size=(t_len, 2))
@@ -215,7 +213,7 @@ def test_criterion_5_hmm_oracle_equivalence():
 
         # hand-worked two-state example, sequence (0, 3)
         trans = np.array([[0.5, 0.5], [0.0, 1.0]])
-        model = HmmModel(np.array([1.0, 0.0]), trans,
+        model = HmmModel(trans,
                          np.array([[0.0], [3.0]]), np.array([[1.0], [1.0]]))
         seq = np.array([[0.0], [3.0]])
         assert abs(viterbi(model, seq)[1] - (-2.5309)) <= 1e-3
@@ -227,7 +225,7 @@ def test_criterion_6_em_properties():
     with criterion(6, "Baum-Welch EM properties"):
         rng = np.random.default_rng(1606)
         true_trans = np.array([[0.7, 0.3, 0.0], [0.0, 0.8, 0.2], [0.0, 0.0, 1.0]])
-        true = HmmModel(np.array([1.0, 0.0, 0.0]), true_trans,
+        true = HmmModel(true_trans,
                         np.array([[0.0, 1.0], [3.0, -1.0], [6.0, 2.0]]),
                         np.full((3, 2), 1.0))
         seqs = []

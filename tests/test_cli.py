@@ -6,7 +6,7 @@ import pytest
 from facelab import synth
 from facelab.archive import load_model
 from facelab.cli import main
-from facelab.dataset import GrayImage, write_pgm
+from facelab.dataset import GrayImage, load_pgm_file, write_pgm
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +249,70 @@ def test_archive_with_detector_record_is_data_error(banded_dir, tmp_path, capsys
     assert main(["inspect", "--model", str(model)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and err.count("\n") == 1
+
+
+def test_archive_with_start_records_is_data_error(banded_dir, tmp_path, capsys):
+    # archives from before the fixed start state stopped being stored carry
+    # one model:<label>:start array per subject
+    model = tmp_path / "hmm.ffm"
+    assert main(["train", "--method", "hmm", "--dataset", str(banded_dir),
+                 "--out", str(model)]) == 0
+    assert ":start" not in model.read_text()
+
+    def add_start_records(lines):
+        for at in [i for i, line in enumerate(lines) if line.endswith(":trans 5 5")][::-1]:
+            prefix = lines[at].split()[1].rsplit(":", 1)[0]  # model:<label>
+            lines[at:at] = [f"array {prefix}:start 1 5", "1 0 0 0 0"]
+
+    _rewrite(model, add_start_records)
+    probe = sorted((banded_dir / "s01").glob("*.pgm"))[0]
+    capsys.readouterr()
+    for argv in (["inspect", "--model", str(model)],
+                 ["recognize", "--model", str(model), "--image", str(probe)],
+                 ["evaluate", "--model", str(model), "--dataset", str(banded_dir)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error:") and captured.err.count("\n") == 1
+        assert "start" in captured.err
+
+
+@pytest.fixture(scope="module")
+def tall_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli") / "tall"
+    synth.write_dataset(synth.make_banded_dataset(n_images=4, height=16, width=12), root)
+    return root
+
+
+def test_transposed_probe_and_frontal_reference_are_data_errors(tall_dir, tmp_path, capsys):
+    models = tmp_path / "models"
+    assert main(["train", "--method", "all", "--dataset", str(tall_dir),
+                 "--out", str(models), "--k", "8", "--block-l", "4", "--overlap", "3",
+                 "--states", "4", "--klt-d", "4"]) == 0
+    probe = sorted((tall_dir / "s01").glob("*.pgm"))[0]
+    image = load_pgm_file(probe)
+    transposed = tmp_path / "transposed.pgm"
+    transposed.write_bytes(write_pgm(GrayImage(image.w, image.h, image.pixels.T)))
+    capsys.readouterr()
+    for method in ("eigen", "fisher", "hmm"):  # same pixel count, other (h, w)
+        assert main(["recognize", "--model", str(models / f"{method}.ffm"),
+                     "--image", str(transposed)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "dims" in err and err.count("\n") == 1
+
+    policy = tmp_path / "policy.cfg"
+    policy.write_text("".join(
+        f"frontal_ref={transposed}\n" if line.startswith("frontal_ref=") else line
+        for line in (models / "policy.cfg").read_text().splitlines(keepends=True)))
+    for argv in (["recognize", "--model", str(models), "--multi"],
+                 ["assess", "--models", str(models)]):
+        assert main(argv + ["--policy", str(models / "policy.cfg"), "--image", str(probe)]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--policy", str(policy), "--image", str(probe)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: frontal reference dims")
+        assert captured.err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facelab.dataset import (HEADER_BYTES, GrayImage, SplitSpec, flatten, load_pgm,
-                             load_pgm_file, read_pgm_dims, scan_dataset, split, write_pgm,
-                             LEAVE_ONE_OUT)
+                             load_pgm_file, read_pgm_dims, scan_dataset, split, write_pgm)
 from facelab.errors import DataError
 
 
@@ -221,14 +220,3 @@ class TestSplit:
             split(manifest, SplitSpec(k=4, seed=0))
         with pytest.raises(DataError, match="out of range"):
             split(manifest, SplitSpec(k=0, seed=0))
-
-    def test_leave_one_out(self, tmp_path):
-        manifest = self._manifest(tmp_path, per_class=3)
-        train, test = split(manifest, SplitSpec(protocol=LEAVE_ONE_OUT, seed=1))
-        for label in manifest.labels:
-            assert len(train.classes[label]) == 2
-            assert len(test.classes[label]) == 1
-
-    def test_unknown_protocol(self):
-        with pytest.raises(DataError):
-            SplitSpec(protocol="bogus")

@@ -39,8 +39,7 @@ class TestProfile:
             assert prof.occlusion_degree >= 0.3
 
     def test_residuals_require_klt_bank(self, banded_models):
-        raw_bank = dataclasses.replace(banded_models.bank, klt=None, models={},
-                                       feature_mode="raw")
+        raw_bank = dataclasses.replace(banded_models.bank, klt=None, models={})
         img = banded_models.train_images[0]
         with pytest.raises(DataError, match="KLT"):
             block_residuals(raw_bank, img)

@@ -68,13 +68,6 @@ class TestTrainEigen:
         gram = model.basis.T @ model.basis
         assert np.abs(gram - np.eye(model.k)).max() <= 1e-8
 
-    def test_threshold_overrides(self):
-        rng = np.random.default_rng(2)
-        model = train_eigen(_random_training(rng, 6, 20), k=3,
-                            theta_face=7.5, theta_known=0.25)
-        assert model.theta_face == 7.5
-        assert model.theta_known == 0.25
-
 
 @pytest.fixture()
 def small_model():

@@ -30,9 +30,7 @@ def lr_model(trans_rows, means, variances):
         trans[i, i] = stay
         if i + 1 < n:
             trans[i, i + 1] = move
-    start = np.zeros(n)
-    start[0] = 1.0
-    return HmmModel(start, trans, np.atleast_2d(np.asarray(means, float)).reshape(n, -1),
+    return HmmModel(trans, np.atleast_2d(np.asarray(means, float)).reshape(n, -1),
                     np.atleast_2d(np.asarray(variances, float)).reshape(n, -1))
 
 
@@ -475,7 +473,6 @@ class TestBaumWelch:
                     assert model.trans[i, j] == 0.0
         assert np.abs(model.trans.sum(axis=1) - 1.0).max() <= 1e-12
         assert model.trans[3, 3] == 1.0
-        assert model.start[0] == 1.0 and np.all(model.start[1:] == 0.0)
 
     def test_stationary_point_on_model_generated_data(self):
         # once fitted to a large generated sample, one more iteration barely
@@ -597,26 +594,19 @@ class TestModelValidation:
     def test_structure_violation_rejected(self):
         trans = np.array([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
         with pytest.raises(DataError, match="structure"):
-            HmmModel(np.array([1.0, 0.0, 0.0]), trans, np.zeros((3, 1)),
-                     np.full((3, 1), 1.0))
-
-    def test_bad_start_rejected(self):
-        with pytest.raises(DataError, match="start"):
-            HmmModel(np.array([0.5, 0.5]), np.eye(2), np.zeros((2, 1)),
-                     np.full((2, 1), 1.0))
+            HmmModel(trans, np.zeros((3, 1)), np.full((3, 1), 1.0))
 
     def test_subject_bank_labels_sorted(self):
         model = lr_model([(1.0, 0.0)], [[0.0]], [[1.0]])
         bank = SubjectBank(BlockParams(1, 0, (4, 1)), None,
-                           {"z": model, "a": model}, feature_mode=FEATURE_RAW)
+                           {"z": model, "a": model})
         assert bank.labels == ["a", "z"]
 
     def test_subject_bank_models_share_shape(self):
         one = lr_model([(1.0, 0.0)], [[0.0]], [[1.0]])
         two = lr_model([(0.5, 0.5), (1.0, 0.0)], [[0.0], [1.0]], [[1.0], [1.0]])
         with pytest.raises(DataError, match="share state count"):
-            SubjectBank(BlockParams(1, 0, (4, 1)), None, {"a": one, "b": two},
-                        feature_mode=FEATURE_RAW)
+            SubjectBank(BlockParams(1, 0, (4, 1)), None, {"a": one, "b": two})
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["trans", "means", "variances"])
@@ -630,8 +620,7 @@ class TestModelValidation:
     def test_raw_bank_state_dimension_must_match_blocks(self):
         model = lr_model([(1.0, 0.0)], [[0.0]], [[1.0]])
         with pytest.raises(DataError, match="state dimension 1 != observation dimension 4"):
-            SubjectBank(BlockParams(2, 1, (4, 2)), None, {"a": model},
-                        feature_mode=FEATURE_RAW)
+            SubjectBank(BlockParams(2, 1, (4, 2)), None, {"a": model})
 
 
 def assert_left_to_right(model):
