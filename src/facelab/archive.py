@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import check_label
 from .eigenfaces import EigenModel
 from .errors import DataError
 from .fisherfaces import FisherModel
@@ -36,9 +37,6 @@ def _emit_array(lines: list[str], name: str, array: np.ndarray) -> None:
 
 
 def _emit_labels(lines: list[str], labels: list[str]) -> None:
-    for label in labels:
-        if not label or any(ch.isspace() for ch in label):
-            raise DataError(f"label {label!r} cannot be archived (whitespace or empty)")
     lines.append("labels " + " ".join([str(len(labels))] + labels))
 
 
@@ -82,6 +80,8 @@ def _write_bank(lines: list[str], bank: SubjectBank) -> None:
 def save_model(model, path: Path) -> None:
     """Serialize a trained model; the write is atomic."""
     method = method_of(model)
+    for label in model.labels:
+        check_label(label, path)
     lines = [MAGIC, f"method {method}", f"dims {model.dims[0]} {model.dims[1]}"]
     _FORMATS[method][1](lines, model)
     lines.append("end")
@@ -182,6 +182,8 @@ class _Reader:
             raise DataError(f"{self.path}: labels record claims {count}, has {len(labels)}")
         if not labels:
             raise DataError(f"{self.path}: model has no labels")
+        for label in labels:
+            check_label(label, self.path)
         return labels
 
 

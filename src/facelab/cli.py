@@ -125,6 +125,10 @@ def _hmm_params(args, dims) -> BlockParams:
 
 
 def _cmd_train(args) -> int:
+    if args.method == "all" and args.features == hmm1d.FEATURE_RAW:
+        raise _UsageError("--method all needs --features klt to profile occlusion")
+    if args.frontal_ref is not None and args.method != "all":
+        raise _UsageError("--frontal-ref applies to --method all only")
     manifest = _train_split(args)
     dims = manifest.dims
     if args.method in ("eigen", "fisher"):
@@ -184,10 +188,10 @@ def _load_dispatch(models_dir: Path, policy_path: Path) -> tuple[
 
 
 def _cmd_recognize(args) -> int:
+    if args.multi != (args.policy is not None):
+        raise _UsageError("--multi and --policy must be given together")
     image = load_pgm_file(args.image)
     if args.multi:
-        if args.policy is None:
-            raise _UsageError("--multi requires --policy")
         method, label, _ = dispatcher.recognize_multi(
             *_load_dispatch(args.model, args.policy), image)
         print(f"{args.image},{method},{label}")

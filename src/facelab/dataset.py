@@ -209,9 +209,11 @@ class SplitSpec:
     seed: int = 0
 
 
-def _validate_label(label: str) -> None:
+def check_label(label: str, where: Path) -> None:
+    """DataError unless the label is non-empty without whitespace or commas:
+    the one label rule of dataset directories and model archives."""
     if not label or any(ch.isspace() for ch in label) or "," in label:
-        raise DataError(f"label {label!r} must be non-empty without whitespace or commas")
+        raise DataError(f"{where}: label {label!r} must be non-empty without whitespace or commas")
 
 
 def scan_dataset(root: Path) -> DatasetManifest:
@@ -224,7 +226,7 @@ def scan_dataset(root: Path) -> DatasetManifest:
     for sub in sorted(root.iterdir(), key=lambda p: p.name):
         if not sub.is_dir():
             continue
-        _validate_label(sub.name)
+        check_label(sub.name, root)
         files = sorted((p for p in sub.iterdir() if p.is_file() and p.suffix == ".pgm"),
                        key=lambda p: p.name)
         if not files:

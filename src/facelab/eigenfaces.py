@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .dataset import GrayImage, check_dims, flatten
 from .errors import DataError
@@ -127,8 +126,8 @@ def train_eigen(
     scale = float(np.sqrt(np.mean(np.sum(phi * phi, axis=0))))
     theta_face = max(3.0 * float(np.percentile(train_dffs, 95)), 1e-9 * scale)
     row_labels = np.array(labels)
-    largest_intra = max(float(pdist(gallery[row_labels == label]).max(initial=0.0))
-                        for label in set(labels))
+    largest_intra = max(float(np.linalg.norm(gallery[row_labels == label] - row, axis=1).max())
+                        for label, row in zip(labels, gallery))  # never an n x n x K array
     theta_known = max(3.0 * largest_intra, 1e-9 * scale)
     return EigenModel(dims, psi, basis, lam, gallery, tuple(labels), theta_face, theta_known)
 

@@ -215,8 +215,8 @@ def fit_klt(images: list[np.ndarray], params: BlockParams, d: int) -> KltBasis:
     blocks t of x[t*s + r]^T x[t*s + r + k], for x the image rows and s the
     stride. Rows are first shifted by their per-column mean, which leaves
     the scatter unchanged and keeps the cancellation in removing
-    n * mean mean^T small; numerics.scatter_pca then solves for the top d
-    eigenpairs only. The caller's arrays are never modified.
+    n * mean mean^T small; numerics.scatter_pca then keeps the top d eigenpairs
+    of the scatter's full spectrum. The caller's arrays are never modified.
     """
     for pixels in images:
         require_shape("training image", pixels, params.image_dims)

@@ -2,6 +2,9 @@
 symmetric eigenproblem, PCA, the affine-subspace rule, the nearest-row rule
 and the shape checks shared by all recognizers.
 
+All dense linear algebra goes through numpy.linalg (one LAPACK, one BLAS
+thread pool), and every PCA is one full-spectrum sym_eigen call.
+
 Conventions enforced on every spectrum:
   * eigenvalues sorted descending,
   * eigenvector columns orthonormal,
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataError, NumericError, SingularOrIndefinite
 
@@ -76,7 +78,8 @@ def gen_sym_eigen(B: np.ndarray, W: np.ndarray, m: int) -> tuple[np.ndarray, np.
 
     W = L L^T; the symmetric problem L^-1 B L^-T y = lambda y is solved and
     vectors mapped back via w = L^-T y, which leaves them normalized to
-    w^T W w = 1. Returns (values descending, vectors as columns n x m).
+    w^T W w = 1. numpy.linalg.solve (LU) solves the systems in L and L^T, as
+    numpy has no triangular solver. Returns (values descending, vectors n x m).
     """
     B = _check_square_symmetric(B, "gen_sym_eigen B")
     W = _check_square_symmetric(W, "gen_sym_eigen W")
@@ -87,12 +90,12 @@ def gen_sym_eigen(B: np.ndarray, W: np.ndarray, m: int) -> tuple[np.ndarray, np.
         raise DataError(f"m={m} out of range for {n}x{n} problem")
     L = cholesky(W)
     # M = L^-1 B L^-T, kept symmetric by construction
-    Linv_B = scipy.linalg.solve_triangular(L, B, lower=True)
-    M = scipy.linalg.solve_triangular(L, Linv_B.T, lower=True).T
+    Linv_B = np.linalg.solve(L, B)
+    M = np.linalg.solve(L, Linv_B.T).T
     M = 0.5 * (M + M.T)
     res = sym_eigen(M)
     Y = res.eigenvectors[:, :m]
-    vectors = scipy.linalg.solve_triangular(L, Y, lower=True, trans="T")
+    vectors = np.linalg.solve(L.T, Y)
     return res.eigenvalues[:m].copy(), fix_signs(vectors)
 
 
@@ -114,42 +117,33 @@ def require_spread(centred_trace: float, raw_trace: float) -> None:
 
 
 def scatter_pca(scatter: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top min(k, D, surviving rank) eigenpairs of a D x D scatter matrix.
+    """Top min(k, surviving rank) eigenpairs of a D x D scatter matrix.
 
-    Only the top min(k, D) eigenpairs are computed (LAPACK's MRRR driver);
-    the rank cut, sign convention and checks are those of gram_pca. Returns
-    (D x keep orthonormal basis, eigenvalues descending).
+    The one PCA eigensolve: the full spectrum from sym_eigen, cut to the
+    eigenvalues above EPS_CUT_REL * lambda_max and to at most k of them.
+    Returns (D x keep orthonormal basis, eigenvalues descending).
     """
-    scatter = _check_square_symmetric(scatter, "scatter_pca input")
-    d = scatter.shape[0]
-    k = min(k, d)
-    try:
-        vals, vecs = scipy.linalg.eigh(scatter, subset_by_index=[d - k, d - 1], driver="evr")
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"symmetric eigensolver did not converge: {exc}") from exc
-    order = np.argsort(-vals, kind="stable")
-    keep = _keep_count(vals[order], k)
-    return fix_signs(vecs[:, order[:keep]]), vals[order[:keep]]
+    res = sym_eigen(scatter)
+    keep = _keep_count(res.eigenvalues, k)
+    return res.eigenvectors[:, :keep], res.eigenvalues[:keep].copy()
 
 
 def gram_pca(phi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top min(k, surviving rank) principal directions of D x M centred columns.
 
-    With M <= D the small M x M Gram matrix phi^T phi is eigendecomposed and
-    its eigenvectors mapped back through phi by 1/sqrt(lambda); otherwise
-    scatter_pca solves the D x D scatter phi phi^T for the top k only.
-    Eigenvalues below EPS_CUT_REL * lambda_max are dropped, so the map back
-    never divides by sqrt(lambda) ~ 0. Returns (D x keep orthonormal basis,
-    eigenvalues descending).
+    With M <= D, scatter_pca solves the small M x M Gram matrix phi^T phi and
+    its eigenvectors are mapped back through phi by 1/sqrt(lambda); otherwise
+    scatter_pca solves the D x D scatter phi phi^T. The rank cut drops
+    eigenvalues below EPS_CUT_REL * lambda_max, so the map back never divides
+    by sqrt(lambda) ~ 0. Returns (D x keep orthonormal basis, eigenvalues
+    descending).
     """
     d, m = phi.shape
     if m > d:
         return scatter_pca(phi @ phi.T, k)
     square = phi.T @ phi
-    res = sym_eigen(0.5 * (square + square.T))
-    keep = _keep_count(res.eigenvalues, k)
-    lam = res.eigenvalues[:keep].copy()
-    return fix_signs(phi @ res.eigenvectors[:, :keep] / np.sqrt(lam)), lam
+    vectors, lam = scatter_pca(0.5 * (square + square.T), k)
+    return fix_signs(phi @ vectors / np.sqrt(lam)), lam
 
 
 def affine_coords(points: np.ndarray, mean: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -23,6 +23,8 @@ from .dataset import GrayImage, write_pgm
 
 BANDED_SEED = 7041
 LIGHTING_SEED = 9203
+N_BANDS = 8  # horizontal bands of a banded face
+BASE_LEVEL = 130.0  # the grey level every banded block averages back to
 
 
 def _finalize(raw: np.ndarray) -> GrayImage:
@@ -36,8 +38,6 @@ def make_banded_dataset(
     height: int = 64,
     width: int = 64,
     seed: int = BANDED_SEED,
-    n_bands: int = 8,
-    base_level: float = 130.0,
 ) -> list[tuple[str, GrayImage]]:
     """Subjects with distinct top-to-bottom stripe-contrast profiles.
 
@@ -49,11 +49,11 @@ def make_banded_dataset(
     variance, which keeps flat occluders far from the block subspace.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    ladder = np.linspace(20.0, 90.0, n_bands)
+    ladder = np.linspace(20.0, 90.0, N_BANDS)
     profiles: list[np.ndarray] = []
     seen = set()
     while len(profiles) < n_subjects:
-        perm = tuple(rng.permutation(n_bands))
+        perm = tuple(rng.permutation(N_BANDS))
         if perm in seen:
             continue
         seen.add(perm)
@@ -64,18 +64,18 @@ def make_banded_dataset(
     texture = _smooth_pattern(rng, height, width, 18.0)
     stripe = np.where(np.arange(height) % 2 == 0, 1.0, -1.0)
 
-    base_edges = np.round(np.linspace(0, height, n_bands + 1)).astype(int)
+    base_edges = np.round(np.linspace(0, height, N_BANDS + 1)).astype(int)
     entries = []
     for s in range(n_subjects):
         for _ in range(n_images):
-            inner = base_edges[1:-1] + rng.integers(-1, 2, size=n_bands - 1)
+            inner = base_edges[1:-1] + rng.integers(-1, 2, size=N_BANDS - 1)
             edges = np.concatenate(([0], np.clip(inner, 1, height - 1), [height]))
             edges = np.maximum.accumulate(edges)
-            amplitudes = profiles[s] + rng.uniform(-4.0, 4.0, size=n_bands)
+            amplitudes = profiles[s] + rng.uniform(-4.0, 4.0, size=N_BANDS)
             row_amp = np.zeros(height)
-            for b in range(n_bands):
+            for b in range(N_BANDS):
                 row_amp[edges[b]: edges[b + 1]] = amplitudes[b]
-            raw = base_level + (row_amp * stripe)[:, None] * np.ones((1, width))
+            raw = BASE_LEVEL + (row_amp * stripe)[:, None] * np.ones((1, width))
             raw += texture + rng.normal(0.0, 2.0, size=(height, width))
             entries.append((f"s{s + 1:02d}", _finalize(raw)))
     return entries
@@ -94,28 +94,21 @@ def _smooth_pattern(rng: np.random.Generator, height: int, width: int,
     return pattern * (amplitude / peak)
 
 
-def make_lighting_dataset(
-    n_subjects: int = 3,
-    n_images: int = 20,
-    height: int = 32,
-    width: int = 32,
-    seed: int = LIGHTING_SEED,
-    identity_amplitude: float = 12.0,
-    lighting_amplitude: float = 60.0,
-    noise_sigma: float = 2.0,
-) -> list[tuple[str, GrayImage]]:
-    """Identity patterns buried under strong additive lighting gradients."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+def make_lighting_dataset() -> list[tuple[str, GrayImage]]:
+    """3 subjects x 20 images at 32x32: identity patterns of amplitude 12
+    buried under random additive lighting ramps of up to +/-60, with pixel
+    noise of sigma 2."""
+    n_subjects, n_images, height, width = 3, 20, 32, 32
+    rng = np.random.default_rng(np.random.SeedSequence([LIGHTING_SEED, 1]))
     ramp_x = np.tile(np.linspace(-0.5, 0.5, width), (height, 1))
     ramp_y = np.tile(np.linspace(-0.5, 0.5, height)[:, None], (1, width))
-    patterns = [_smooth_pattern(rng, height, width, identity_amplitude)
-                for _ in range(n_subjects)]
+    patterns = [_smooth_pattern(rng, height, width, 12.0) for _ in range(n_subjects)]
     entries = []
     for s in range(n_subjects):
         for _ in range(n_images):
-            gx, gy = rng.uniform(-lighting_amplitude, lighting_amplitude, size=2)
+            gx, gy = rng.uniform(-60.0, 60.0, size=2)
             raw = (128.0 + patterns[s] + gx * ramp_x + gy * ramp_y
-                   + rng.normal(0.0, noise_sigma, size=(height, width)))
+                   + rng.normal(0.0, 2.0, size=(height, width)))
             entries.append((f"p{s + 1}", _finalize(raw)))
     return entries
 

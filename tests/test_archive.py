@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -359,3 +361,13 @@ def test_mutated_archive_loads_consistently_or_is_data_error(tiny_archives, whic
     assert method_of(model) == records["method"][0]
     assert model.dims == (int(records["dims"][0]), int(records["dims"][1]))
     assert model.labels == sorted(set(records["labels"][1:]))
+
+
+@pytest.mark.parametrize("label", ["s,01", "s 01", ""])
+def test_label_outside_the_dataset_rule_is_not_archived(tmp_path, banded_models, label):
+    model = banded_models.fisher
+    model = dataclasses.replace(model, row_labels=(label,) + model.row_labels[1:])
+    path = tmp_path / "fisher.ffm"
+    with pytest.raises(DataError, match=re.escape(f"{path}: label")):
+        save_model(model, path)
+    assert list(tmp_path.iterdir()) == []

@@ -145,6 +145,28 @@ def test_multi_without_policy_is_usage_error(banded_dir, tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("case", ["all_raw", "frontal_ref_eigen", "frontal_ref_fisher",
+                                  "frontal_ref_hmm", "policy_without_multi"])
+def test_flag_that_cannot_take_effect_is_usage_error(banded_dir, tmp_path, capsys, case):
+    missing = tmp_path / "missing.pgm"
+    out = tmp_path / "out"
+    train = ["train", "--dataset", str(banded_dir), "--out", str(out), "--method"]
+    argv = {
+        "all_raw": train + ["all", "--features", "raw"],
+        "frontal_ref_eigen": train + ["eigen", "--frontal-ref", str(missing)],
+        "frontal_ref_fisher": train + ["fisher", "--frontal-ref", str(missing)],
+        "frontal_ref_hmm": train + ["hmm", "--frontal-ref", str(missing)],
+        "policy_without_multi": ["recognize", "--model", str(out), "--policy", str(missing),
+                                 "--image", str(missing)],
+    }[case]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []  # rejected before anything is read or written
+
+
 def test_train_all_with_explicit_frontal_ref(banded_dir, tmp_path, capsys):
     ref = sorted((banded_dir / "s01").glob("*.pgm"))[0]
     models = tmp_path / "models"
@@ -275,6 +297,29 @@ def test_archive_with_start_records_is_data_error(banded_dir, tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("data error:") and captured.err.count("\n") == 1
         assert "start" in captured.err
+
+
+def _comma_in_label(lines):
+    at = next(i for i, line in enumerate(lines) if line.startswith("labels "))
+    lines[at] = lines[at].replace(" s04", " s,04")
+
+
+def test_archive_label_with_comma_is_data_error(banded_dir, tmp_path, capsys):
+    # a comma in a label would add a field to recognize's and evaluate's CSV lines
+    model = tmp_path / "fisher.ffm"
+    assert main(["train", "--method", "fisher", "--dataset", str(banded_dir),
+                 "--out", str(model)]) == 0
+    _rewrite(model, _comma_in_label)
+    probe = sorted((banded_dir / "s01").glob("*.pgm"))[0]
+    capsys.readouterr()
+    for argv in (["inspect", "--model", str(model)],
+                 ["recognize", "--model", str(model), "--image", str(probe)],
+                 ["evaluate", "--model", str(model), "--dataset", str(banded_dir)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error:") and captured.err.count("\n") == 1
+        assert str(model) in captured.err and "'s,04'" in captured.err
 
 
 @pytest.fixture(scope="module")

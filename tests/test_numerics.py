@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import facelab
 from facelab.errors import DataError, NumericError, SingularOrIndefinite
 from facelab.numerics import (EPS_CUT_REL, affine_coords, affine_residual, cholesky, fix_signs,
                               gen_sym_eigen, scatter_pca, sym_eigen)
@@ -223,3 +229,13 @@ class TestAffineSubspace:
         got_coords, got = affine_residual(np.ascontiguousarray(points.T).T, mean, basis)
         assert np.array_equal(got, expected)
         assert np.array_equal(got_coords, coords.T)
+
+
+def test_facelab_loads_no_scipy():
+    # numpy is the one runtime dependency: one LAPACK and one BLAS thread pool
+    code = ("import sys, facelab, facelab.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(facelab.__file__).resolve().parent.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert run.stdout == "[]\n"
