@@ -40,22 +40,29 @@ def _emit_labels(lines: list[str], labels: list[str]) -> None:
     lines.append("labels " + " ".join([str(len(labels))] + labels))
 
 
-def _write_eigen(lines: list[str], model: EigenModel) -> None:
-    lines.append(f"scalar theta_face {_fmt(model.theta_face)}")
-    lines.append(f"scalar theta_known {_fmt(model.theta_known)}")
-    _emit_array(lines, "mean", model.mean)
-    _emit_array(lines, "eigenvalues", model.eigenvalues)
-    _emit_array(lines, "basis", model.basis)
-    _emit_labels(lines, list(model.row_labels))
-    _emit_array(lines, "gallery", model.gallery)
+def _face_space_format(kind, scalars: tuple[str, ...], basis: str, gallery: str):
+    """(model type, body writer, body reader) of a FaceSpace archive: the named
+    scalar records, then mean, eigenvalues, the basis and the gallery under the
+    record names its method uses, with the labels record between them."""
 
+    def write(lines: list[str], model) -> None:
+        lines.extend(f"scalar {name} {_fmt(getattr(model, name))}" for name in scalars)
+        _emit_array(lines, "mean", model.mean)
+        _emit_array(lines, "eigenvalues", model.eigenvalues)
+        _emit_array(lines, basis, model.basis)
+        _emit_labels(lines, list(model.row_labels))
+        _emit_array(lines, gallery, model.gallery)
 
-def _write_fisher(lines: list[str], model: FisherModel) -> None:
-    _emit_array(lines, "mean", model.mean)
-    _emit_array(lines, "eigenvalues", model.eigenvalues)
-    _emit_array(lines, "projection", model.projection)
-    _emit_labels(lines, list(model.row_labels))
-    _emit_array(lines, "centroids", model.centroids)
+    def read(r: _Reader, dims: tuple[int, int]):
+        values = {name: r.read_scalar(name) for name in scalars}
+        mean = r.read_array("mean").reshape(-1)
+        eigenvalues = r.read_array("eigenvalues").reshape(-1)
+        basis_array = r.read_array(basis)
+        row_labels = tuple(r.read_labels())
+        gallery_array = r.read_array(gallery)
+        return kind(dims, mean, basis_array, eigenvalues, gallery_array, row_labels, **values)
+
+    return kind, write, read
 
 
 def _emit_hmm(lines: list[str], prefix: str, model: HmmModel) -> None:
@@ -187,27 +194,6 @@ class _Reader:
         return labels
 
 
-def _load_eigen(r: _Reader, dims: tuple[int, int]) -> EigenModel:
-    theta_face = r.read_scalar("theta_face")
-    theta_known = r.read_scalar("theta_known")
-    mean = r.read_array("mean").reshape(-1)
-    eigenvalues = r.read_array("eigenvalues").reshape(-1)
-    basis = r.read_array("basis")
-    row_labels = tuple(r.read_labels())
-    gallery = r.read_array("gallery")
-    return EigenModel(dims, mean, basis, eigenvalues, gallery, row_labels,
-                      theta_face, theta_known)
-
-
-def _load_fisher(r: _Reader, dims: tuple[int, int]) -> FisherModel:
-    mean = r.read_array("mean").reshape(-1)
-    eigenvalues = r.read_array("eigenvalues").reshape(-1)
-    projection = r.read_array("projection")
-    row_labels = tuple(r.read_labels())
-    centroids = r.read_array("centroids")
-    return FisherModel(dims, mean, projection, centroids, row_labels, eigenvalues)
-
-
 def _load_hmm(r: _Reader, prefix: str) -> HmmModel:
     trans = r.read_array(f"{prefix}:trans")
     means = r.read_array(f"{prefix}:means")
@@ -237,8 +223,8 @@ def _load_bank(r: _Reader, dims: tuple[int, int]) -> SubjectBank:
 
 # method record -> (model type, body writer, body reader); the header and end are shared
 _FORMATS = {
-    "eigen": (EigenModel, _write_eigen, _load_eigen),
-    "fisher": (FisherModel, _write_fisher, _load_fisher),
+    "eigen": _face_space_format(EigenModel, ("theta_face", "theta_known"), "basis", "gallery"),
+    "fisher": _face_space_format(FisherModel, (), "projection", "centroids"),
     "hmm": (SubjectBank, _write_bank, _load_bank),
 }
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import bench, dispatcher, hmm1d
 from .archive import load_model, method_of, save_model
-from .dataset import (SplitSpec, check_dims, flatten, load_labeled_images,
-                      load_labeled_vectors, load_pgm_file, scan_dataset, split)
+from .dataset import (SplitSpec, check_dims, flatten, load_labeled_images, load_pgm_file,
+                      scan_dataset, split)
 from .eigenfaces import EigenModel, train_eigen
 from .errors import DataError, FacelabError, NumericError
 from .fisherfaces import FisherModel, train_fisher
@@ -112,51 +112,35 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _train_split(args):
-    manifest = scan_dataset(args.dataset)
-    if args.split is not None:
-        spec, _ = args.split
-        manifest, _ = split(manifest, spec)
-    return manifest
-
-
-def _hmm_params(args, dims) -> BlockParams:
-    return BlockParams(args.block_l, args.overlap, dims)
-
-
 def _cmd_train(args) -> int:
     if args.method == "all" and args.features == hmm1d.FEATURE_RAW:
         raise _UsageError("--method all needs --features klt to profile occlusion")
     if args.frontal_ref is not None and args.method != "all":
         raise _UsageError("--frontal-ref applies to --method all only")
-    manifest = _train_split(args)
+    manifest = scan_dataset(args.dataset)
+    if args.split is not None:
+        manifest, _ = split(manifest, args.split[0])
     dims = manifest.dims
-    if args.method in ("eigen", "fisher"):
-        vectors = load_labeled_vectors(manifest)
-        model = (train_eigen(vectors, args.k, dims) if args.method == "eigen"
-                 else train_fisher(vectors, dims))
-        save_model(model, args.out)
-        print(f"saved,{args.method},{args.out}")
-        return EXIT_OK
     entries = load_labeled_images(manifest)
     images = [(label, img) for label, _, img in entries]
-    if args.method == "hmm":
-        bank = train_bank(images, _hmm_params(args, dims), args.states, args.klt_d,
-                          feature_mode=args.features)
-        save_model(bank, args.out)
-        print(f"saved,hmm,{args.out}")
+    vectors = [(label, flatten(img)) for label, img in images]
+    trainers = {
+        "eigen": lambda: train_eigen(vectors, args.k, dims),
+        "fisher": lambda: train_fisher(vectors, dims),
+        "hmm": lambda: train_bank(images, BlockParams(args.block_l, args.overlap, dims),
+                                  args.states, args.klt_d, feature_mode=args.features),
+    }
+    if args.method != "all":
+        save_model(trainers[args.method](), args.out)
+        print(f"saved,{args.method},{args.out}")
         return EXIT_OK
 
     # --method all: three models plus a calibrated dispatch policy
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    vectors = [(label, flatten(img)) for label, _, img in entries]
-    eigen = train_eigen(vectors, args.k, dims)
-    fisher = train_fisher(vectors, dims)
-    bank = train_bank(images, _hmm_params(args, dims), args.states, args.klt_d,
-                      feature_mode=args.features)
-    train_images = [img for _, _, img in entries]
-    residuals = [dispatcher.block_residuals(bank, img) for img in train_images]
+    models = {method: train() for method, train in trainers.items()}
+    train_images = [img for _, img in images]
+    residuals = [dispatcher.block_residuals(models["hmm"], img) for img in train_images]
     context = dispatcher.calibrate_context(train_images, residuals)
     if args.frontal_ref is not None:
         ref_path = args.frontal_ref
@@ -166,10 +150,10 @@ def _cmd_train(args) -> int:
         ref_path = entries[idx][1]
         ref_image = entries[idx][2]
     frontal = flatten(ref_image)
-    policy = dispatcher.calibrate_policy(train_images, eigen, frontal, residuals, context)
-    save_model(eigen, out_dir / "eigen.ffm")
-    save_model(fisher, out_dir / "fisher.ffm")
-    save_model(bank, out_dir / "hmm.ffm")
+    policy = dispatcher.calibrate_policy(train_images, models["eigen"], frontal, residuals,
+                                         context)
+    for method, model in models.items():
+        save_model(model, out_dir / f"{method}.ffm")
     dispatcher.write_policy_file(out_dir / "policy.cfg", policy, context, str(ref_path))
     print(f"saved,all,{out_dir}")
     return EXIT_OK

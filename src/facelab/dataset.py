@@ -210,10 +210,12 @@ class SplitSpec:
 
 
 def check_label(label: str, where: Path) -> None:
-    """DataError unless the label is non-empty without whitespace or commas:
-    the one label rule of dataset directories and model archives."""
-    if not label or any(ch.isspace() for ch in label) or "," in label:
-        raise DataError(f"{where}: label {label!r} must be non-empty without whitespace or commas")
+    """DataError unless the label is non-empty ASCII without whitespace or
+    commas: the one label rule of dataset directories and model archives,
+    which are ASCII text."""
+    if not label or not label.isascii() or any(ch.isspace() for ch in label) or "," in label:
+        raise DataError(f"{where}: label {label!r} must be non-empty ASCII "
+                        f"without whitespace or commas")
 
 
 def scan_dataset(root: Path) -> DatasetManifest:
@@ -276,8 +278,3 @@ def load_labeled_images(manifest: DatasetManifest) -> list[tuple[str, Path, Gray
                 raise DataError(f"{f}: dimensions changed since scan")
             out.append((label, f, img))
     return out
-
-
-def load_labeled_vectors(manifest: DatasetManifest) -> list[tuple[str, np.ndarray]]:
-    """Load and flatten every referenced image, in manifest order."""
-    return [(label, flatten(img)) for label, _, img in load_labeled_images(manifest)]

@@ -205,7 +205,7 @@ def write_policy_file(path: Path, policy: DispatchPolicy, context: ProfileContex
 
 
 def read_policy_file(path: Path) -> tuple[DispatchPolicy, ProfileContext, str]:
-    """Parse a policy file; every key is required, unknown keys are rejected."""
+    """Parse a policy file; every key is required once, unknown keys are rejected."""
     known = {f.name for cls in (DispatchPolicy, ProfileContext) for f in fields(cls)}
     known.add(FRONTAL_REF)
     values: dict[str, str] = {}
@@ -223,6 +223,8 @@ def read_policy_file(path: Path) -> tuple[DispatchPolicy, ProfileContext, str]:
         key = key.strip()
         if key not in known:
             raise DataError(f"{path}:{ln}: unknown policy key {key!r}")
+        if key in values:
+            raise DataError(f"{path}:{ln}: repeated policy key {key!r}")
         values[key] = value.strip()
     missing = sorted(known - set(values))
     if missing:

@@ -16,9 +16,10 @@ import numpy as np
 
 from .dataset import GrayImage, check_dims, flatten
 from .errors import DataError
-# sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
-from .numerics import (affine_coords, affine_residual, check_face, gram_pca, nearest,
-                       require_shape, require_spread, sort_rows, sym_eigen)
+# Bound here, not called: sym_eigen for benchmarks/tests, and project (the weights
+# omega = U^T (face - mean) of an eigen model) for the dispatcher and the tests.
+from .numerics import (FaceSpace, affine_residual, check_face, gram_pca, group_samples, nearest,
+                       project, require_spread, sym_eigen)
 
 FACE = "face"
 UNKNOWN_FACE = "unknown-face"
@@ -29,33 +30,16 @@ NOT_A_FACE_LABEL = "<not-a-face>"
 
 
 @dataclass(frozen=True)
-class EigenModel:
-    dims: tuple[int, int]
-    mean: np.ndarray  # Psi, length D
-    basis: np.ndarray  # U, D x K with orthonormal columns
-    eigenvalues: np.ndarray  # descending, one per retained column
-    gallery: np.ndarray  # M x K, one weight row per enrolled face
-    row_labels: tuple[str, ...]  # label of each gallery row
+class EigenModel(FaceSpace):
+    """Eigenfaces: basis U holds the principal directions, D x K with
+    orthonormal columns, and the gallery one weight row per enrolled face."""
+
     theta_face: float  # face-space (residual) distance threshold
     theta_known: float  # weight-space nearest-neighbor threshold
-
-    def __post_init__(self):
-        d, k = self.dims[0] * self.dims[1], np.shape(self.basis)[-1]
-        require_shape("eigen mean", self.mean, (d,))
-        require_shape("eigen basis", self.basis, (d, k))
-        require_shape("eigen eigenvalues", self.eigenvalues, (k,))
-        require_shape("eigen gallery", self.gallery, (len(self.row_labels), k))
-        gallery, row_labels = sort_rows(self.gallery, self.row_labels)
-        object.__setattr__(self, "gallery", gallery)
-        object.__setattr__(self, "row_labels", row_labels)
 
     @property
     def k(self) -> int:
         return self.basis.shape[1]
-
-    @property
-    def labels(self) -> list[str]:
-        return list(dict.fromkeys(self.row_labels))
 
     def predict(self, images: Sequence[GrayImage]) -> list[tuple[str, float]]:
         """Per image, (label or rejection marker, score); the score is the
@@ -82,16 +66,6 @@ def predicted_label(decision: EigenDecision) -> str:
     return UNKNOWN_LABEL if decision.verdict == UNKNOWN_FACE else NOT_A_FACE_LABEL
 
 
-def _as_matrix(samples: list[tuple[str, np.ndarray]]) -> tuple[list[str], np.ndarray]:
-    labels = [label for label, _ in samples]
-    vecs = [np.asarray(v, dtype=np.float64).reshape(-1) for _, v in samples]
-    d = vecs[0].size
-    for (label, _), v in zip(samples, vecs):
-        if v.size != d:
-            raise DataError(f"dimension mismatch in class {label!r}: {v.size} != {d}")
-    return labels, np.column_stack(vecs)
-
-
 def train_eigen(
     samples: list[tuple[str, np.ndarray]],
     k: int,
@@ -109,7 +83,10 @@ def train_eigen(
         raise DataError(f"need at least 2 training images, got {len(samples)}")
     if k < 1:
         raise DataError(f"requested component count must be >= 1, got {k}")
-    labels, gamma = _as_matrix(samples)
+    groups = group_samples(samples)
+    labels = [label for label, rows in groups.items() for _ in rows]
+    gamma = np.column_stack([row for rows in groups.values() for row in rows])  # D x M
+    del groups  # so the per-label copies of the samples are freed before the PCA
     d, m = gamma.shape
     if dims is None:
         dims = (1, d)
@@ -130,11 +107,6 @@ def train_eigen(
                         for label, row in zip(labels, gallery))  # never an n x n x K array
     theta_known = max(3.0 * largest_intra, 1e-9 * scale)
     return EigenModel(dims, psi, basis, lam, gallery, tuple(labels), theta_face, theta_known)
-
-
-def project(model: EigenModel, face: np.ndarray) -> np.ndarray:
-    """Weights omega = U^T (face - mean)."""
-    return affine_coords(check_face(face, model.mean), model.mean, model.basis)
 
 
 def reconstruct(model: EigenModel, weights: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ import numpy as np
 from .dataset import GrayImage, check_dims, flatten
 from .errors import DataError, NumericError, SingularOrIndefinite
 # sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
-from .numerics import (affine_coords, check_face, fix_signs, gen_sym_eigen, gram_pca, nearest,
-                       require_shape, require_spread, sort_rows, sym_eigen)
+from .numerics import (FaceSpace, affine_coords, fix_signs, gen_sym_eigen, gram_pca,
+                       group_samples, nearest, project, require_spread, sym_eigen)
 
 RIDGE_REL = 1e-8  # ridge added to within-class scatter when Cholesky fails
 EIGENVALUE_REL_CUT = 1e-10  # generalized eigenvalues kept relative to largest
@@ -33,58 +33,28 @@ class ScatterPair:
 
 
 @dataclass(frozen=True)
-class FisherModel:
-    dims: tuple[int, int]
-    mean: np.ndarray  # global mean, length D
-    projection: np.ndarray  # W_opt = W_pca W_fld, D x m, unit-norm columns
-    centroids: np.ndarray  # c x m, centered projection of each class mean
-    row_labels: tuple[str, ...]  # label of each centroid row, unique
-    eigenvalues: np.ndarray  # generalized eigenvalues, descending, length m
+class FisherModel(FaceSpace):
+    """Fisherfaces: basis holds W_opt = W_pca W_fld, D x m with unit-norm
+    columns, eigenvalues the generalized ones, and the gallery one centred
+    projected class mean (centroid) per subject, each subject once."""
 
     def __post_init__(self):
-        d, m = self.dims[0] * self.dims[1], np.shape(self.projection)[-1]
-        require_shape("fisher mean", self.mean, (d,))
-        require_shape("fisher projection", self.projection, (d, m))
-        require_shape("fisher eigenvalues", self.eigenvalues, (m,))
-        require_shape("fisher centroids", self.centroids, (len(self.row_labels), m))
+        super().__post_init__()
         if len(set(self.row_labels)) != len(self.row_labels):
             raise DataError(f"fisher centroid labels name a subject twice: {self.row_labels}")
-        centroids, row_labels = sort_rows(self.centroids, self.row_labels)
-        object.__setattr__(self, "centroids", centroids)
-        object.__setattr__(self, "row_labels", row_labels)
 
     @property
     def m(self) -> int:
-        return self.projection.shape[1]
-
-    @property
-    def labels(self) -> list[str]:
-        return list(self.row_labels)
+        return self.basis.shape[1]
 
     def predict(self, images: Sequence[GrayImage]) -> list[tuple[str, float]]:
         """Per image, (nearest-centroid label, its discriminant-space distance)."""
         return [classify(self, flatten(check_dims(image, self.dims))) for image in images]
 
 
-def _group(samples: list[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Label -> (n_i x d) sample matrix, labels sorted, common dimension."""
-    if not samples:
-        raise DataError("no samples")
-    by_label: dict[str, list[np.ndarray]] = {}
-    d = None
-    for label, vec in samples:
-        vec = np.asarray(vec, dtype=np.float64).reshape(-1)
-        if d is None:
-            d = vec.size
-        elif vec.size != d:
-            raise DataError(f"dimension mismatch in class {label!r}: {vec.size} != {d}")
-        by_label.setdefault(label, []).append(vec)
-    return {label: np.vstack(by_label[label]) for label in sorted(by_label)}
-
-
 def compute_scatter(samples: list[tuple[str, np.ndarray]]) -> ScatterPair:
     """Between- and within-class scatter matrices of labeled vectors."""
-    groups = _group(samples)
+    groups = group_samples(samples)
     if len(groups) < 2:
         raise DataError(f"need at least 2 classes, got {len(groups)}")
     d = next(iter(groups.values())).shape[1]
@@ -131,7 +101,7 @@ def train_fisher(
     columns have unit Euclidean norm (the PCA basis is orthonormal, so the
     unit-norm reduced columns carry that norm) and are sign-fixed.
     """
-    groups = _group(samples)
+    groups = group_samples(samples)
     c = len(groups)
     if c < 2:
         raise DataError(f"need at least 2 classes, got {c}")
@@ -176,15 +146,10 @@ def train_fisher(
     projection = fix_signs(pca @ fld)
     class_means = np.vstack([g.mean(axis=0) for g in groups.values()])
     centroids = affine_coords(class_means, mean, projection)
-    return FisherModel(dims, mean, projection, centroids, tuple(groups), lam)
-
-
-def project(model: FisherModel, face: np.ndarray) -> np.ndarray:
-    """Discriminant-space coordinates W_opt^T (face - mean)."""
-    return affine_coords(check_face(face, model.mean), model.mean, model.projection)
+    return FisherModel(dims, mean, projection, lam, centroids, tuple(groups))
 
 
 def classify(model: FisherModel, face: np.ndarray) -> tuple[str, float]:
     """Nearest class centroid in discriminant space; ties to smallest label."""
-    row, dist = nearest(model.centroids, project(model, face))
+    row, dist = nearest(model.gallery, project(model, face))
     return model.row_labels[row], dist

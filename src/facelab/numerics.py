@@ -1,6 +1,7 @@
 """Dense symmetric eigendecomposition, Cholesky, the whitened generalized
-symmetric eigenproblem, PCA, the affine-subspace rule, the nearest-row rule
-and the shape checks shared by all recognizers.
+symmetric eigenproblem, PCA, the affine-subspace rule, the nearest-row rule,
+the shape checks shared by all recognizers, and the linear face space that
+eigenfaces and fisherfaces both fit.
 
 All dense linear algebra goes through numpy.linalg (one LAPACK, one BLAS
 thread pool), and every PCA is one full-spectrum sym_eigen call.
@@ -198,3 +199,53 @@ def nearest(rows: np.ndarray, z: np.ndarray) -> tuple[int, float]:
     dists = np.linalg.norm(rows - z, axis=1)
     best = int(np.argmin(dists))
     return best, float(dists[best])
+
+
+@dataclass(frozen=True)
+class FaceSpace:
+    """A linear face space: faces of dims pixels, the affine frame (mean, basis)
+    they are projected into, and a gallery of one K-dim row per entry, stored
+    sorted stably by row label. Eigenfaces and fisherfaces are two ways to fit
+    the basis; both classify by the nearest gallery row."""
+
+    dims: tuple[int, int]
+    mean: np.ndarray  # length D = h * w
+    basis: np.ndarray  # D x K
+    eigenvalues: np.ndarray  # descending, one per basis column
+    gallery: np.ndarray  # one K-dim row per entry
+    row_labels: tuple[str, ...]  # label of each gallery row
+
+    def __post_init__(self):
+        what = type(self).__name__
+        d, k = self.dims[0] * self.dims[1], np.shape(self.basis)[-1]
+        require_shape(f"{what} mean", self.mean, (d,))
+        require_shape(f"{what} basis", self.basis, (d, k))
+        require_shape(f"{what} eigenvalues", self.eigenvalues, (k,))
+        require_shape(f"{what} gallery", self.gallery, (len(self.row_labels), k))
+        gallery, row_labels = sort_rows(self.gallery, self.row_labels)
+        object.__setattr__(self, "gallery", gallery)
+        object.__setattr__(self, "row_labels", row_labels)
+
+    @property
+    def labels(self) -> list[str]:
+        return list(dict.fromkeys(self.row_labels))
+
+
+def project(model: FaceSpace, face: np.ndarray) -> np.ndarray:
+    """Face-space coordinates basis^T (face - mean)."""
+    return affine_coords(check_face(face, model.mean), model.mean, model.basis)
+
+
+def group_samples(samples: list[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Label -> (n_i x D) matrix of its samples in input order, labels sorted;
+    DataError for no samples or for vectors of differing lengths."""
+    if not samples:
+        raise DataError("no samples")
+    by_label: dict[str, list[np.ndarray]] = {}
+    d = np.size(samples[0][1])
+    for label, vec in samples:
+        vec = np.asarray(vec, dtype=np.float64).reshape(-1)
+        if vec.size != d:
+            raise DataError(f"dimension mismatch in class {label!r}: {vec.size} != {d}")
+        by_label.setdefault(label, []).append(vec)
+    return {label: np.vstack(by_label[label]) for label in sorted(by_label)}

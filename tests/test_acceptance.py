@@ -20,7 +20,7 @@ from scipy.stats import norm
 from facelab import bench, dispatcher, synth
 from facelab.archive import load_model, save_model
 from facelab.cli import main as cli_main
-from facelab.dataset import SplitSpec, flatten, load_labeled_vectors, scan_dataset, split
+from facelab.dataset import SplitSpec, flatten, load_labeled_images, scan_dataset, split
 from facelab.eigenfaces import classify, project, reconstruct, train_eigen
 from facelab.fisherfaces import compute_scatter, train_fisher
 from facelab.hmm1d import HmmModel, baum_welch, init_uniform, loglik, viterbi
@@ -102,7 +102,7 @@ def test_criterion_3_fisherfaces_correctness(banded, lighting, train_fisher_keep
 
         model = train_fisher(samples)
         assert abs(model.eigenvalues[0] - 24.0) <= 1e-8
-        direction = model.projection[:, 0]
+        direction = model.basis[:, 0]
         assert np.abs(direction - np.array([2.0, 1.0]) / np.sqrt(5.0)).max() <= 1e-8
 
         # residual bound and rank bound on every benchmark training run
@@ -116,7 +116,7 @@ def test_criterion_3_fisherfaces_correctness(banded, lighting, train_fisher_keep
             reduced = [(lb, pca.T @ (v - fitted.mean)) for lb, v in vectors]
             rpair = compute_scatter(reduced)
             scale = max(1.0, float(np.linalg.norm(rpair.between)))
-            fld = pca.T @ fitted.projection
+            fld = pca.T @ fitted.basis
             for k in range(fitted.m):
                 resid = (rpair.between @ fld[:, k]
                          - fitted.eigenvalues[k] * (rpair.within @ fld[:, k]))
@@ -159,7 +159,8 @@ def test_criterion_4_optional_yale_glasses():
         manifest = scan_dataset(Path(FACELAB_DATA) / "yale_glasses")
         k = min(len(v) for v in manifest.classes.values()) // 2
         train_m, test_m = split(manifest, SplitSpec(k=k, seed=0))
-        model = train_fisher(load_labeled_vectors(train_m), manifest.dims)
+        model = train_fisher([(label, flatten(img)) for label, _, img in load_labeled_images(train_m)],
+                             manifest.dims)
         assert model.m == 1
         report = bench.evaluate(model, test_m)
         assert report.error_rate <= 0.15

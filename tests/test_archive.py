@@ -58,10 +58,10 @@ class TestFisherRoundTrip:
         src = banded_models.fisher
         assert model.dims == src.dims
         assert _arrays_equal(model.mean, src.mean)
-        assert _arrays_equal(model.projection, src.projection)
+        assert _arrays_equal(model.basis, src.basis)
         assert _arrays_equal(model.eigenvalues, src.eigenvalues)
         assert model.row_labels == src.row_labels
-        assert _arrays_equal(model.centroids, src.centroids)
+        assert _arrays_equal(model.gallery, src.gallery)
 
 
 class TestBankRoundTrip:
@@ -291,6 +291,29 @@ class TestStoredArrays:
         save_model(eigen, path)
         galleries = [h for h in _array_headers(path) if h[0].startswith("gallery")]
         assert galleries == [("gallery", len(banded.train_entries), eigen.k)]
+
+
+# The archive text of a hand-built model of each FaceSpace kind: the record
+# names and their order are the format, whatever the fields are called.
+_GOLDEN = {
+    "eigen": (EigenModel, (0.25, 1.5), "scalar theta_face 0.25\nscalar theta_known 1.5\n",
+              "basis", "gallery"),
+    "fisher": (FisherModel, (), "", "projection", "centroids"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_GOLDEN))
+def test_face_space_archive_text(tmp_path, method):
+    kind, thresholds, scalars, basis, gallery = _GOLDEN[method]
+    model = kind((1, 2), np.array([1.0, 2.5]), np.array([[0.6], [0.8]]), np.array([24.0]),
+                 np.array([[0.1], [-2.0]]), ("b", "a"), *thresholds)
+    path = tmp_path / f"{method}.ffm"
+    save_model(model, path)
+    assert path.read_text(encoding="ascii") == (
+        f"FFM1\nmethod {method}\ndims 1 2\n{scalars}"
+        f"array mean 1 2\n1 2.5\narray eigenvalues 1 1\n24\n"
+        f"array {basis} 2 1\n0.59999999999999998\n0.80000000000000004\n"
+        f"labels 2 a b\narray {gallery} 2 1\n-2\n0.10000000000000001\nend\n")
 
 
 def _repeat_first_label(lines):

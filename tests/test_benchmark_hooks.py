@@ -4,7 +4,9 @@ benchmarks/facebench wraps every name in its layer and hook lists wherever a
 facelab module bound it, and calls archive.method_of directly; a rename or
 a move of any of them would break the benchmark without failing a test. The
 wrapping finds bindings by object identity, so two names bound to one
-function (an alias) would merge their counts into one layer.
+function (an alias) would merge their counts into one layer. The harness's
+workload and data modules import facelab modules and names too, so they
+are imported here as well.
 """
 
 import importlib
@@ -34,3 +36,8 @@ def test_named_functions_are_distinct_objects():
     for name in sorted(set(TRACED) | set(HOOKS)):
         by_object.setdefault(id(_resolve(name)), []).append(name)
     assert [names for names in by_object.values() if len(names) > 1] == []
+
+
+@pytest.mark.parametrize("module", ["facebench.workloads", "facebench.data"])
+def test_benchmark_module_imports(module):
+    importlib.import_module(module)

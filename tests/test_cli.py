@@ -322,6 +322,28 @@ def test_archive_label_with_comma_is_data_error(banded_dir, tmp_path, capsys):
         assert str(model) in captured.err and "'s,04'" in captured.err
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_non_ascii_class_directory_is_data_error(trained_all, banded_dir, tmp_path, capsys,
+                                                 command):
+    # archives are ASCII text, so a label that could not be written is refused by the scan
+    root = tmp_path / "data"
+    shutil.copytree(banded_dir / "s01", root / "caf\u00e9")
+    shutil.copytree(banded_dir / "s02", root / "s02")
+    argv = {
+        "train": ["train", "--method", "eigen", "--dataset", str(root), "--k", "4",
+                  "--out", str(tmp_path / "eigen.ffm")],
+        "evaluate": ["evaluate", "--model", str(trained_all / "eigen.ffm"),
+                     "--dataset", str(root), "--report", str(tmp_path / "r.csv")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error:") and captured.err.count("\n") == 1
+    assert "'caf\u00e9'" in captured.err and "ASCII" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
 @pytest.fixture(scope="module")
 def tall_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli") / "tall"

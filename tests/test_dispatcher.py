@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ class TestRecognizeMulti:
 
     def test_label_set_mismatch_rejected(self, banded_models):
         fisher = banded_models.fisher
-        crippled = dataclasses.replace(fisher, centroids=fisher.centroids[1:],
+        crippled = dataclasses.replace(fisher, gallery=fisher.gallery[1:],
                                        row_labels=fisher.row_labels[1:])
         with pytest.raises(DataError, match="label sets"):
             recognize_multi(banded_models.eigen, crippled, banded_models.bank,
@@ -187,6 +188,16 @@ class TestPolicyFile:
         with pytest.raises(DataError, match="unknown"):
             read_policy_file(path)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # a repeated key would otherwise override the written value unnoticed
+        path = tmp_path / "policy.cfg"
+        write_policy_file(path, self.POLICY, self.CONTEXT, "r.pgm")
+        text = path.read_text()
+        path.write_text(text + "tau_illum=0.0\n")
+        where = f"{path}:{len(text.splitlines()) + 1}: repeated policy key 'tau_illum'"
+        with pytest.raises(DataError, match=re.escape(where)):
+            read_policy_file(path)
+
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "policy.cfg"
         write_policy_file(path, self.POLICY, self.CONTEXT, "r.pgm")
@@ -218,8 +229,9 @@ def test_policy_file_parses_to_checked_values_or_is_data_error(tmp_path_factory,
                                                                extra):
     path = tmp_path_factory.getbasetemp() / "fuzzed_policy.cfg"
     write_policy_file(path, TestPolicyFile.POLICY, TestPolicyFile.CONTEXT, "r.pgm")
-    lines = path.read_text().splitlines() + extra
-    lines += [f"{key}={value}" for key, value in values.items()]  # the last one wins
+    lines = [line for line in path.read_text().splitlines()
+             if line.partition("=")[0] not in values] + extra
+    lines += [f"{key}={value}" for key, value in values.items()]  # each replaces the written one
     path.write_text("\n".join(lines) + "\n")
     try:
         policy, context, _ = read_policy_file(path)

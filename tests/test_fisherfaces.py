@@ -56,19 +56,19 @@ class TestTrainFisher:
         model = train_fisher(SAMPLES)
         assert model.m == 1
         assert model.eigenvalues[0] == pytest.approx(24.0, abs=1e-8)
-        direction = model.projection[:, 0]  # input-space direction, unit norm
+        direction = model.basis[:, 0]  # input-space direction, unit norm
         assert np.allclose(direction, np.array([2.0, 1.0]) / RT5, atol=1e-8)
         # centered projections of the class means: -(4)/sqrt(5) and +4/sqrt(5)
         assert model.row_labels == ("c1", "c2")
-        assert model.centroids[0, 0] == pytest.approx(-4.0 / RT5, abs=1e-8)
-        assert model.centroids[1, 0] == pytest.approx(4.0 / RT5, abs=1e-8)
+        assert model.gallery[0, 0] == pytest.approx(-4.0 / RT5, abs=1e-8)
+        assert model.gallery[1, 0] == pytest.approx(4.0 / RT5, abs=1e-8)
 
     def test_label_permutation_symmetry(self):
         relabeled = [("c2" if lb == "c1" else "c1", v) for lb, v in SAMPLES]
         base = train_fisher(SAMPLES)
         swapped = train_fisher(relabeled)
-        assert np.allclose(base.projection, swapped.projection, atol=1e-10)
-        assert np.allclose(base.centroids, swapped.centroids[::-1], atol=1e-10)
+        assert np.allclose(base.basis, swapped.basis, atol=1e-10)
+        assert np.allclose(base.gallery, swapped.gallery[::-1], atol=1e-10)
 
     def test_identical_classes_degenerate(self):
         samples = [("a", np.array([0.0, 1.0])), ("a", np.array([2.0, 3.0])),
@@ -145,20 +145,20 @@ class TestClassify:
 
     def test_centroid_preimage_has_zero_distance(self):
         model = train_fisher(SAMPLES)
-        w_input = model.projection  # D x 1, unit norm
-        preimage = model.mean + (w_input @ model.centroids[1]).reshape(-1)
+        w_input = model.basis  # D x 1, unit norm
+        preimage = model.mean + (w_input @ model.gallery[1]).reshape(-1)
         label, dist = classify(model, preimage)
         assert label == "c2" and dist <= 1e-8
 
     def test_tie_breaks_to_smallest_label(self):
-        model = FisherModel((1, 2), np.zeros(2), np.eye(2)[:, :1],
-                            np.array([[1.0], [-1.0]]), ("b", "a"), np.array([1.0]))
+        model = FisherModel((1, 2), np.zeros(2), np.eye(2)[:, :1], np.array([1.0]),
+                            np.array([[1.0], [-1.0]]), ("b", "a"))
         label, _ = classify(model, np.zeros(2))  # equidistant from both
         assert label == "a"
 
     def test_empty_model_rejected(self):
-        model = FisherModel((1, 2), np.zeros(2), np.eye(2)[:, :1],
-                            np.empty((0, 1)), (), np.array([1.0]))
+        model = FisherModel((1, 2), np.zeros(2), np.eye(2)[:, :1], np.array([1.0]),
+                            np.empty((0, 1)), ())
         with pytest.raises(DataError):
             classify(model, np.zeros(2))
 
@@ -171,7 +171,7 @@ class TestInvariants:
         model, pca = train_fisher_keeping_pca(samples)
         reduced = [(lb, pca.T @ (v - model.mean)) for lb, v in samples]
         pair = compute_scatter(reduced)
-        w1 = (pca.T @ model.projection)[:, 0]
+        w1 = (pca.T @ model.basis)[:, 0]
         best = (w1 @ pair.between @ w1) / (w1 @ pair.within @ w1)
         for _ in range(100):
             u = rng.normal(size=w1.size)
@@ -186,7 +186,7 @@ class TestInvariants:
         reduced = [(lb, pca.T @ (v - model.mean)) for lb, v in samples]
         pair = compute_scatter(reduced)
         scale = max(1.0, np.linalg.norm(pair.between))
-        fld = pca.T @ model.projection
+        fld = pca.T @ model.basis
         for k in range(model.m):
             resid = (pair.between @ fld[:, k]
                      - model.eigenvalues[k] * (pair.within @ fld[:, k]))

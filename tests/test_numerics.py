@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 import facelab
+from facelab.eigenfaces import EigenModel, train_eigen
 from facelab.errors import DataError, NumericError, SingularOrIndefinite
+from facelab.fisherfaces import FisherModel, train_fisher
 from facelab.numerics import (EPS_CUT_REL, affine_coords, affine_residual, cholesky, fix_signs,
                               gen_sym_eigen, scatter_pca, sym_eigen)
 
@@ -239,3 +242,49 @@ def test_facelab_loads_no_scipy():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert run.stdout == "[]\n"
+
+
+def _face_space(kind, gallery, row_labels):
+    """A hand-built model of either FaceSpace kind: 1 x 2 faces, a 1-column basis."""
+    thresholds = (0.5, 1.0) if kind is EigenModel else ()
+    return kind((1, 2), np.zeros(2), np.eye(2)[:, :1], np.array([1.0]), np.asarray(gallery),
+                row_labels, *thresholds)
+
+
+@pytest.mark.parametrize("kind", [EigenModel, FisherModel])
+@pytest.mark.parametrize("field", ["mean", "basis", "eigenvalues", "gallery"])
+def test_face_space_shape_mismatch_is_data_error(kind, field):
+    model = _face_space(kind, [[1.0], [2.0]], ("a", "b"))
+    wrong = {"mean": np.zeros(3), "basis": np.zeros((3, 1)), "eigenvalues": np.ones(2),
+             "gallery": np.zeros((2, 2))}[field]
+    with pytest.raises(DataError, match=f"{kind.__name__} {field} has shape"):
+        dataclasses.replace(model, **{field: wrong})
+
+
+@pytest.mark.parametrize("train", [lambda samples: train_eigen(samples, 1), train_fisher],
+                         ids=["eigen", "fisher"])
+def test_training_vectors_of_two_lengths_are_data_error(train):
+    samples = [("a", np.zeros(4)), ("a", np.ones(4)), ("b", np.zeros(5))]
+    with pytest.raises(DataError, match="dimension mismatch in class 'b': 5 != 4"):
+        train(samples)
+
+
+@pytest.mark.parametrize("kind", [EigenModel, FisherModel])
+def test_face_space_rows_come_back_sorted_by_label(kind):
+    model = _face_space(kind, [[3.0], [1.0], [2.0]], ("c", "a", "b"))
+    assert model.row_labels == ("a", "b", "c")
+    assert model.gallery[:, 0].tolist() == [1.0, 2.0, 3.0]
+    assert model.labels == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("kind", [EigenModel, FisherModel])
+def test_only_fisher_rejects_a_repeated_label(kind):
+    gallery, row_labels = [[2.0], [1.0], [0.0]], ("b", "a", "b")
+    if kind is FisherModel:
+        with pytest.raises(DataError, match="twice"):
+            _face_space(kind, gallery, row_labels)
+        return
+    model = _face_space(kind, gallery, row_labels)
+    assert model.row_labels == ("a", "b", "b")  # stable: b's rows keep their order
+    assert model.gallery[:, 0].tolist() == [1.0, 2.0, 0.0]
+    assert model.labels == ["a", "b"]
