@@ -1,17 +1,17 @@
 """Text-based model persistence.
 
-Container layout: magic line "FFM1", a "method" line, then named records
+Container layout: magic line "FFM2", a "method" line, then named records
 until "end". Arrays are written as `array <name> <rows> <cols>` followed by
-one line per row of decimal floats with 17 significant digits, which
-round-trips every finite 64-bit value bit-exactly. Files are written
-atomically (temp file + rename) and are diffable by design.
+one line per row: the row's little-endian IEEE-754 float64 bytes in lowercase
+hex, 16 digits per value, so every value round-trips bit-exactly. Scalars,
+ints, labels and dims stay decimal text. Files are written atomically (temp
+file + rename) and diff line by line, one array row per line; `facelab
+inspect` is the human-readable view.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
-from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import DataError
 from .fisherfaces import FisherModel
 from .hmm1d import BlockParams, HmmModel, KltBasis, SubjectBank, FEATURE_KLT, FEATURE_RAW
 
-MAGIC = "FFM1"
+MAGIC = "FFM2"
 
 
 def _fmt(x: float) -> str:
@@ -30,10 +30,9 @@ def _fmt(x: float) -> str:
 
 
 def _emit_array(lines: list[str], name: str, array: np.ndarray) -> None:
-    array = np.atleast_2d(np.asarray(array, dtype=np.float64))
+    array = np.atleast_2d(np.asarray(array, dtype="<f8"))
     lines.append(f"array {name} {array.shape[0]} {array.shape[1]}")
-    row_format = " ".join(["%.17g"] * array.shape[1])  # the same digits as _fmt
-    lines.extend(row_format % tuple(row) for row in array.tolist())
+    lines.extend(row.tobytes().hex() for row in array)
 
 
 def _emit_labels(lines: list[str], labels: list[str]) -> None:
@@ -94,14 +93,14 @@ def save_model(model, path: Path) -> None:
     lines.append("end")
     path = Path(path)
     payload = "\n".join(lines) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", suffix=".tmp")
+    tmp = Path(f"{path}.{os.urandom(4).hex()}.tmp")  # beside the target, even for "." or "/"
+    fh = open(tmp, "x", encoding="ascii")  # mode 0o666 less the umask, as for any new file
     try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
+        with fh:
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -145,17 +144,14 @@ class _Reader:
             raise DataError(f"{self.path}: truncated archive")
         block = self.lines[self.pos:self.pos + rows]
         self.pos += rows
-        out = None  # loadtxt skips blank lines, and warns on a block with no fields
-        if rows and cols and len(block[0].split()) == cols:
-            with suppress(ValueError):
-                out = np.loadtxt(block, dtype=np.float64, comments=None, ndmin=2)
-        if out is None or out.shape != (rows, cols):
-            for r, line in enumerate(block):
-                if len(line.split()) != cols:
-                    raise DataError(f"{self.path}: truncated section: array {name!r} row {r}")
-            if rows and cols:
-                raise DataError(f"{self.path}: malformed float in array {name!r}")
-            out = np.empty((rows, cols))
+        for r, line in enumerate(block):
+            if len(line) != 16 * cols:
+                raise DataError(f"{self.path}: truncated section: array {name!r} row {r}")
+        # fromhex skips whitespace between digit pairs, so the decoded length is checked too
+        try:
+            out = np.frombuffer(bytearray.fromhex("".join(block)), "<f8").reshape(rows, cols)
+        except ValueError:
+            raise DataError(f"{self.path}: malformed float in array {name!r}") from None
         if not np.all(np.isfinite(out)):
             raise DataError(f"{self.path}: non-finite value in array {name!r}")
         return out

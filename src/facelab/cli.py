@@ -7,6 +7,7 @@ Reports go to stdout as CSV unless --report is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -123,10 +124,11 @@ def _cmd_train(args) -> int:
     dims = manifest.dims
     entries = load_labeled_images(manifest)
     images = [(label, img) for label, _, img in entries]
-    vectors = [(label, flatten(img)) for label, img in images]
+    # flattened once, and only when the eigen or fisher trainer runs
+    vectors = functools.cache(lambda: [(label, flatten(img)) for label, img in images])
     trainers = {
-        "eigen": lambda: train_eigen(vectors, args.k, dims),
-        "fisher": lambda: train_fisher(vectors, dims),
+        "eigen": lambda: train_eigen(vectors(), args.k, dims),
+        "fisher": lambda: train_fisher(vectors(), dims),
         "hmm": lambda: train_bank(images, BlockParams(args.block_l, args.overlap, dims),
                                   args.states, args.klt_d, feature_mode=args.features),
     }

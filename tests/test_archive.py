@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import re
+import stat
+import struct
 import warnings
 
 import numpy as np
@@ -109,7 +112,7 @@ class TestFormat:
         path = tmp_path / "m.ffm"
         save_model(banded_models.eigen, path)
         body = path.read_text().splitlines()
-        body[0] = "FFM2"
+        body[0] = "FFM1"  # the decimal-row format: such archives must be trained again
         path.write_text("\n".join(body) + "\n")
         with pytest.raises(DataError, match="magic"):
             load_model(path)
@@ -128,9 +131,7 @@ class TestFormat:
         lines = path.read_text().splitlines()
         for i, line in enumerate(lines):
             if line.startswith("array mean"):
-                fields = lines[i + 1].split()
-                fields[0] = "nan"
-                lines[i + 1] = " ".join(fields)
+                lines[i + 1] = _NAN + lines[i + 1][16:]  # valid hex, not a finite value
                 break
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="non-finite"):
@@ -181,6 +182,18 @@ class TestFormat:
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_archive_mode_follows_the_umask(self, tmp_path, banded_models, umask):
+        old = os.umask(umask)
+        try:
+            save_model(banded_models.fisher, tmp_path / "m.ffm")
+            (tmp_path / "report.csv").write_text("x\n")
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "m.ffm").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "report.csv").stat().st_mode)
+        assert mode == 0o666 & ~umask
+
 
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
                 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e16]
@@ -195,7 +208,15 @@ def test_row_text_equals_per_value_format(array):
     archive._emit_array(lines, "x", array)
     rows = np.atleast_2d(array)
     assert lines[0] == f"array x {rows.shape[0]} {rows.shape[1]}"
-    assert lines[1:] == [" ".join(format(float(v), ".17g") for v in row) for row in rows]
+    assert lines[1:] == ["".join(_hex(v) for v in row) for row in rows]
+
+
+def _hex(*values):
+    """The row text of `values`: each one's little-endian IEEE-754 bytes in lowercase hex."""
+    return b"".join(struct.pack("<d", v) for v in values).hex()
+
+
+_NAN, _INF, _NEG_INF = _hex(np.nan), _hex(np.inf), _hex(-np.inf)
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +244,56 @@ def test_read_array_returns_the_written_bits(array_file, array):
     assert out.tobytes() == array.tobytes()
 
 
+# (kind, edit of one row's text at a position, message): each edit breaks the row
+_ROW_EDITS = [
+    ("odd", lambda row, at: row[:at] + row[at + 1:], "truncated section"),
+    ("non-hex", lambda row, at: row[:at] + "g" + row[at + 1:], "malformed float"),
+    ("byte short", lambda row, at: row[:at - at % 2] + row[at - at % 2 + 2:], "truncated section"),
+    ("byte long", lambda row, at: row[:at - at % 2] + "00" + row[at - at % 2:],
+     "truncated section"),
+    ("space inside", lambda row, at: row[:at] + " " + row[at + 1:], "malformed float"),
+    ("spaced pair", lambda row, at: row[:at - at % 2] + "  " + row[at - at % 2 + 2:],
+     "malformed float"),
+    ("nan", lambda row, at: row[:at - at % 16] + _NAN + row[at - at % 16 + 16:], "non-finite"),
+    ("inf", lambda row, at: row[:at - at % 16] + _INF + row[at - at % 16 + 16:], "non-finite"),
+    ("-inf", lambda row, at: row[:at - at % 16] + _NEG_INF + row[at - at % 16 + 16:],
+     "non-finite"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5),
+              elements=st.one_of(st.floats(width=64, allow_nan=False, allow_infinity=False),
+                                 *_EDGE_AND_INTEGRAL)),
+       st.integers(0, 10_000), st.integers(0, 10_000), st.sampled_from(_ROW_EDITS))
+def test_broken_hex_row_is_data_error(array_file, array, row, at, edit):
+    lines = []
+    archive._emit_array(lines, "x", array)
+    r = 1 + row % array.shape[0]
+    kind, change, message = edit
+    lines[r] = change(lines[r], at % len(lines[r]))
+    if kind in ("odd", "byte short", "byte long"):
+        message = f"truncated section: array 'x' row {r - 1}"
+    with pytest.raises(DataError, match=message):
+        _read_back(array_file, lines)
+
+
+@pytest.mark.parametrize("value, text", [
+    (-0.0, "0000000000000080"), (5e-324, "0100000000000000"), (-5e-324, "0100000000000080"),
+    (2.2250738585072009e-308, "ffffffffffff0f00"), (1.7976931348623157e308, "ffffffffffffef7f"),
+    (-1.7976931348623157e308, "ffffffffffffefff"), (0.1, "9a9999999999b93f"),
+])
+def test_edge_values_round_trip_bit_exactly(array_file, value, text):
+    lines = []
+    archive._emit_array(lines, "x", np.array([[value, 1.0]]))
+    assert lines == ["array x 1 2", text + "000000000000f03f"]
+    out = _read_back(array_file, lines)
+    assert out.tobytes() == struct.pack("<2d", value, 1.0)
+
+
+_ROW = _hex(1.0, 2.0)  # 32 digits: one row of a 2-column array
+
+
 @pytest.mark.parametrize("lines, shape", [(["array x 0 3"], (0, 3)),
                                           (["array x 2 0", "", ""], (2, 0)),
                                           (["array x 0 0"], (0, 0))])
@@ -231,20 +302,35 @@ def test_empty_array_records(array_file, lines, shape):
 
 
 @pytest.mark.parametrize("lines, message", [
-    (["array x 2 2", "1 2", "3 4 #"], "truncated section: array 'x' row 1"),  # '#' is no comment
-    (["array x 2 2", "# 2", "3 4"], "malformed float"),
-    (["array x 3 2", "1 2", "", "3 4"], "truncated section: array 'x' row 1"),
-    (["array x 3 2", "1 2", "", ""], "truncated section: array 'x' row 1"),
+    (["array x 2 2", _ROW, _ROW + "#"], "truncated section: array 'x' row 1"),  # no comments
+    (["array x 2 2", "#" + _ROW[1:], _ROW], "malformed float"),
+    (["array x 3 2", _ROW, "", _ROW], "truncated section: array 'x' row 1"),
+    (["array x 3 2", _ROW, "", ""], "truncated section: array 'x' row 1"),
     (["array x 2 2", " ", "\t"], "truncated section: array 'x' row 0"),
-    (["array x 3 2", "1 2 3", "4 5 6", "7 8 9"], "truncated section: array 'x' row 0"),
-    (["array x 2 2", "1 2", "3"], "truncated section: array 'x' row 1"),
-    (["array x 2 2", "1 2", "3 1_0"], "malformed float"),  # float() reads "1_0" as 10.0
-    (["array x 2 2", "1 2", "3 0x10"], "malformed float"),
-    (["array x 2 2", "1 2", "3 1,5"], "malformed float"),
-    (["array x 2 2", "1 2", "3 infinity"], "non-finite"),
-    (["array x 2 2", "1 2"], "truncated archive"),
-    (["array x 2 -2", "1 2"], "negative array shape"),
-    (["array x 2 two", "1 2", "3 4"], "malformed array header"),
+    (["array x 3 2", _hex(1, 2, 3), _hex(4, 5, 6), _hex(7, 8, 9)],
+     "truncated section: array 'x' row 0"),
+    (["array x 2 2", _ROW, _hex(3)], "truncated section: array 'x' row 1"),
+    (["array x 2 2", _ROW, _ROW[:-1] + "g"], "malformed float"),  # not a hex digit
+    (["array x 2 2", _ROW, "0x" + _ROW[2:]], "malformed float"),
+    (["array x 2 2", _ROW, _ROW[:15] + "," + _ROW[16:]], "malformed float"),
+    (["array x 2 2", _ROW, _hex(3) + _INF], "non-finite"),
+    (["array x 2 2", _ROW], "truncated archive"),
+    (["array x 2 -2", _ROW], "negative array shape"),
+    (["array x 2 two", _ROW, _ROW], "malformed array header"),
+    (["array x 1 1", _hex(1)[:-1]], "truncated section: array 'x' row 0"),  # odd length
+    (["array x 2 1", _hex(1)[:-1], _hex(2) + "0"], "truncated section: array 'x' row 0"),
+    (["array x 2 2", _ROW, _ROW[:-2]], "truncated section: array 'x' row 1"),  # a byte short
+    (["array x 2 2", _ROW, _ROW + "00"], "truncated section: array 'x' row 1"),  # a byte long
+    (["array x 2 2", _ROW, _ROW.upper()[:-1] + "G"], "malformed float"),
+    # the width holds, but fromhex skips the whitespace: the decoded length is short
+    (["array x 2 2", _ROW, _ROW[:2] + " " + _ROW[3:]], "malformed float"),
+    (["array x 2 2", _ROW, _ROW[:2] + "  " + _ROW[4:]], "malformed float"),
+    (["array x 2 2", _ROW, _ROW[:2] + "\t\t" + _ROW[4:]], "malformed float"),
+    (["array x 2 2", _ROW, " " * 16 + _ROW[16:]], "malformed float"),
+    (["array x 1 2", _hex(1) + " " * 16], "malformed float"),
+    (["array x 2 2", _ROW, _hex(3) + _NAN], "non-finite"),
+    (["array x 2 2", _ROW, _hex(3) + "010000000000f07f"], "non-finite"),  # signalling NaN
+    (["array x 2 2", _NEG_INF + _hex(2), _ROW], "non-finite"),
 ])
 def test_malformed_array_records(array_file, lines, message):
     with pytest.raises(DataError, match=message):
@@ -262,7 +348,8 @@ def test_saved_arrays_equal_per_value_floats(tmp_path, banded_models, which):
         _, name, rows, cols = reader.lines[at].split()
         reader.pos = at
         out = reader.read_array(name)
-        expected = [np.array(list(map(float, line.split())))
+        expected = [np.array([struct.unpack("<d", bytes.fromhex(line[i:i + 16]))[0]
+                              for i in range(0, len(line), 16)])
                     for line in reader.lines[at + 1:at + 1 + int(rows)]]
         assert out.shape == (int(rows), int(cols))
         assert [row.tobytes() for row in out] == [row.tobytes() for row in expected]
@@ -309,11 +396,12 @@ def test_face_space_archive_text(tmp_path, method):
                  np.array([[0.1], [-2.0]]), ("b", "a"), *thresholds)
     path = tmp_path / f"{method}.ffm"
     save_model(model, path)
-    assert path.read_text(encoding="ascii") == (
-        f"FFM1\nmethod {method}\ndims 1 2\n{scalars}"
-        f"array mean 1 2\n1 2.5\narray eigenvalues 1 1\n24\n"
-        f"array {basis} 2 1\n0.59999999999999998\n0.80000000000000004\n"
-        f"labels 2 a b\narray {gallery} 2 1\n-2\n0.10000000000000001\nend\n")
+    assert path.read_text(encoding="ascii") == (  # mean [1, 2.5], basis [0.6, 0.8], ...
+        f"FFM2\nmethod {method}\ndims 1 2\n{scalars}"
+        f"array mean 1 2\n000000000000f03f0000000000000440\n"
+        f"array eigenvalues 1 1\n0000000000003840\n"
+        f"array {basis} 2 1\n333333333333e33f\n9a9999999999e93f\n"
+        f"labels 2 a b\narray {gallery} 2 1\n00000000000000c0\n9a9999999999b93f\nend\n")
 
 
 def _repeat_first_label(lines):
@@ -353,13 +441,17 @@ def tiny_archives(tmp_path_factory):
 
 _TOKENS = st.one_of(st.sampled_from(["0", "1", "-1", "2", "9999999999999", "nan", "inf",
                                      "1e400", "s0", "s9", "array", "labels", "end", "",
-                                     "1_0", "infinity", "+1", "1e-400", "0x10", "#", "1,5"]),
-                    st.text(st.characters(min_codepoint=33, max_codepoint=126), max_size=4))
+                                     "1_0", "infinity", "+1", "1e-400", "0x10", "#", "1,5",
+                                     "FFM1", _NAN, _INF, _NEG_INF, _hex(-0.0), _hex(5e-324),
+                                     _hex(1.7976931348623157e308), _hex(-1.0), "g", " ",
+                                     "  ", "00", "0" * 15, "0" * 17]),
+                    st.text(st.characters(min_codepoint=33, max_codepoint=126), max_size=4),
+                    st.text("0123456789abcdef", min_size=16, max_size=16))
 
 
 @settings(max_examples=150, deadline=None)
 @given(which=st.integers(0, 2), line=st.integers(0, 10_000), token=st.integers(0, 10_000),
-       kind=st.sampled_from(["delete", "duplicate", "replace"]), new=_TOKENS)
+       kind=st.sampled_from(["delete", "duplicate", "replace", "overwrite"]), new=_TOKENS)
 def test_mutated_archive_loads_consistently_or_is_data_error(tiny_archives, which, line,
                                                             token, kind, new):
     path, texts = tiny_archives
@@ -369,6 +461,10 @@ def test_mutated_archive_loads_consistently_or_is_data_error(tiny_archives, whic
         del lines[at]
     elif kind == "duplicate":
         lines.insert(at, lines[at])
+    elif kind == "overwrite":  # in place; a 16-digit token lands on one whole value
+        start = token % max(len(lines[at]), 1)
+        start -= start % 16 if len(new) == 16 else 0
+        lines[at] = lines[at][:start] + new + lines[at][start + len(new):]
     else:
         fields = lines[at].split() or [""]
         fields[token % len(fields)] = new

@@ -3,7 +3,7 @@ import shutil
 import numpy as np
 import pytest
 
-from facelab import synth
+from facelab import cli, synth
 from facelab.archive import load_model
 from facelab.cli import main
 from facelab.dataset import GrayImage, load_pgm_file, write_pgm
@@ -390,6 +390,49 @@ def trained_all(banded_dir, tmp_path_factory):
     return models
 
 
+def _first_mean_row(edit):
+    def apply(lines):
+        at = next(i for i, line in enumerate(lines) if line.startswith("array mean ")) + 1
+        lines[at] = edit(lines[at])
+    return apply
+
+
+_NAN, _INF = "000000000000f87f", "000000000000f07f"  # little-endian IEEE-754 bit patterns
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines.__setitem__(0, "FFM1"),  # the decimal-row format: train again
+    _first_mean_row(lambda row: row[:-1]),  # odd width
+    _first_mean_row(lambda row: row + "00"),  # a byte long
+    _first_mean_row(lambda row: "g" + row[1:]),
+    _first_mean_row(lambda row: row[:2] + " " + row[3:]),  # fromhex would skip the space
+    _first_mean_row(lambda row: _NAN + row[16:]),
+    _first_mean_row(lambda row: row[:16] + _INF + row[32:]),
+], ids=["ffm1", "odd_width", "byte_long", "non_hex", "space_inside", "nan", "inf"])
+def test_broken_hex_archive_is_data_error(trained_all, banded_dir, tmp_path, capsys, edit):
+    model = tmp_path / "eigen.ffm"
+    model.write_text((trained_all / "eigen.ffm").read_text())
+    _rewrite(model, edit)
+    probe = sorted((banded_dir / "s01").glob("*.pgm"))[0]
+    capsys.readouterr()
+    for argv in (["inspect", "--model", str(model)],
+                 ["recognize", "--model", str(model), "--image", str(probe)],
+                 ["evaluate", "--model", str(model), "--dataset", str(banded_dir)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error:") and captured.err.count("\n") == 1
+
+
+def test_hmm_training_flattens_no_image(banded_dir, tmp_path, monkeypatch):
+    # the HMM trainer reads the images; only eigen and fisher read flattened vectors
+    def refuse(image):
+        raise AssertionError("flatten called")
+    monkeypatch.setattr(cli, "flatten", refuse)
+    assert main(["train", "--method", "hmm", "--dataset", str(banded_dir),
+                 "--out", str(tmp_path / "hmm.ffm")]) == 0
+
+
 @pytest.mark.parametrize("setting", ["mean_sigma=0", "asym_sigma=0", "tau_illum=nan",
                                      "mean_sigma=-1", "resid_p99=nan"])
 def test_bad_policy_value_is_data_error(trained_all, banded_dir, tmp_path, capsys, setting):
@@ -424,8 +467,10 @@ def test_policy_file_not_utf8_is_data_error(trained_all, banded_dir, tmp_path, c
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("case", ["train_out", "report", "all_out_is_file"])
-def test_unusable_output_path_is_data_error(trained_all, banded_dir, tmp_path, capsys, case):
+@pytest.mark.parametrize("case", ["train_out", "report", "all_out_is_file", "train_out_is_cwd"])
+def test_unusable_output_path_is_data_error(trained_all, banded_dir, tmp_path, capsys,
+                                            monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
     missing = tmp_path / "missing"
     afile = tmp_path / "afile"
     afile.write_text("")
@@ -436,11 +481,14 @@ def test_unusable_output_path_is_data_error(trained_all, banded_dir, tmp_path, c
                     "--dataset", str(banded_dir), "--report", str(missing / "r.csv")], missing),
         "all_out_is_file": (["train", "--method", "all", "--dataset", str(banded_dir),
                              "--out", str(afile)], afile),
+        "train_out_is_cwd": (["train", "--method", "fisher", "--dataset", str(banded_dir),
+                              "--out", "."], "'.'"),
     }[case]
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(path) in err and err.count("\n") == 1
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
