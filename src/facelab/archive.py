@@ -94,14 +94,17 @@ def save_model(model, path: Path) -> None:
     path = Path(path)
     payload = "\n".join(lines) + "\n"
     tmp = Path(f"{path}.{os.urandom(4).hex()}.tmp")  # beside the target, even for "." or "/"
-    fh = open(tmp, "x", encoding="ascii")  # mode 0o666 less the umask, as for any new file
     try:
-        with fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fh = open(tmp, "x", encoding="ascii")  # mode 0o666 less the umask, as for any new file
+        try:
+            with fh:
+                fh.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:  # name the target, not the temporary file beside it
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 class _Reader:

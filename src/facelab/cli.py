@@ -80,8 +80,6 @@ def _build_parser() -> _Parser:
     p_train.add_argument("--klt-d", type=int, default=hmm1d.DEFAULT_KLT_DIM)
     p_train.add_argument("--features", choices=[hmm1d.FEATURE_KLT, hmm1d.FEATURE_RAW],
                          default=hmm1d.FEATURE_KLT)
-    p_train.add_argument("--frontal-ref", type=Path, default=None,
-                         help="representative frontal image (--method all only)")
     p_train.set_defaults(func=_cmd_train)
 
     p_rec = sub.add_parser("recognize", help="classify one image")
@@ -116,8 +114,6 @@ def _build_parser() -> _Parser:
 def _cmd_train(args) -> int:
     if args.method == "all" and args.features == hmm1d.FEATURE_RAW:
         raise _UsageError("--method all needs --features klt to profile occlusion")
-    if args.frontal_ref is not None and args.method != "all":
-        raise _UsageError("--frontal-ref applies to --method all only")
     manifest = scan_dataset(args.dataset)
     if args.split is not None:
         manifest, _ = split(manifest, args.split[0])
@@ -141,22 +137,13 @@ def _cmd_train(args) -> int:
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     models = {method: train() for method, train in trainers.items()}
-    train_images = [img for _, img in images]
-    residuals = [dispatcher.block_residuals(models["hmm"], img) for img in train_images]
-    context = dispatcher.calibrate_context(train_images, residuals)
-    if args.frontal_ref is not None:
-        ref_path = args.frontal_ref
-        ref_image = check_dims(load_pgm_file(ref_path), dims, "frontal reference")
-    else:
-        idx = dispatcher.frontal_ref_index(train_images, context)
-        ref_path = entries[idx][1]
-        ref_image = entries[idx][2]
-    frontal = flatten(ref_image)
-    policy = dispatcher.calibrate_policy(train_images, models["eigen"], frontal, residuals,
-                                         context)
+    policy, context, ref = dispatcher.calibrate([img for _, img in images], models["eigen"],
+                                                models["hmm"])
     for method, model in models.items():
         save_model(model, out_dir / f"{method}.ffm")
-    dispatcher.write_policy_file(out_dir / "policy.cfg", policy, context, str(ref_path))
+    # absolute, so recognize --multi finds the reference from any working directory
+    dispatcher.write_policy_file(out_dir / "policy.cfg", policy, context,
+                                 str(entries[ref][1].absolute()))
     print(f"saved,all,{out_dir}")
     return EXIT_OK
 
@@ -205,10 +192,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_assess(args) -> int:
-    eigen, _, bank, frontal, policy, context = _load_dispatch(args.models, args.policy)
-    image = load_pgm_file(args.image)
-    prof = dispatcher.profile(image, eigen, frontal, bank, context)
-    method = dispatcher.select(prof, policy)
+    method, _, prof = dispatcher.recognize_multi(*_load_dispatch(args.models, args.policy),
+                                                 load_pgm_file(args.image))
     print(f"pose_deviation,{format(prof.pose_deviation, '.17g')}")
     print(f"illumination_deviation,{format(prof.illumination_deviation, '.17g')}")
     print(f"occlusion_degree,{format(prof.occlusion_degree, '.17g')}")

@@ -68,11 +68,8 @@ class DispatchPolicy:
     tau_illum: float
     tau_pose: float
     tau_occl: float
-    default_method: str = METHOD_EIGEN
 
     def __post_init__(self):
-        if self.default_method not in METHODS:
-            raise DataError(f"unknown method {self.default_method!r}")
         for name in ("tau_illum", "tau_pose", "tau_occl"):
             if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0.0):
                 raise DataError(f"{name} must be finite and non-negative")
@@ -137,7 +134,7 @@ def select(prof: ImageProfile, policy: DispatchPolicy) -> str:
     """Fixed-priority routing; a total function of (profile, policy).
 
     Strong illumination or occlusion go to the fisherface model, large pose
-    deviation to the HMM, anything else to the policy default.
+    deviation to the HMM, anything else to the eigenface model.
     """
     if prof.illumination_deviation > policy.tau_illum:
         return METHOD_FISHER
@@ -145,14 +142,7 @@ def select(prof: ImageProfile, policy: DispatchPolicy) -> str:
         return METHOD_FISHER
     if prof.pose_deviation > policy.tau_pose:
         return METHOD_HMM
-    return policy.default_method
-
-
-def frontal_ref_index(train_images: list[GrayImage], context: ProfileContext) -> int:
-    """Pick the most representative frontal face: minimal illumination score,
-    the first one on ties (0 for no images)."""
-    return min(range(len(train_images)), default=0,
-               key=lambda i: _illumination(train_images[i], context))
+    return METHOD_EIGEN
 
 
 def calibrate_policy(train_images: list[GrayImage], eigen: eigenfaces.EigenModel,
@@ -166,6 +156,19 @@ def calibrate_policy(train_images: list[GrayImage], eigen: eigenfaces.EigenModel
     pose, illum, occl = (float(np.percentile(values, POLICY_PERCENTILE))
                          for values in zip(*map(astuple, profiles)))
     return DispatchPolicy(tau_illum=illum, tau_pose=pose, tau_occl=occl)
+
+
+def calibrate(train_images: list[GrayImage], eigen: eigenfaces.EigenModel,
+              bank: hmm1d.SubjectBank) -> tuple[DispatchPolicy, ProfileContext, int]:
+    """(policy, context, index of the frontal reference) from clean training
+    images. The reference is the most representative frontal face: the least
+    illumination score, the first one on ties."""
+    residuals = [block_residuals(bank, img) for img in train_images]
+    context = calibrate_context(train_images, residuals)
+    ref = min(range(len(train_images)), key=lambda i: _illumination(train_images[i], context))
+    policy = calibrate_policy(train_images, eigen, flatten(train_images[ref]), residuals,
+                              context)
+    return policy, context, ref
 
 
 def recognize_multi(
@@ -189,9 +192,8 @@ def recognize_multi(
 
 
 def _parse_fields(cls, values: dict[str, str]):
-    """cls from the policy file values of its fields: str fields bare, the rest floats."""
-    return cls(**{f.name: values[f.name] if f.type == "str" else float(values[f.name])
-                  for f in fields(cls)})
+    """cls from the policy file values of its float fields."""
+    return cls(**{f.name: float(values[f.name]) for f in fields(cls)})
 
 
 def write_policy_file(path: Path, policy: DispatchPolicy, context: ProfileContext,

@@ -56,14 +56,10 @@ def banded_models(banded):
     fisher = train_fisher(vectors, BANDED_DIMS)
     bank = train_bank(images, BlockParams(10, 9, BANDED_DIMS), n_states=5, klt_dim=10)
     train_images = [im for _, im in images]
-    residuals = [dispatcher.block_residuals(bank, im) for im in train_images]
-    context = dispatcher.calibrate_context(train_images, residuals)
-    ref_idx = dispatcher.frontal_ref_index(train_images, context)
-    frontal = flatten(train_images[ref_idx])
-    policy = dispatcher.calibrate_policy(train_images, eigen, frontal, residuals, context)
+    policy, context, ref_idx = dispatcher.calibrate(train_images, eigen, bank)
     return SimpleNamespace(
         eigen=eigen, fisher=fisher, bank=bank, context=context, policy=policy,
-        frontal=frontal, frontal_idx=ref_idx, train_images=train_images,
+        frontal=flatten(train_images[ref_idx]), frontal_idx=ref_idx, train_images=train_images,
     )
 
 

@@ -290,7 +290,7 @@ def test_criterion_8_dispatcher_behavior(banded, banded_models):
         assert prof.pose_deviation <= 1e-8
 
         zero = dispatcher.ImageProfile(0.0, 0.0, 0.0)
-        assert dispatcher.select(zero, m.policy) == m.policy.default_method
+        assert dispatcher.select(zero, m.policy) == dispatcher.METHOD_EIGEN
 
         for gx, gy, off in ((120.0, 0.0, 0.0), (80.0, 80.0, 30.0), (150.0, 0.0, -20.0)):
             probe = synth.add_ramp(banded.test_entries[0][2], gx, gy, off)

@@ -1,4 +1,6 @@
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,17 +147,13 @@ def test_multi_without_policy_is_usage_error(banded_dir, tmp_path, capsys):
     assert rc == 1
 
 
-@pytest.mark.parametrize("case", ["all_raw", "frontal_ref_eigen", "frontal_ref_fisher",
-                                  "frontal_ref_hmm", "policy_without_multi"])
+@pytest.mark.parametrize("case", ["all_raw", "policy_without_multi"])
 def test_flag_that_cannot_take_effect_is_usage_error(banded_dir, tmp_path, capsys, case):
     missing = tmp_path / "missing.pgm"
     out = tmp_path / "out"
     train = ["train", "--dataset", str(banded_dir), "--out", str(out), "--method"]
     argv = {
         "all_raw": train + ["all", "--features", "raw"],
-        "frontal_ref_eigen": train + ["eigen", "--frontal-ref", str(missing)],
-        "frontal_ref_fisher": train + ["fisher", "--frontal-ref", str(missing)],
-        "frontal_ref_hmm": train + ["hmm", "--frontal-ref", str(missing)],
         "policy_without_multi": ["recognize", "--model", str(out), "--policy", str(missing),
                                  "--image", str(missing)],
     }[case]
@@ -167,18 +165,82 @@ def test_flag_that_cannot_take_effect_is_usage_error(banded_dir, tmp_path, capsy
     assert list(tmp_path.iterdir()) == []  # rejected before anything is read or written
 
 
-def test_train_all_with_explicit_frontal_ref(banded_dir, tmp_path, capsys):
+def test_frontal_ref_flag_is_usage_error(banded_dir, tmp_path, capsys):
+    # the frontal reference is always chosen from the training images
     ref = sorted((banded_dir / "s01").glob("*.pgm"))[0]
-    models = tmp_path / "models"
     assert main(["train", "--method", "all", "--dataset", str(banded_dir),
-                 "--out", str(models), "--k", "12", "--frontal-ref", str(ref)]) == 0
-    policy_text = (models / "policy.cfg").read_text()
-    assert f"frontal_ref={ref}" in policy_text
+                 "--out", str(tmp_path / "models"), "--frontal-ref", str(ref)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first, usage = captured.err.splitlines()
+    assert first.startswith("usage error:") and "--frontal-ref" in first
+    assert usage.startswith("usage: facelab")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_frontal_ref_is_found_from_another_directory(banded_dir, tmp_path, capsys,
+                                                     monkeypatch):
+    models = tmp_path / "models"
+    monkeypatch.chdir(banded_dir.parent)
+    assert main(["train", "--method", "all", "--dataset", banded_dir.name,
+                 "--out", str(models), "--k", "12"]) == 0
+    ref = next(line.partition("=")[2] for line in (models / "policy.cfg").read_text().splitlines()
+               if line.startswith("frontal_ref="))
+    assert Path(ref).is_absolute()
+    monkeypatch.chdir(tmp_path)  # where the dataset's relative path names nothing
+    probe = sorted((banded_dir / "s02").glob("*.pgm"))[0]
     capsys.readouterr()
+    assert main(["recognize", "--model", str(models), "--policy", str(models / "policy.cfg"),
+                 "--multi", "--image", str(probe)]) == 0
+    assert capsys.readouterr().out.strip().split(",")[2] == "s02"
     assert main(["assess", "--models", str(models), "--policy",
-                 str(models / "policy.cfg"), "--image", str(ref)]) == 0
-    out = capsys.readouterr().out
-    assert "pose_deviation,0\n" in out  # the reference itself has zero pose
+                 str(models / "policy.cfg"), "--image", ref]) == 0
+    assert "pose_deviation,0\n" in capsys.readouterr().out  # the reference has zero pose
+
+
+def test_assess_on_label_mismatched_models_is_data_error(trained_all, banded_dir, tmp_path,
+                                                         capsys):
+    models = tmp_path / "models"
+    shutil.copytree(trained_all, models)
+    subset = tmp_path / "subset"
+    for subject in ("s01", "s02", "s03"):
+        shutil.copytree(banded_dir / subject, subset / subject)
+    assert main(["train", "--method", "fisher", "--dataset", str(subset),
+                 "--out", str(models / "fisher.ffm")]) == 0
+    probe = sorted((banded_dir / "s01").glob("*.pgm"))[0]
+    capsys.readouterr()
+    for argv in (["recognize", "--model", str(models), "--multi"],
+                 ["assess", "--models", str(models)]):
+        assert main(argv + ["--policy", str(models / "policy.cfg"), "--image", str(probe)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "data error: models were trained on different label sets\n"
+
+
+def test_policy_with_default_method_is_data_error(trained_all, banded_dir, tmp_path, capsys):
+    # written before select always fell back to eigen: train again
+    policy = tmp_path / "policy.cfg"
+    policy.write_text("default_method=eigen\n" + (trained_all / "policy.cfg").read_text())
+    probe = sorted((banded_dir / "s01").glob("*.pgm"))[0]
+    capsys.readouterr()
+    for argv in (["recognize", "--model", str(trained_all), "--multi"],
+                 ["assess", "--models", str(trained_all)]):
+        assert main(argv + ["--policy", str(policy), "--image", str(probe)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: {policy}:1: unknown policy key 'default_method'\n"
+
+
+def test_readme_cli_examples_parse():
+    # every facelab command of the README's CLI usage block, continuations joined
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("facelab ")]
+    assert {argv[0] for argv in commands} == {"train", "recognize", "evaluate", "assess",
+                                             "inspect"}
+    for argv in commands:
+        cli._build_parser().parse_args(argv)  # a _UsageError names the bad flag
 
 
 def test_single_recognize_prints_prediction(banded_dir, tmp_path, capsys):
@@ -467,13 +529,16 @@ def test_policy_file_not_utf8_is_data_error(trained_all, banded_dir, tmp_path, c
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("case", ["train_out", "report", "all_out_is_file", "train_out_is_cwd"])
+@pytest.mark.parametrize("case", ["train_out", "report", "all_out_is_file", "train_out_is_cwd",
+                                  "train_out_is_dir"])
 def test_unusable_output_path_is_data_error(trained_all, banded_dir, tmp_path, capsys,
                                             monkeypatch, case):
     monkeypatch.chdir(tmp_path)
     missing = tmp_path / "missing"
     afile = tmp_path / "afile"
     afile.write_text("")
+    adir = tmp_path / "adir"
+    adir.mkdir()
     argv, path = {
         "train_out": (["train", "--method", "eigen", "--dataset", str(banded_dir), "--k", "12",
                        "--out", str(missing / "eigen.ffm")], missing),
@@ -483,11 +548,14 @@ def test_unusable_output_path_is_data_error(trained_all, banded_dir, tmp_path, c
                              "--out", str(afile)], afile),
         "train_out_is_cwd": (["train", "--method", "fisher", "--dataset", str(banded_dir),
                               "--out", "."], "'.'"),
+        "train_out_is_dir": (["train", "--method", "eigen", "--dataset", str(banded_dir),
+                              "--k", "12", "--out", str(adir)], f"'{adir}'"),
     }[case]
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(path) in err and err.count("\n") == 1
+    assert ".tmp" not in err  # the target is named, not the temporary file beside it
     assert not list(tmp_path.rglob("*.tmp"))
 
 

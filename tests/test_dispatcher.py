@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from facelab import synth
 from facelab.dataset import GrayImage, flatten
-from facelab.dispatcher import (METHOD_EIGEN, METHOD_FISHER, METHOD_HMM, METHODS,
+from facelab.dispatcher import (METHOD_EIGEN, METHOD_FISHER, METHOD_HMM,
                                 DispatchPolicy, ImageProfile, ProfileContext,
-                                block_residuals, calibrate_context, frontal_ref_index,
-                                profile, read_policy_file, recognize_multi, select,
-                                write_policy_file)
+                                _illumination, block_residuals, calibrate,
+                                calibrate_context, profile, read_policy_file,
+                                recognize_multi, select, write_policy_file)
 from facelab.errors import DataError
 
 
@@ -53,8 +53,7 @@ class TestProfile:
 
 
 class TestSelect:
-    POLICY = DispatchPolicy(tau_illum=1.0, tau_pose=1.0, tau_occl=0.5,
-                            default_method=METHOD_EIGEN)
+    POLICY = DispatchPolicy(tau_illum=1.0, tau_pose=1.0, tau_occl=0.5)
 
     def test_zero_profile_selects_default(self):
         assert select(ImageProfile(0.0, 0.0, 0.0), self.POLICY) == METHOD_EIGEN
@@ -87,10 +86,6 @@ class TestSelect:
             for illum in np.linspace(1.01, 10.0, 7):
                 assert select(ImageProfile(pose, illum, occl), self.POLICY) == METHOD_FISHER
 
-    def test_unknown_default_rejected(self):
-        with pytest.raises(DataError):
-            DispatchPolicy(1.0, 1.0, 1.0, default_method="nope")
-
 
 class TestCalibration:
     def test_taus_cover_most_training_profiles(self, banded_models):
@@ -103,8 +98,15 @@ class TestCalibration:
         assert covered >= int(0.8 * len(banded_models.train_images))
 
     def test_frontal_ref_is_least_deviant(self, banded_models):
-        idx = frontal_ref_index(banded_models.train_images, banded_models.context)
-        assert 0 <= idx < len(banded_models.train_images)
+        images, context = banded_models.train_images, banded_models.context
+        scores = [_illumination(img, context) for img in images]
+        assert scores[banded_models.frontal_idx] == min(scores)
+
+    def test_duplicated_frontal_ref_resolves_to_first_copy(self, banded_models):
+        # every image twice: each score ties with its copy's, and the first copy wins
+        images = banded_models.train_images
+        _, _, ref = calibrate(images + images, banded_models.eigen, banded_models.bank)
+        assert ref == banded_models.frontal_idx
 
     def test_context_requires_images(self):
         with pytest.raises(DataError):
@@ -162,8 +164,7 @@ class TestRecognizeMulti:
 class TestPolicyFile:
     CONTEXT = ProfileContext(mean_mu=130.0, mean_sigma=2.5, asym_sigma=0.75,
                              resid_p99=140.25)
-    POLICY = DispatchPolicy(tau_illum=4.5, tau_pose=2200.0, tau_occl=0.04,
-                            default_method=METHOD_EIGEN)
+    POLICY = DispatchPolicy(tau_illum=4.5, tau_pose=2200.0, tau_occl=0.04)
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "policy.cfg"
@@ -213,7 +214,7 @@ class TestPolicyFile:
             read_policy_file(path)
 
 
-_POLICY_KEYS = ["tau_illum", "tau_pose", "tau_occl", "default_method", "frontal_ref",
+_POLICY_KEYS = ["tau_illum", "tau_pose", "tau_occl", "frontal_ref",
                 "mean_mu", "mean_sigma", "asym_sigma", "resid_p99"]
 _POLICY_VALUES = st.one_of(
     st.floats().map(repr),
@@ -239,6 +240,5 @@ def test_policy_file_parses_to_checked_values_or_is_data_error(tmp_path_factory,
         return
     taus = (policy.tau_illum, policy.tau_pose, policy.tau_occl)
     assert all(np.isfinite(t) and t >= 0.0 for t in taus)
-    assert policy.default_method in METHODS
     assert all(np.isfinite(v) for v in dataclasses.astuple(context))
     assert context.mean_sigma > 0.0 and context.asym_sigma > 0.0
