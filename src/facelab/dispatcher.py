@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import eigenfaces, fisherfaces, hmm1d
-from .dataset import GrayImage, flatten
+from .dataset import GrayImage, check_dims, flatten
 from .errors import DataError
-from .numerics import affine_residual
+from .numerics import affine_coords, check_face
 
 METHOD_EIGEN = "eigen"
 METHOD_FISHER = "fisher"
@@ -85,11 +85,36 @@ def _half_asymmetry(image: GrayImage) -> float:
 
 
 def block_residuals(bank: hmm1d.SubjectBank, image: GrayImage) -> np.ndarray:
-    """Per-block distance to the KLT subspace."""
+    """Per-block distance to the KLT subspace, taken from the image's pixel rows.
+
+    For block t of rows x[t*s + r], r < L, stride s, and the KLT mean mu and
+    basis rows B cut into L row slices mu_r and B_r, the distance is
+    r_t^2 = |b_t - mu|^2 - |(b_t - mu) B^T|^2, clamped at 0. One product of
+    the pixel rows with every [mu_r | B_r] gives b_t . mu and b_t B^T as L
+    strided row sums, as hmm1d.fit_klt sums its lagged row products, and a
+    cumulative sum of row norms gives |b_t|^2; the blocks are never stacked.
+    It agrees with numerics.affine_residual of hmm1d.extract_blocks to within
+    1e-9 relative; the identity cancels where a residual is small next to
+    |b_t - mu|.
+    """
     if bank.klt is None:
         raise DataError("occlusion profiling requires a KLT-based bank")
-    blocks = hmm1d.extract_blocks(image, bank.params)
-    return affine_residual(blocks, bank.klt.mean, bank.klt.basis.T)[1]
+    params = bank.params
+    pixels = check_dims(image, params.image_dims).pixels
+    height, stride, width = params.height, params.stride, params.image_dims[1]
+    mean, basis = bank.klt.mean, bank.klt.basis
+    frame = np.concatenate([mean[None], basis]).reshape(-1, height, width)  # (1+d) x L x W
+    products = (pixels @ frame.transpose(2, 1, 0).reshape(width, -1)).reshape(
+        -1, height, len(frame))  # products[j, r] = x[j] . [mu_r | B_r]
+    span = (params.block_count - 1) * stride + 1  # from row r of the first block to the last's
+    sums = products[:span:stride, 0].copy()
+    for r in range(1, height):
+        sums += products[r:r + span:stride, r]  # row t: [b_t . mu | b_t B^T]
+    cum_norms = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", pixels, pixels))])
+    block_norms = cum_norms[height:height + span:stride] - cum_norms[:span:stride]
+    coords = sums[:, 1:] - basis @ mean
+    squared = block_norms - 2.0 * sums[:, 0] + mean @ mean - np.einsum("ij,ij->i", coords, coords)
+    return np.sqrt(np.maximum(squared, 0.0))
 
 
 def calibrate_context(train_images: list[GrayImage],
@@ -114,11 +139,14 @@ def _illumination(image: GrayImage, context: ProfileContext) -> float:
             + _half_asymmetry(image) / context.asym_sigma)
 
 
-def _profile(image: GrayImage, eigen: eigenfaces.EigenModel, ref_weights: np.ndarray,
+def _profile(image: GrayImage, eigen: eigenfaces.EigenModel, frontal_ref: np.ndarray,
              residuals: np.ndarray, context: ProfileContext) -> ImageProfile:
-    """profile, given the frontal reference's eigen weights and the image's
-    block residuals."""
-    pose = float(np.linalg.norm(eigenfaces.project(eigen, flatten(image)) - ref_weights))
+    """profile, given the frontal reference as a checked face vector and the
+    image's block residuals. The pose term is the norm of the probe's weights
+    less the reference's, U^T (x - mean) - U^T (ref - mean) = U^T (x - ref):
+    one projection."""
+    face = check_face(image.pixels, eigen.mean)
+    pose = float(np.linalg.norm(affine_coords(face, frontal_ref, eigen.basis)))
     occlusion = float(np.mean(residuals > context.resid_p99))
     return ImageProfile(pose, _illumination(image, context), occlusion)
 
@@ -126,7 +154,7 @@ def _profile(image: GrayImage, eigen: eigenfaces.EigenModel, ref_weights: np.nda
 def profile(image: GrayImage, eigen: eigenfaces.EigenModel, frontal_ref: np.ndarray,
             bank: hmm1d.SubjectBank, context: ProfileContext) -> ImageProfile:
     """Measure pose, illumination and occlusion properties of a probe."""
-    return _profile(image, eigen, eigenfaces.project(eigen, frontal_ref),
+    return _profile(image, eigen, check_face(frontal_ref, eigen.mean),
                     block_residuals(bank, image), context)
 
 
@@ -149,9 +177,10 @@ def calibrate_policy(train_images: list[GrayImage], eigen: eigenfaces.EigenModel
                      frontal_ref: np.ndarray, residuals: list[np.ndarray],
                      context: ProfileContext) -> DispatchPolicy:
     """Thresholds at the POLICY_PERCENTILE of clean-training profiles; residuals
-    holds each training image's block_residuals, as given to calibrate_context."""
-    ref_weights = eigenfaces.project(eigen, frontal_ref)
-    profiles = [_profile(img, eigen, ref_weights, resids, context)
+    holds each training image's block_residuals, as given to calibrate_context,
+    and frontal_ref is the reference face vector that every pose is taken from."""
+    frontal_ref = check_face(frontal_ref, eigen.mean)
+    profiles = [_profile(img, eigen, frontal_ref, resids, context)
                 for img, resids in zip(train_images, residuals, strict=True)]
     pose, illum, occl = (float(np.percentile(values, POLICY_PERCENTILE))
                          for values in zip(*map(astuple, profiles)))
@@ -185,7 +214,7 @@ def recognize_multi(
         raise DataError("models were trained on different label sets")
     if not eigen.dims == fisher.dims == bank.dims:
         raise DataError("models were trained on different image dimensions")
-    prof = profile(image, eigen, frontal_ref, bank, context)  # its block cut checks the dims
+    prof = profile(image, eigen, frontal_ref, bank, context)  # block_residuals checks the dims
     method = select(prof, policy)
     model = {METHOD_EIGEN: eigen, METHOD_FISHER: fisher, METHOD_HMM: bank}[method]
     return method, model.predict([image])[0][0], prof

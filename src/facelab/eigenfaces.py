@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import GrayImage, check_dims, flatten
 from .errors import DataError
 # Bound here, not called: sym_eigen for benchmarks/tests, and project (the weights
-# omega = U^T (face - mean) of an eigen model) for the dispatcher and the tests.
+# omega = U^T (face - mean) of an eigen model) for the tests.
 from .numerics import (FaceSpace, affine_residual, check_face, gram_pca, group_samples, nearest,
                        project, require_spread, sym_eigen)
 

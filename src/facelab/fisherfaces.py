@@ -120,8 +120,9 @@ def train_fisher(
     require_spread(np.einsum("ij,ij->", phi, phi), np.einsum("ij,ij->", gamma, gamma))
     pca = gram_pca(phi, n_total - c)[0]
 
-    reduced = [(label, affine_coords(vec, mean, pca)) for label, g in groups.items() for vec in g]
-    scatter = compute_scatter(reduced)
+    labels = [label for label, g in groups.items() for _ in g]  # of gamma's columns
+    # phi.T @ pca is affine_coords(gamma.T, mean, pca) without a second centred copy
+    scatter = compute_scatter(list(zip(labels, phi.T @ pca)))
     vals, vecs, within_used = _solve_fld(scatter.between, scatter.within)
 
     lam1 = float(vals[0])

@@ -11,9 +11,13 @@ from facelab.dataset import GrayImage, flatten
 from facelab.dispatcher import (METHOD_EIGEN, METHOD_FISHER, METHOD_HMM,
                                 DispatchPolicy, ImageProfile, ProfileContext,
                                 _illumination, block_residuals, calibrate,
-                                calibrate_context, profile, read_policy_file,
-                                recognize_multi, select, write_policy_file)
+                                calibrate_context, calibrate_policy, profile,
+                                read_policy_file, recognize_multi, select,
+                                write_policy_file)
+from facelab.eigenfaces import project
 from facelab.errors import DataError
+from facelab.hmm1d import BlockParams, SubjectBank, extract_blocks, fit_klt
+from facelab.numerics import affine_residual
 
 
 class TestProfile:
@@ -42,14 +46,92 @@ class TestProfile:
     def test_residuals_require_klt_bank(self, banded_models):
         raw_bank = dataclasses.replace(banded_models.bank, klt=None, models={})
         img = banded_models.train_images[0]
-        with pytest.raises(DataError, match="KLT"):
+        with pytest.raises(DataError, match="^occlusion profiling requires a KLT-based bank$"):
             block_residuals(raw_bank, img)
+
+    def test_pose_is_weight_space_distance_from_reference(self, banded, banded_models):
+        m = banded_models
+        ref_weights = project(m.eigen, m.frontal)
+        for _, _, img in banded.test_entries[:6]:
+            for probe in (img, synth.occlude_bottom(img, 0.3), synth.add_ramp(img, gx=120.0)):
+                expected = np.linalg.norm(project(m.eigen, flatten(probe)) - ref_weights)
+                pose = profile(probe, m.eigen, m.frontal, m.bank, m.context).pose_deviation
+                assert pose == pytest.approx(expected, rel=1e-12)
+
+    def test_wrong_length_reference_is_data_error(self, banded_models):
+        m = banded_models
+        short = m.frontal[:-1]
+        message = re.escape(f"face vector length {short.size} != model dimension "
+                            f"{m.frontal.size}")
+        with pytest.raises(DataError, match=message):
+            profile(m.train_images[0], m.eigen, short, m.bank, m.context)
+        residuals = [block_residuals(m.bank, img) for img in m.train_images]
+        with pytest.raises(DataError, match=message):
+            calibrate_policy(m.train_images, m.eigen, short, residuals, m.context)
 
     def test_profile_field_validation(self):
         with pytest.raises(DataError):
             ImageProfile(-1.0, 0.0, 0.0)
         with pytest.raises(DataError):
             ImageProfile(0.0, 0.0, 1.5)
+
+
+def _crop(image, width):
+    """The image's first width pixel columns."""
+    return GrayImage(image.h, width, image.pixels[:, :width])
+
+
+# (height, overlap, KLT dim, image width): the default stride 1; overlap 0 and
+# stride > 1, each leaving trailing rows in no block; one block of the whole
+# image (L = H); and one-pixel-wide images (W = 1)
+GEOMETRIES = {
+    "stride_1": (10, 9, 10, 64),
+    "overlap_0": (10, 0, 10, 64),
+    "stride_7": (10, 3, 10, 64),
+    "whole_image": (64, 0, 4, 64),
+    "width_1": (10, 8, 5, 1),
+}
+
+
+class TestBlockResiduals:
+    @staticmethod
+    def _bank(banded, name):
+        height, overlap, d, width = GEOMETRIES[name]
+        params = BlockParams(height, overlap, (banded.manifest.dims[0], width))
+        klt = fit_klt([_crop(im, width).pixels for _, _, im in banded.train_entries], params, d)
+        return SubjectBank(params, klt, {}), width
+
+    @pytest.mark.parametrize("name", GEOMETRIES)
+    def test_matches_stacked_blocks(self, banded, name):
+        bank, width = self._bank(banded, name)
+        klt = bank.klt
+        for _, _, img in banded.test_entries:
+            for probe in (img, synth.occlude_bottom(img, 0.3), synth.add_ramp(img, gx=120.0),
+                          GrayImage(img.h, img.w, np.roll(img.pixels, 1, axis=0))):
+                probe = _crop(probe, width)
+                expected = affine_residual(extract_blocks(probe, bank.params), klt.mean,
+                                           klt.basis.T)[1]
+                assert expected.shape == (bank.params.block_count,)
+                np.testing.assert_allclose(block_residuals(bank, probe), expected,
+                                           rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["overlap_0", "whole_image"])
+    def test_block_in_klt_span_has_tiny_residual(self, banded, name):
+        bank, _ = self._bank(banded, name)
+        params, klt = bank.params, bank.klt
+        rng = np.random.default_rng(5)
+        pixels = np.full(params.image_dims, 130.0)
+        blocks = klt.mean + rng.normal(0.0, 20.0, (params.block_count, klt.dim)) @ klt.basis
+        for t, block in enumerate(blocks):  # no overlap: each block owns its rows
+            pixels[t * params.stride:t * params.stride + params.height] = block.reshape(
+                params.height, -1)
+        residuals = block_residuals(bank, GrayImage(*params.image_dims, pixels))
+        assert np.all(np.isfinite(residuals)) and np.all(residuals >= 0.0)
+        assert np.all(residuals <= 1e-6 * np.linalg.norm(blocks, axis=1))
+
+    def test_wrong_dims_is_data_error(self, banded_models):
+        with pytest.raises(DataError, match=re.escape("image dims (8, 8) != model dims (64, 64)")):
+            block_residuals(banded_models.bank, GrayImage(8, 8, np.zeros((8, 8))))
 
 
 class TestSelect:
@@ -242,3 +324,50 @@ def test_policy_file_parses_to_checked_values_or_is_data_error(tmp_path_factory,
     assert all(np.isfinite(t) and t >= 0.0 for t in taus)
     assert all(np.isfinite(v) for v in dataclasses.astuple(context))
     assert context.mean_sigma > 0.0 and context.asym_sigma > 0.0
+
+
+def _route_probe(kind, image, rng):
+    """A probe of one kind from a held-out image, as in the benchmark's dispatch mix."""
+    if kind == "clean":
+        return image
+    if kind == "ramp":
+        lit = synth.add_ramp(image, gx=rng.choice([-1.0, 1.0]) * rng.uniform(100.0, 150.0),
+                             gy=rng.uniform(-40.0, 40.0))
+        return GrayImage(lit.h, lit.w, np.rint(lit.pixels))
+    if kind == "occlude":
+        return synth.occlude_bottom(image, 0.3)
+    return GrayImage(image.h, image.w, np.roll(image.pixels, 1, axis=0))
+
+
+# Per probe kind over the 20 held-out banded images: wrong predictions of each
+# recognizer alone, of the dispatcher, and of the oracle (probes that every
+# recognizer gets wrong), then the dispatcher's eigen/fisher/hmm route counts.
+ROUTE_TABLE = {
+    "clean": ({"eigen": 2, "fisher": 0, "hmm": 0, "dispatch": 2, "oracle": 0}, (15, 4, 1)),
+    "ramp": ({"eigen": 20, "fisher": 0, "hmm": 15, "dispatch": 0, "oracle": 0}, (0, 20, 0)),
+    "occlude": ({"eigen": 20, "fisher": 15, "hmm": 15, "dispatch": 15, "oracle": 10}, (0, 20, 0)),
+    "roll": ({"eigen": 20, "fisher": 20, "hmm": 2, "dispatch": 6, "oracle": 2}, (0, 4, 16)),
+}
+
+
+def test_route_table_per_probe_kind(banded, banded_models):
+    m = banded_models
+    models = {METHOD_EIGEN: m.eigen, METHOD_FISHER: m.fisher, METHOD_HMM: m.bank}
+    rng = np.random.default_rng(17)
+    table = {}
+    for kind in ROUTE_TABLE:
+        errors = dict.fromkeys(["eigen", "fisher", "hmm", "dispatch", "oracle"], 0)
+        routes = dict.fromkeys(models, 0)
+        for truth, _, image in banded.test_entries:
+            probe = _route_probe(kind, image, rng)
+            wrong = {name: model.predict([probe])[0][0] != truth
+                     for name, model in models.items()}
+            method, label, _ = recognize_multi(m.eigen, m.fisher, m.bank, m.frontal, m.policy,
+                                               m.context, probe)
+            for name, is_wrong in wrong.items():
+                errors[name] += is_wrong
+            errors["dispatch"] += label != truth
+            errors["oracle"] += all(wrong.values())
+            routes[method] += 1
+        table[kind] = (errors, tuple(routes.values()))
+    assert table == ROUTE_TABLE
