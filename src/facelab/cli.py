@@ -7,7 +7,6 @@ Reports go to stdout as CSV unless --report is given.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
@@ -37,8 +36,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _split_arg(text: str) -> tuple[SplitSpec, str]:
-    """Parse 'k:N,seed:S[,part:train|test]'."""
+def _split_arg(text: str) -> tuple[SplitSpec, str | None]:
+    """Parse 'k:N,seed:S[,part:train|test]'; the part is None when not given."""
     fields = {}
     for piece in text.split(","):
         key, sep, value = piece.partition(":")
@@ -52,8 +51,8 @@ def _split_arg(text: str) -> tuple[SplitSpec, str]:
         seed = int(fields.get("seed", "0"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-integer value in split spec {text!r}") from None
-    part = fields.get("part", "test")
-    if part not in ("train", "test"):
+    part = fields.get("part")
+    if part not in (None, "train", "test"):
         raise argparse.ArgumentTypeError(f"split part must be train or test, got {part!r}")
     if k < 1:
         raise argparse.ArgumentTypeError("split k must be >= 1")
@@ -114,14 +113,16 @@ def _build_parser() -> _Parser:
 def _cmd_train(args) -> int:
     if args.method == "all" and args.features == hmm1d.FEATURE_RAW:
         raise _UsageError("--method all needs --features klt to profile occlusion")
+    if args.split is not None and args.split[1] is not None:
+        raise _UsageError("train --split takes no part: it always trains on the train half")
     manifest = scan_dataset(args.dataset)
     if args.split is not None:
         manifest, _ = split(manifest, args.split[0])
     dims = manifest.dims
     entries = load_labeled_images(manifest)
     images = [(label, img) for label, _, img in entries]
-    # flattened once, and only when the eigen or fisher trainer runs
-    vectors = functools.cache(lambda: [(label, flatten(img)) for label, img in images])
+    # views of the pixels, taken only when the eigen or fisher trainer runs
+    vectors = lambda: [(label, flatten(img)) for label, img in images]  # noqa: E731
     trainers = {
         "eigen": lambda: train_eigen(vectors(), args.k, dims),
         "fisher": lambda: train_fisher(vectors(), dims),
@@ -139,11 +140,12 @@ def _cmd_train(args) -> int:
     models = {method: train() for method, train in trainers.items()}
     policy, context, ref = dispatcher.calibrate([img for _, img in images], models["eigen"],
                                                 models["hmm"])
-    for method, model in models.items():
-        save_model(model, out_dir / f"{method}.ffm")
-    # absolute, so recognize --multi finds the reference from any working directory
+    # absolute, so recognize --multi finds the reference from any working directory; first,
+    # so that a reference path the policy cannot hold stops train before any file is written
     dispatcher.write_policy_file(out_dir / "policy.cfg", policy, context,
                                  str(entries[ref][1].absolute()))
+    for method, model in models.items():
+        save_model(model, out_dir / f"{method}.ffm")
     print(f"saved,all,{out_dir}")
     return EXIT_OK
 

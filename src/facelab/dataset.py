@@ -173,8 +173,8 @@ def check_dims(image: GrayImage, dims: tuple[int, int], what: str = "image") -> 
 
 
 def flatten(image: GrayImage) -> np.ndarray:
-    """Row-major concatenation of the pixel rows; length h*w."""
-    return image.pixels.reshape(-1).copy()
+    """The pixel rows end to end, length h*w: a read-only view, never a copy."""
+    return image.pixels.reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import eigenfaces, fisherfaces, hmm1d
-from .dataset import GrayImage, check_dims, flatten
+from .dataset import GrayImage, flatten
 from .errors import DataError
 from .numerics import affine_coords, check_face
 
@@ -85,36 +85,10 @@ def _half_asymmetry(image: GrayImage) -> float:
 
 
 def block_residuals(bank: hmm1d.SubjectBank, image: GrayImage) -> np.ndarray:
-    """Per-block distance to the KLT subspace, taken from the image's pixel rows.
-
-    For block t of rows x[t*s + r], r < L, stride s, and the KLT mean mu and
-    basis rows B cut into L row slices mu_r and B_r, the distance is
-    r_t^2 = |b_t - mu|^2 - |(b_t - mu) B^T|^2, clamped at 0. One product of
-    the pixel rows with every [mu_r | B_r] gives b_t . mu and b_t B^T as L
-    strided row sums, as hmm1d.fit_klt sums its lagged row products, and a
-    cumulative sum of row norms gives |b_t|^2; the blocks are never stacked.
-    It agrees with numerics.affine_residual of hmm1d.extract_blocks to within
-    1e-9 relative; the identity cancels where a residual is small next to
-    |b_t - mu|.
-    """
+    """Per-block distance to the bank's KLT subspace: hmm1d.observe's residuals."""
     if bank.klt is None:
         raise DataError("occlusion profiling requires a KLT-based bank")
-    params = bank.params
-    pixels = check_dims(image, params.image_dims).pixels
-    height, stride, width = params.height, params.stride, params.image_dims[1]
-    mean, basis = bank.klt.mean, bank.klt.basis
-    frame = np.concatenate([mean[None], basis]).reshape(-1, height, width)  # (1+d) x L x W
-    products = (pixels @ frame.transpose(2, 1, 0).reshape(width, -1)).reshape(
-        -1, height, len(frame))  # products[j, r] = x[j] . [mu_r | B_r]
-    span = (params.block_count - 1) * stride + 1  # from row r of the first block to the last's
-    sums = products[:span:stride, 0].copy()
-    for r in range(1, height):
-        sums += products[r:r + span:stride, r]  # row t: [b_t . mu | b_t B^T]
-    cum_norms = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", pixels, pixels))])
-    block_norms = cum_norms[height:height + span:stride] - cum_norms[:span:stride]
-    coords = sums[:, 1:] - basis @ mean
-    squared = block_norms - 2.0 * sums[:, 0] + mean @ mean - np.einsum("ij,ij->i", coords, coords)
-    return np.sqrt(np.maximum(squared, 0.0))
+    return hmm1d.observe(image, bank.params, bank.klt)[1]
 
 
 def calibrate_context(train_images: list[GrayImage],
@@ -228,7 +202,10 @@ def _parse_fields(cls, values: dict[str, str]):
 def write_policy_file(path: Path, policy: DispatchPolicy, context: ProfileContext,
                       frontal_ref: str) -> None:
     """key=value policy file: the policy fields, the frontal reference, then the
-    calibration statistics; floats by repr."""
+    calibration statistics; floats by repr. DataError, before anything is
+    written, for a reference path that one line cannot hold."""
+    if frontal_ref.splitlines() != [frontal_ref]:
+        raise DataError(f"frontal reference path {frontal_ref!r} has a line break")
     values = {**asdict(policy), FRONTAL_REF: frontal_ref, **asdict(context)}
     lines = [f"{key}={value if isinstance(value, str) else repr(float(value))}"
              for key, value in values.items()]

@@ -18,8 +18,8 @@ from .dataset import GrayImage, check_dims, flatten
 from .errors import DataError
 # Bound here, not called: sym_eigen for benchmarks/tests, and project (the weights
 # omega = U^T (face - mean) of an eigen model) for the tests.
-from .numerics import (FaceSpace, affine_residual, check_face, gram_pca, group_samples, nearest,
-                       project, require_spread, sym_eigen)
+from .numerics import (FaceSpace, affine_residual, check_face, gram_pca, label_slices, nearest,
+                       project, require_spread, sample_matrix, sym_eigen)
 
 FACE = "face"
 UNKNOWN_FACE = "unknown-face"
@@ -83,30 +83,22 @@ def train_eigen(
         raise DataError(f"need at least 2 training images, got {len(samples)}")
     if k < 1:
         raise DataError(f"requested component count must be >= 1, got {k}")
-    groups = group_samples(samples)
-    labels = [label for label, rows in groups.items() for _ in rows]
-    gamma = np.column_stack([row for rows in groups.values() for row in rows])  # D x M
-    del groups  # so the per-label copies of the samples are freed before the PCA
-    d, m = gamma.shape
-    if dims is None:
-        dims = (1, d)
-    elif dims[0] * dims[1] != d:
-        raise DataError(f"dims {dims} inconsistent with vector length {d}")
+    gamma, labels, dims = sample_matrix(samples, dims)  # M x D
+    psi = gamma.mean(axis=0)
+    phi = gamma.T - psi[:, None]  # D x M centred columns
+    spread = np.einsum("ij,ij->", phi, phi)
+    require_spread(spread, np.einsum("ij,ij->", gamma, gamma))
+    basis, lam = gram_pca(phi, min(k, len(gamma) - 1))
 
-    psi = gamma.mean(axis=1)
-    phi = gamma - psi[:, None]
-    require_spread(np.einsum("ij,ij->", phi, phi), np.einsum("ij,ij->", gamma, gamma))
-    basis, lam = gram_pca(phi, min(k, m - 1))
+    gallery, train_dffs = affine_residual(gamma, psi, basis)  # one row per image
 
-    gallery, train_dffs = affine_residual(gamma.T, psi, basis)  # one row per image
-
-    scale = float(np.sqrt(np.mean(np.sum(phi * phi, axis=0))))
+    scale = float(np.sqrt(spread / len(gamma)))
     theta_face = max(3.0 * float(np.percentile(train_dffs, 95)), 1e-9 * scale)
-    row_labels = np.array(labels)
-    largest_intra = max(float(np.linalg.norm(gallery[row_labels == label] - row, axis=1).max())
-                        for label, row in zip(labels, gallery))  # never an n x n x K array
+    largest_intra = max(float(np.linalg.norm(gallery[rows] - row, axis=1).max())
+                        for rows in label_slices(labels).values()
+                        for row in gallery[rows])  # never an n x n x K array
     theta_known = max(3.0 * largest_intra, 1e-9 * scale)
-    return EigenModel(dims, psi, basis, lam, gallery, tuple(labels), theta_face, theta_known)
+    return EigenModel(dims, psi, basis, lam, gallery, labels, theta_face, theta_known)
 
 
 def reconstruct(model: EigenModel, weights: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from .dataset import GrayImage, check_dims, flatten
 from .errors import DataError, NumericError, SingularOrIndefinite
 # sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
 from .numerics import (FaceSpace, affine_coords, fix_signs, gen_sym_eigen, gram_pca,
-                       group_samples, nearest, project, require_spread, sym_eigen)
+                       label_slices, nearest, project, require_spread, sample_matrix, sym_eigen)
 
 RIDGE_REL = 1e-8  # ridge added to within-class scatter when Cholesky fails
 EIGENVALUE_REL_CUT = 1e-10  # generalized eigenvalues kept relative to largest
@@ -54,20 +54,20 @@ class FisherModel(FaceSpace):
 
 def compute_scatter(samples: list[tuple[str, np.ndarray]]) -> ScatterPair:
     """Between- and within-class scatter matrices of labeled vectors."""
-    groups = group_samples(samples)
-    if len(groups) < 2:
-        raise DataError(f"need at least 2 classes, got {len(groups)}")
-    d = next(iter(groups.values())).shape[1]
-    n_total = sum(g.shape[0] for g in groups.values())
-    mean = sum(g.sum(axis=0) for g in groups.values()) / n_total
+    rows, labels, _ = sample_matrix(samples)
+    classes = label_slices(labels)
+    if len(classes) < 2:
+        raise DataError(f"need at least 2 classes, got {len(classes)}")
+    d = rows.shape[1]
+    mean = sum(rows[s].sum(axis=0) for s in classes.values()) / len(rows)
 
     between = np.zeros((d, d))
     within = np.zeros((d, d))
-    for label, g in groups.items():
-        mu_i = g.mean(axis=0)
+    for s in classes.values():
+        mu_i = rows[s].mean(axis=0)
         diff = mu_i - mean
-        between += g.shape[0] * np.outer(diff, diff)
-        centered = g - mu_i
+        between += (s.stop - s.start) * np.outer(diff, diff)
+        centered = rows[s] - mu_i
         within += centered.T @ centered
     between = 0.5 * (between + between.T)
     within = 0.5 * (within + within.T)
@@ -101,27 +101,20 @@ def train_fisher(
     columns have unit Euclidean norm (the PCA basis is orthonormal, so the
     unit-norm reduced columns carry that norm) and are sign-fixed.
     """
-    groups = group_samples(samples)
-    c = len(groups)
+    gamma, labels, dims = sample_matrix(samples, dims)  # N x D
+    classes = label_slices(labels)
+    c, n_total = len(classes), len(labels)
     if c < 2:
         raise DataError(f"need at least 2 classes, got {c}")
-    n_total = sum(g.shape[0] for g in groups.values())
     if n_total < c + 1:
         raise DataError(f"need at least c + 1 = {c + 1} images, got {n_total}")
-    d = next(iter(groups.values())).shape[1]
-    if dims is None:
-        dims = (1, d)
-    elif dims[0] * dims[1] != d:
-        raise DataError(f"dims {dims} inconsistent with vector length {d}")
 
-    gamma = np.vstack([groups[label] for label in groups]).T  # D x N
-    mean = gamma.mean(axis=1)
-    phi = gamma - mean[:, None]
+    mean = gamma.mean(axis=0)
+    phi = gamma.T - mean[:, None]  # D x N centred columns
     require_spread(np.einsum("ij,ij->", phi, phi), np.einsum("ij,ij->", gamma, gamma))
     pca = gram_pca(phi, n_total - c)[0]
 
-    labels = [label for label, g in groups.items() for _ in g]  # of gamma's columns
-    # phi.T @ pca is affine_coords(gamma.T, mean, pca) without a second centred copy
+    # phi.T @ pca is affine_coords(gamma, mean, pca) without a second centred copy
     scatter = compute_scatter(list(zip(labels, phi.T @ pca)))
     vals, vecs, within_used = _solve_fld(scatter.between, scatter.within)
 
@@ -145,9 +138,9 @@ def train_fisher(
         raise NumericError(f"generalized eigen residual {worst:g} exceeds bound")
 
     projection = fix_signs(pca @ fld)
-    class_means = np.vstack([g.mean(axis=0) for g in groups.values()])
+    class_means = np.vstack([gamma[s].mean(axis=0) for s in classes.values()])
     centroids = affine_coords(class_means, mean, projection)
-    return FisherModel(dims, mean, projection, lam, centroids, tuple(groups))
+    return FisherModel(dims, mean, projection, lam, centroids, tuple(classes))
 
 
 def classify(model: FisherModel, face: np.ndarray) -> tuple[str, float]:

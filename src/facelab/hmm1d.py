@@ -6,6 +6,9 @@ trained by uniform segmentation, then Viterbi (segmental) re-estimation, then
 Baum-Welch. Recognition scores a probe under every subject model with the
 scaled forward algorithm.
 
+observe is the one KLT view of an image's blocks: HMM training and scoring
+read its coefficients, and the dispatcher's occlusion profile its distances.
+
 State emissions are single diagonal-covariance Gaussians with a variance
 floor. Transition matrices allow only self loops and single forward steps;
 those structural zeros are preserved exactly through every training stage.
@@ -22,8 +25,7 @@ import numpy as np
 from .dataset import GrayImage, check_dims
 from .errors import DataError, NumericError
 # sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
-from .numerics import (affine_coords, gram_pca, require_shape, require_spread, scatter_pca,
-                       sym_eigen)
+from .numerics import gram_pca, require_shape, require_spread, scatter_pca, sym_eigen
 
 log = logging.getLogger(__name__)
 
@@ -258,13 +260,37 @@ def fit_klt(images: list[np.ndarray], params: BlockParams, d: int) -> KltBasis:
     return KltBasis(shifted_mean + np.tile(column_mean, height), components.T.copy())
 
 
-def observe(blocks: np.ndarray, basis: KltBasis) -> np.ndarray:
-    """Project blocks onto the KLT basis: o_t = basis @ (block_t - mean)."""
-    blocks = np.asarray(blocks, dtype=np.float64)
-    if blocks.ndim != 2 or blocks.shape[1] != basis.mean.size:
-        raise DataError(
-            f"block dimension {blocks.shape} does not match basis dimension {basis.mean.size}")
-    return affine_coords(blocks, basis.mean, basis.basis.T)
+def observe(image: GrayImage, params: BlockParams, klt: KltBasis
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """(T x d KLT coordinates (b_t - mu) B^T, T distances from the KLT subspace)
+    of an image's blocks b_t, from its pixel rows without stacking the blocks.
+
+    One product of the pixel rows with the L row slices of [mu | B] gives
+    b_t . mu and b_t B^T as L strided row sums, as fit_klt sums its lagged row
+    products; a cumulative sum of row norms gives |b_t|^2, and the distance is
+    the root of |b_t - mu|^2 - |(b_t - mu) B^T|^2, clamped at 0. That identity
+    cancels where a distance is small next to |b_t - mu|: the distances agree
+    with numerics.affine_residual of extract_blocks to within 1e-9 relative,
+    and the coordinates with affine_coords to within 1e-12 |b_t - mu|.
+    """
+    pixels = check_dims(image, params.image_dims).pixels
+    if klt.mean.size != params.block_dim:
+        raise DataError(f"KLT dimension {klt.mean.size} does not match block dimension "
+                        f"{params.block_dim}")
+    height, stride, width = params.height, params.stride, params.image_dims[1]
+    mean, basis = klt.mean, klt.basis
+    frame = np.concatenate([mean[None], basis]).reshape(-1, height, width)  # (1+d) x L x W
+    products = (pixels @ frame.transpose(2, 1, 0).reshape(width, -1)).reshape(
+        -1, height, len(frame))  # products[j, r] = x[j] . [mu_r | B_r]
+    span = (params.block_count - 1) * stride + 1  # from row r of the first block to the last's
+    sums = products[:span:stride, 0].copy()
+    for r in range(1, height):
+        sums += products[r:r + span:stride, r]  # row t: [b_t . mu | b_t B^T]
+    cum_norms = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", pixels, pixels))])
+    block_norms = cum_norms[height:height + span:stride] - cum_norms[:span:stride]
+    coords = sums[:, 1:] - basis @ mean
+    squared = block_norms - 2.0 * sums[:, 0] + mean @ mean - np.einsum("ij,ij->i", coords, coords)
+    return coords, np.sqrt(np.maximum(squared, 0.0))
 
 
 def _check_seq(dim: int, seq: np.ndarray) -> np.ndarray:
@@ -591,14 +617,11 @@ def baum_welch(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL
     return _fit([model], [seqs], tol, max_iter, [history], _expect, _expect_m_step)[0]
 
 
-def _features(blocks: np.ndarray, klt: KltBasis | None) -> np.ndarray:
-    """Observation sequence of an image's blocks: raw, or their KLT coefficients."""
-    return blocks if klt is None else observe(blocks, klt)
-
-
 def features_for(bank: SubjectBank, image: GrayImage) -> np.ndarray:
-    """Observation sequence for an image under the bank's feature transform."""
-    return _features(extract_blocks(image, bank.params), bank.klt)
+    """Observation sequence of an image: observe's KLT coordinates, or raw blocks."""
+    if bank.klt is None:
+        return extract_blocks(image, bank.params)
+    return observe(image, bank.params, bank.klt)[0]
 
 
 def train_bank(
@@ -627,21 +650,20 @@ def train_bank(
             f"images yield {params.block_count} blocks but {n_states} states were "
             f"requested; reduce the state count or the block height")
 
-    by_label: dict[str, list[np.ndarray]] = {}
-    for label, image in train:
-        by_label.setdefault(label, []).append(extract_blocks(image, params))
-
     klt = None
     if feature_mode == FEATURE_KLT:
         klt = fit_klt([image.pixels for _, image in train], params, klt_dim)
+    transform = SubjectBank(params, klt, {})  # the feature transform, before any model
+    by_label: dict[str, list[np.ndarray]] = {}
+    for label, image in sorted(train, key=lambda entry: entry[0]):  # stable
+        by_label.setdefault(label, []).append(features_for(transform, image))
 
-    labels = sorted(by_label)
-    seqs = [[_features(b, klt) for b in by_label[label]] for label in labels]
+    seqs = list(by_label.values())
     models = [init_uniform(subject, n_states) for subject in seqs]
     for e_step, m_step in ((_segment, _segment_m_step), (_expect, _expect_m_step)):
-        models = _fit(models, seqs, DEFAULT_TOL, DEFAULT_MAX_ITER, [[] for _ in labels],
+        models = _fit(models, seqs, DEFAULT_TOL, DEFAULT_MAX_ITER, [[] for _ in seqs],
                       e_step, m_step)
-    return SubjectBank(params, klt, dict(zip(labels, models)))
+    return SubjectBank(params, klt, dict(zip(by_label, models)))
 
 
 def recognize(bank: SubjectBank, images: Sequence[GrayImage]

@@ -15,6 +15,7 @@ Conventions enforced on every spectrum:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,16 +237,28 @@ def project(model: FaceSpace, face: np.ndarray) -> np.ndarray:
     return affine_coords(check_face(face, model.mean), model.mean, model.basis)
 
 
-def group_samples(samples: list[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Label -> (n_i x D) matrix of its samples in input order, labels sorted;
-    DataError for no samples or for vectors of differing lengths."""
+def sample_matrix(samples: list[tuple[str, np.ndarray]], dims: tuple[int, int] | None = None
+                  ) -> tuple[np.ndarray, tuple[str, ...], tuple[int, int]]:
+    """(M x D float64 matrix of the sample vectors, sorted stably by label and
+    written once; its row labels; dims, (1, D) by default). DataError for no
+    samples, vectors of differing lengths, or dims that do not hold D pixels."""
     if not samples:
         raise DataError("no samples")
-    by_label: dict[str, list[np.ndarray]] = {}
+    samples = sorted(samples, key=lambda sample: sample[0])
     d = np.size(samples[0][1])
-    for label, vec in samples:
-        vec = np.asarray(vec, dtype=np.float64).reshape(-1)
-        if vec.size != d:
-            raise DataError(f"dimension mismatch in class {label!r}: {vec.size} != {d}")
-        by_label.setdefault(label, []).append(vec)
-    return {label: np.vstack(by_label[label]) for label in sorted(by_label)}
+    rows = np.empty((len(samples), d))
+    for row, (label, vec) in zip(rows, samples):
+        if np.size(vec) != d:
+            raise DataError(f"dimension mismatch in class {label!r}: {np.size(vec)} != {d}")
+        row[:] = np.reshape(vec, -1)
+    if dims is None:
+        dims = (1, d)
+    elif dims[0] * dims[1] != d:
+        raise DataError(f"dims {dims} inconsistent with vector length {d}")
+    return rows, tuple(label for label, _ in samples), dims
+
+
+def label_slices(labels: tuple[str, ...]) -> dict[str, slice]:
+    """Label -> the slice of its rows, for rows sorted by label."""
+    return {label: slice(bisect_left(labels, label), bisect_right(labels, label))
+            for label in dict.fromkeys(labels)}

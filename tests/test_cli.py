@@ -147,13 +147,16 @@ def test_multi_without_policy_is_usage_error(banded_dir, tmp_path, capsys):
     assert rc == 1
 
 
-@pytest.mark.parametrize("case", ["all_raw", "policy_without_multi"])
+@pytest.mark.parametrize("case", ["all_raw", "train_split_part_test", "train_split_part_train",
+                                  "policy_without_multi"])
 def test_flag_that_cannot_take_effect_is_usage_error(banded_dir, tmp_path, capsys, case):
     missing = tmp_path / "missing.pgm"
     out = tmp_path / "out"
     train = ["train", "--dataset", str(banded_dir), "--out", str(out), "--method"]
     argv = {
         "all_raw": train + ["all", "--features", "raw"],
+        "train_split_part_test": train + ["eigen", "--split", "k:5,seed:0,part:test"],
+        "train_split_part_train": train + ["eigen", "--split", "k:5,seed:0,part:train"],
         "policy_without_multi": ["recognize", "--model", str(out), "--policy", str(missing),
                                  "--image", str(missing)],
     }[case]
@@ -176,6 +179,21 @@ def test_frontal_ref_flag_is_usage_error(banded_dir, tmp_path, capsys):
     assert first.startswith("usage error:") and "--frontal-ref" in first
     assert usage.startswith("usage: facelab")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_line_break_in_reference_path_is_data_error(tmp_path, capsys):
+    # the policy file holds one key=value per line; a reference path with a line break
+    # would add a line of its own
+    root = tmp_path / "da\ntau_pose=0"
+    synth.write_dataset(synth.make_banded_dataset(), root)
+    out = tmp_path / "models"
+    assert main(["train", "--method", "all", "--dataset", str(root), "--out", str(out),
+                 "--k", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: frontal reference path")
+    assert captured.err.count("\n") == 1
+    assert list(out.iterdir()) == []  # no archive, policy or temporary file
 
 
 def test_frontal_ref_is_found_from_another_directory(banded_dir, tmp_path, capsys,

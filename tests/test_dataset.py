@@ -72,6 +72,11 @@ class TestFlatten:
         img = GrayImage(3, 1, np.array([[1.0], [2.0], [3.0]]))
         assert np.array_equal(flatten(img), [1, 2, 3])
 
+    def test_read_only_view_of_the_pixels(self):
+        img = GrayImage(2, 3, np.arange(6.0).reshape(2, 3))
+        vec = flatten(img)
+        assert np.shares_memory(vec, img.pixels) and not vec.flags.writeable
+
 
 class TestWritePgm:
     @given(h=st.integers(1, 5), w=st.integers(1, 5), seed=st.integers(0, 1000))

@@ -16,8 +16,8 @@ from facelab.dispatcher import (METHOD_EIGEN, METHOD_FISHER, METHOD_HMM,
                                 write_policy_file)
 from facelab.eigenfaces import project
 from facelab.errors import DataError
-from facelab.hmm1d import BlockParams, SubjectBank, extract_blocks, fit_klt
-from facelab.numerics import affine_residual
+from facelab.hmm1d import BlockParams, SubjectBank, extract_blocks, fit_klt, observe
+from facelab.numerics import affine_coords, affine_residual
 
 
 class TestProfile:
@@ -114,6 +114,19 @@ class TestBlockResiduals:
                 assert expected.shape == (bank.params.block_count,)
                 np.testing.assert_allclose(block_residuals(bank, probe), expected,
                                            rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("name", GEOMETRIES)
+    def test_observe_coords_match_stacked_blocks(self, banded, name):
+        bank, width = self._bank(banded, name)
+        params, klt = bank.params, bank.klt
+        for _, _, img in banded.test_entries:
+            for probe in (img, synth.occlude_bottom(img, 0.3), synth.add_ramp(img, gx=120.0),
+                          GrayImage(img.h, img.w, np.roll(img.pixels, 1, axis=0))):
+                probe = _crop(probe, width)
+                blocks = extract_blocks(probe, params)
+                expected = affine_coords(blocks, klt.mean, klt.basis.T)
+                error = np.linalg.norm(observe(probe, params, klt)[0] - expected, axis=1)
+                assert np.all(error <= 1e-12 * np.linalg.norm(blocks - klt.mean, axis=1))
 
     @pytest.mark.parametrize("name", ["overlap_0", "whole_image"])
     def test_block_in_klt_span_has_tiny_residual(self, banded, name):

@@ -207,12 +207,17 @@ class TestKlt:
 
     def test_observe_centered_projection(self):
         rng = np.random.default_rng(2)
-        blocks = rng.normal(size=(12, 6))
-        basis = fit_klt([blocks], BlockParams(1, 0, blocks.shape), d=3)
-        assert np.allclose(observe(basis.mean[None, :], basis), 0.0, atol=1e-10)
-        probe = basis.mean + basis.basis[1]
-        assert np.allclose(observe(probe[None, :], basis)[0], [0.0, 1.0, 0.0], atol=1e-8)
-        assert observe(blocks, basis).shape == (12, 3)
+        pixels = rng.uniform(50.0, 200.0, size=(12, 6))  # twelve one-row blocks
+        params = BlockParams(1, 0, pixels.shape)
+        klt = fit_klt([pixels], params, d=3)
+        pixels[0] = klt.mean
+        pixels[1] = klt.mean + klt.basis[1]
+        assert 0.0 <= pixels.min() and pixels.max() <= 255.0
+        coords, residuals = observe(GrayImage(12, 6, pixels), params, klt)
+        assert coords.shape == (12, 3) and residuals.shape == (12,)
+        assert np.allclose(coords[0], 0.0, atol=1e-10)
+        assert np.allclose(coords[1], [0.0, 1.0, 0.0], atol=1e-8)
+        assert np.all(residuals[:2] <= 1e-6 * np.linalg.norm(klt.mean))
 
     @pytest.mark.parametrize("count,dims,height,overlap", [
         (20, (24, 6), 10, 9),  # stride 1
@@ -270,9 +275,12 @@ class TestKlt:
         assert peak < 60e6  # the 20,600 x 920 float64 block matrix alone is 152 MB
 
     def test_observe_dimension_check(self):
-        basis = KltBasis(np.zeros(4), np.eye(4)[:2])
-        with pytest.raises(DataError):
-            observe(np.zeros((3, 5)), basis)
+        params = BlockParams(2, 1, (4, 3))
+        klt = KltBasis(np.zeros(6), np.eye(6)[:2])
+        with pytest.raises(DataError, match="dims"):
+            observe(GrayImage(3, 4, np.zeros((3, 4))), params, klt)  # transposed
+        with pytest.raises(DataError, match="KLT dimension 4 does not match block dimension 6"):
+            observe(GrayImage(4, 3, np.zeros((4, 3))), params, KltBasis(np.zeros(4), np.eye(4)[:2]))
 
 
 class TestInitUniform:

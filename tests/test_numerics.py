@@ -1,18 +1,22 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import facelab
+from facelab import synth
+from facelab.dataset import flatten
 from facelab.eigenfaces import EigenModel, train_eigen
 from facelab.errors import DataError, NumericError, SingularOrIndefinite
 from facelab.fisherfaces import FisherModel, train_fisher
 from facelab.numerics import (EPS_CUT_REL, affine_coords, affine_residual, cholesky, fix_signs,
-                              gen_sym_eigen, scatter_pca, sym_eigen)
+                              gen_sym_eigen, sample_matrix, scatter_pca, sym_eigen)
 
 RT2 = np.sqrt(2.0)
 
@@ -267,6 +271,33 @@ def test_training_vectors_of_two_lengths_are_data_error(train):
     samples = [("a", np.zeros(4)), ("a", np.ones(4)), ("b", np.zeros(5))]
     with pytest.raises(DataError, match="dimension mismatch in class 'b': 5 != 4"):
         train(samples)
+
+
+def test_sample_matrix_rows_are_sorted_stably_by_label():
+    rows, labels, dims = sample_matrix([("b", [1.0, 2.0]), ("a", np.array([3, 4])),
+                                        ("b", [5.0, 6.0])])
+    assert labels == ("a", "b", "b") and dims == (1, 2)
+    assert rows.dtype == np.float64 and rows.tolist() == [[3.0, 4.0], [1.0, 2.0], [5.0, 6.0]]
+    with pytest.raises(DataError, match=re.escape("dims (2, 2) inconsistent with vector length 2")):
+        sample_matrix([("a", [1.0, 2.0])], (2, 2))
+
+
+@pytest.mark.parametrize("train", [lambda samples: train_eigen(samples, 40, (112, 92)),
+                                   lambda samples: train_fisher(samples, (112, 92))],
+                         ids=["eigen", "fisher"])
+def test_training_holds_the_samples_once(train):
+    # flatten's views share the pixels, and both trainers fit from one M x D sample
+    # matrix: with its centred columns and affine_residual's centred rows and their
+    # reconstruction, the peak is about 4.4 matrices
+    entries = synth.make_banded_dataset(20, 5, 112, 92)
+    matrix_bytes = len(entries) * 112 * 92 * 8
+    tracemalloc.start()
+    try:
+        train([(label, flatten(image)) for label, image in entries])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * matrix_bytes
 
 
 @pytest.mark.parametrize("kind", [EigenModel, FisherModel])
