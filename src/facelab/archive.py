@@ -11,12 +11,11 @@ inspect` is the human-readable view.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import check_label
+from .dataset import check_label, write_atomic
 from .eigenfaces import EigenModel
 from .errors import DataError
 from .fisherfaces import FisherModel
@@ -91,20 +90,7 @@ def save_model(model, path: Path) -> None:
     lines = [MAGIC, f"method {method}", f"dims {model.dims[0]} {model.dims[1]}"]
     _FORMATS[method][1](lines, model)
     lines.append("end")
-    path = Path(path)
-    payload = "\n".join(lines) + "\n"
-    tmp = Path(f"{path}.{os.urandom(4).hex()}.tmp")  # beside the target, even for "." or "/"
-    try:
-        fh = open(tmp, "x", encoding="ascii")  # mode 0o666 less the umask, as for any new file
-        try:
-            with fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-    except OSError as exc:  # name the target, not the temporary file beside it
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 class _Reader:

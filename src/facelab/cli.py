@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-Reports go to stdout as CSV unless --report is given.
+Reports go to stdout as CSV unless --report is given. Paths are UTF-8 text.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import numpy as np
 
 from . import bench, dispatcher, hmm1d
 from .archive import load_model, method_of, save_model
-from .dataset import (SplitSpec, check_dims, flatten, load_labeled_images, load_pgm_file,
-                      scan_dataset, split)
+from .dataset import (SplitSpec, check_dims, check_path, flatten, load_labeled_images,
+                      load_pgm_file, replacing, scan_dataset, split, write_atomic)
 from .eigenfaces import EigenModel, train_eigen
 from .errors import DataError, FacelabError, NumericError
 from .fisherfaces import FisherModel, train_fisher
@@ -140,12 +140,15 @@ def _cmd_train(args) -> int:
     models = {method: train() for method, train in trainers.items()}
     policy, context, ref = dispatcher.calibrate([img for _, img in images], models["eigen"],
                                                 models["hmm"])
-    # absolute, so recognize --multi finds the reference from any working directory; first,
-    # so that a reference path the policy cannot hold stops train before any file is written
-    dispatcher.write_policy_file(out_dir / "policy.cfg", policy, context,
-                                 str(entries[ref][1].absolute()))
-    for method, model in models.items():
-        save_model(model, out_dir / f"{method}.ffm")
+    # no file is replaced before all four are written; the policy goes first, so that a
+    # reference path it cannot hold (absolute, to be found from any working directory)
+    # stops train before any file is written
+    targets = [out_dir / "policy.cfg"] + [out_dir / f"{method}.ffm" for method in models]
+    with replacing(targets) as (policy_tmp, *model_tmps):
+        dispatcher.write_policy_file(policy_tmp, policy, context,
+                                     str(entries[ref][1].absolute()))
+        for tmp, model in zip(model_tmps, models.values()):
+            save_model(model, tmp)
     print(f"saved,all,{out_dir}")
     return EXIT_OK
 
@@ -186,7 +189,7 @@ def _cmd_evaluate(args) -> int:
     report = bench.evaluate(model, manifest)
     csv_text = bench.report_to_csv(report)
     if args.report is not None:
-        args.report.write_text(csv_text, encoding="utf-8")
+        write_atomic(args.report, csv_text)
         print(f"error_rate,{format(report.error_rate, '.17g')}")
     else:
         sys.stdout.write(csv_text)
@@ -234,6 +237,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
+        for path in (value for value in vars(args).values() if isinstance(value, Path)):
+            check_path(path)  # every path option, before anything is read
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -7,9 +7,12 @@ global rescale would not change any decision).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -218,6 +221,42 @@ def check_label(label: str, where: Path) -> None:
                         f"without whitespace or commas")
 
 
+def check_path(path: str | Path) -> None:
+    """DataError unless the path is UTF-8 text, as reports, policy files and printed
+    lines are: a name of other bytes decodes to lone surrogates, which UTF-8 refuses."""
+    try:
+        str(path).encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataError(f"path {str(path)!r} is not UTF-8 text") from None
+
+
+@contextlib.contextmanager
+def replacing(paths: list[Path]) -> Iterator[list[Path]]:
+    """Yield a new temporary path beside each of paths for the block to write, then
+    rename each onto its path, so no path is replaced before every file is written.
+    On failure the temporaries go, and an OSError names a path, not its temporary."""
+    temps = [Path(f"{p}.{os.urandom(4).hex()}.tmp") for p in paths]  # beside, even for "."
+    try:
+        yield temps
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in temps:
+            with contextlib.suppress(OSError):  # it may never have been made
+                tmp.unlink()
+        if not isinstance(exc, OSError):
+            raise
+        target = {str(tmp): str(path) for tmp, path in zip(temps, paths)}
+        name = target.get(exc.filename, str(paths[0]) if len(paths) == 1 else exc.filename)
+        raise OSError(exc.errno, exc.strerror, name) from exc
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write text to path as UTF-8 through a temporary file (see replacing)."""
+    with replacing([path]) as [tmp], open(tmp, "x", encoding="utf-8") as fh:
+        fh.write(text)  # mode 0o666 less the umask, as for any new file
+
+
 def scan_dataset(root: Path) -> DatasetManifest:
     """Build a manifest from a `<root>/<label>/<name>.pgm` directory tree."""
     root = Path(root)
@@ -234,6 +273,7 @@ def scan_dataset(root: Path) -> DatasetManifest:
         if not files:
             raise DataError(f"class directory {sub} contains no .pgm files")
         for f in files:
+            check_path(f)
             hw = read_pgm_dims(f)
             if dims is None:
                 dims = hw

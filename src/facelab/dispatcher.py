@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import eigenfaces, fisherfaces, hmm1d
-from .dataset import GrayImage, flatten
+from .dataset import GrayImage, check_path, flatten, write_atomic
 from .errors import DataError
 from .numerics import affine_coords, check_face
 
@@ -202,14 +202,15 @@ def _parse_fields(cls, values: dict[str, str]):
 def write_policy_file(path: Path, policy: DispatchPolicy, context: ProfileContext,
                       frontal_ref: str) -> None:
     """key=value policy file: the policy fields, the frontal reference, then the
-    calibration statistics; floats by repr. DataError, before anything is
-    written, for a reference path that one line cannot hold."""
+    calibration statistics; floats by repr, written atomically. DataError, before
+    anything is written, for a reference path that one UTF-8 line cannot hold."""
     if frontal_ref.splitlines() != [frontal_ref]:
         raise DataError(f"frontal reference path {frontal_ref!r} has a line break")
+    check_path(frontal_ref)
     values = {**asdict(policy), FRONTAL_REF: frontal_ref, **asdict(context)}
     lines = [f"{key}={value if isinstance(value, str) else repr(float(value))}"
              for key, value in values.items()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_policy_file(path: Path) -> tuple[DispatchPolicy, ProfileContext, str]:

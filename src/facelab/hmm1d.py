@@ -419,7 +419,7 @@ def init_uniform(seqs: list[np.ndarray], n_states: int) -> HmmModel:
     """Initial model from uniform segmentation of every sequence.
 
     Observation t of a length-T sequence is assigned to state floor(t*N/T),
-    and the segmental M-step estimates a blank model from those paths: the
+    and _m_step estimates a blank model from those paths' 0/1 posteriors: the
     per-state Gaussians pool the assignments, and a[i][i+1] = 1/len_i,
     a[i][i] = 1 - 1/len_i for the mean segment length len_i.
     """
@@ -435,17 +435,32 @@ def init_uniform(seqs: list[np.ndarray], n_states: int) -> HmmModel:
                 f"sequence length {s.shape[0]} shorter than state count {n_states}")
     blank = HmmModel(np.eye(n_states), np.zeros((n_states, d)), np.ones((n_states, d)))
     paths = [(np.arange(len(s)) * n_states) // len(s) for s in seqs]
-    return _reestimate_from_paths(blank, seqs, paths)
+    return _m_step(blank, seqs, [(0.0, *_path_posteriors(path, n_states)) for path in paths])
 
 
-def _reestimate(model: HmmModel, stay: np.ndarray, move: np.ndarray, occupancy: np.ndarray,
-                means: np.ndarray, variances: np.ndarray) -> HmmModel:
-    """The M-step of both trainers, from per-state statistics.
+def _path_posteriors(paths: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(... x T x N bool 0/1 posteriors, ... x N x N transition counts) of ... x T
+    state paths; the counts sum gamma_t^T gamma_t+1, exact integers in float64."""
+    gamma = paths[..., None] == np.arange(n)
+    return gamma, np.matmul(gamma[..., :-1, :].mT, gamma[..., 1:, :], dtype=np.float64)
 
-    Row i becomes (stay[i], move[i]) / (stay[i] + move[i]); a state that is
-    never left keeps its row, and the last row stays absorbing. A state whose
-    occupancy is at most _GAMMA_FLOOR keeps its Gaussian and counts a warning.
-    """
+
+def _m_step(model: HmmModel, seqs: list[np.ndarray], stats: list) -> HmmModel:
+    """The M-step of every training stage, from per-sequence (score, gamma T x N,
+    transition counts N x N): a state path's 0/1 posteriors and counted steps, or
+    forward-backward posteriors and xi summed over t. Gaussians are gamma-weighted,
+    the variance taken in one pass as E[x^2] - mean^2. Row i becomes (stay[i],
+    move[i]) / their sum; a state never left keeps its row, so the last stays
+    absorbing. A state whose occupancy is at most _GAMMA_FLOOR keeps its Gaussian
+    and counts a warning."""
+    gamma = np.concatenate([g for _, g, _ in stats], dtype=np.float64)
+    obs = np.concatenate(seqs)
+    occupancy = gamma.sum(axis=0)
+    counts = sum(c for _, _, c in stats)  # a running total, in input order
+    stay, move = np.diagonal(counts), np.diagonal(counts, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # empty states are not read
+        means = gamma.T @ obs / occupancy[:, None]
+        variances = gamma.T @ (obs * obs) / occupancy[:, None] - means ** 2
     occupied = occupancy > _GAMMA_FLOOR
     trans = model.trans.copy()
     for i in range(model.n_states - 1):
@@ -462,37 +477,16 @@ def _reestimate(model: HmmModel, stay: np.ndarray, move: np.ndarray, occupancy: 
                    warnings=model.warnings + int(np.count_nonzero(~occupied)))
 
 
-def _reestimate_from_paths(model: HmmModel, seqs: list[np.ndarray],
-                           paths: list[np.ndarray]) -> HmmModel:
-    """Segmental M-step: Gaussians from state assignments, rows from counts."""
-    n = model.n_states
-    obs = np.concatenate(seqs)
-    states = np.concatenate(paths)
-    src = np.concatenate([path[:-1] for path in paths])
-    dst = np.concatenate([path[1:] for path in paths])
-    stay = np.bincount(src[src == dst], minlength=n).astype(np.float64)
-    move = np.bincount(src[src != dst], minlength=n).astype(np.float64)
-    counts = np.bincount(states, minlength=n)
-    means = np.zeros_like(model.means)
-    variances = np.zeros_like(model.variances)
-    for i in np.flatnonzero(counts):
-        assigned = obs[states == i]  # rows in sequence order, then time order
-        means[i] = assigned.mean(axis=0)
-        variances[i] = assigned.var(axis=0)
-    return _reestimate(model, stay, move, counts, means, variances)
-
-
 def _fit(models: list[HmmModel], seqs: list[list[np.ndarray]], tol: float, max_iter: int,
-         histories: list[list[float]], e_step: Callable, m_step: Callable) -> list[HmmModel]:
+         histories: list[list[float]], e_step: Callable) -> list[HmmModel]:
     """The iteration loop of both trainers, over independent same-shape models.
 
     models[s] is fitted to seqs[s], and histories[s] receives its totals.
     Each iteration stacks the sequences of every model still iterating into
     one batch per sequence length, each row with its own model's parameters.
-    e_step(params, B x T x d stack) returns per-row statistics whose first
-    entry is the row's log-likelihood; a model's total sums them in input
-    order. A model stops at its own convergence test; otherwise
-    m_step(model, its seqs, its row statistics in input order) re-estimates it.
+    e_step(params, B x T x d stack) returns per row the (score, gamma,
+    transition counts) that _m_step reads; a model's total sums its scores in
+    input order. It stops at its own convergence test, or _m_step updates it.
     """
     if max_iter < 0:
         raise DataError("max_iter must be >= 0")
@@ -530,20 +524,16 @@ def _fit(models: list[HmmModel], seqs: list[list[np.ndarray]], tol: float, max_i
             if prev[s] is not None and abs(total - prev[s]) <= tol * max(1.0, abs(prev[s])):
                 active[s] = False
                 continue
-            models[s] = m_step(models[s], seqs[s], subject_stats)
+            models[s] = _m_step(models[s], seqs[s], subject_stats)
             prev[s] = total
     return models
 
 
-def _segment(p: _Stacked, batch: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Segmental k-means E-step: per row, (Viterbi score, state path)."""
+def _segment(p: _Stacked, batch: np.ndarray) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """Segmental k-means E-step: per row, (Viterbi score, the best path's 0/1
+    posteriors T x N, its transition counts N x N)."""
     paths, scores = _viterbi(p.trans, _log_emissions(p, batch))
-    return list(zip(scores.tolist(), paths))
-
-
-def _segment_m_step(model: HmmModel, seqs: list[np.ndarray], stats: list) -> HmmModel:
-    """Segmental M-step from the state paths of every sequence."""
-    return _reestimate_from_paths(model, seqs, [path for _, path in stats])
+    return list(zip(scores.tolist(), *_path_posteriors(paths, p.trans.shape[1])))
 
 
 def viterbi_train(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL,
@@ -556,12 +546,11 @@ def viterbi_train(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_
     input model unchanged; a negative tol disables the convergence test so
     exactly max_iter updates run.
     """
-    history = [] if history is None else history
-    return _fit([model], [seqs], tol, max_iter, [history], _segment, _segment_m_step)[0]
+    return _fit([model], [seqs], tol, max_iter, [[] if history is None else history], _segment)[0]
 
 
 def _expect(p: _Stacked, batch: np.ndarray) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Baum-Welch E-step: per row, (logL, gamma T x N, xi (T-1) x N x N)."""
+    """Baum-Welch E-step: per row, (logL, gamma T x N, xi summed over t N x N)."""
     logb = _log_emissions(p, batch)
     alpha, masses, scales, shifts, ll = _scaled_forward(p.trans, logb)
     beta = np.zeros_like(alpha)
@@ -578,27 +567,7 @@ def _expect(p: _Stacked, batch: np.ndarray) -> list[tuple[float, np.ndarray, np.
     gamma = alpha * beta  # rows sum to 1
     xi = (alpha[:, :-1, :, None] * p.trans[:, None]
           * (b[:, 1:] * beta[:, 1:])[:, :, None, :]) / scales[:, 1:, None, None]
-    return list(zip(ll.tolist(), gamma, xi))
-
-
-def _expect_m_step(model: HmmModel, seqs: list[np.ndarray], stats: list) -> HmmModel:
-    """Re-estimate from the posteriors of every sequence, accumulated in input order."""
-    n = model.n_states
-    gamma_sum = np.zeros(n)
-    obs_sum = np.zeros((n, model.dim))
-    obs_sq_sum = np.zeros((n, model.dim))
-    for seq, (_, gamma, _) in zip(seqs, stats):
-        gamma_sum += gamma.sum(axis=0)
-        obs_sum += gamma.T @ seq
-        obs_sq_sum += gamma.T @ (seq * seq)
-    # added step by step from zero in input order, so the rounding is a running total's
-    trans_num = np.add.reduce(
-        np.concatenate([np.zeros((1, n, n))] + [xi for _, _, xi in stats]), axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # empty states are not read
-        means = obs_sum / gamma_sum[:, None]
-        variances = obs_sq_sum / gamma_sum[:, None] - means ** 2
-    return _reestimate(model, np.diagonal(trans_num), np.diagonal(trans_num, 1),
-                       gamma_sum, means, variances)
+    return list(zip(ll.tolist(), gamma, xi.sum(axis=1)))
 
 
 def baum_welch(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL,
@@ -613,8 +582,7 @@ def baum_welch(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL
     a negative tol disables the convergence test so exactly max_iter updates
     run.
     """
-    history = [] if history is None else history
-    return _fit([model], [seqs], tol, max_iter, [history], _expect, _expect_m_step)[0]
+    return _fit([model], [seqs], tol, max_iter, [[] if history is None else history], _expect)[0]
 
 
 def features_for(bank: SubjectBank, image: GrayImage) -> np.ndarray:
@@ -660,9 +628,8 @@ def train_bank(
 
     seqs = list(by_label.values())
     models = [init_uniform(subject, n_states) for subject in seqs]
-    for e_step, m_step in ((_segment, _segment_m_step), (_expect, _expect_m_step)):
-        models = _fit(models, seqs, DEFAULT_TOL, DEFAULT_MAX_ITER, [[] for _ in seqs],
-                      e_step, m_step)
+    for e_step in (_segment, _expect):
+        models = _fit(models, seqs, DEFAULT_TOL, DEFAULT_MAX_ITER, [[] for _ in seqs], e_step)
     return SubjectBank(params, klt, dict(zip(by_label, models)))
 
 

@@ -1,10 +1,15 @@
+import os
+import resource
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import facelab
 from facelab import cli, synth
 from facelab.archive import load_model
 from facelab.cli import main
@@ -575,6 +580,90 @@ def test_unusable_output_path_is_data_error(trained_all, banded_dir, tmp_path, c
     assert err.startswith("data error:") and str(path) in err and err.count("\n") == 1
     assert ".tmp" not in err  # the target is named, not the temporary file beside it
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def _tree(root):
+    return sorted((str(p.relative_to(root)), p.read_bytes() if p.is_file() else None)
+                  for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("case", ["train_all_dataset", "evaluate_report_dataset",
+                                  "recognize_image", "train_out", "evaluate_listed_file"])
+def test_non_utf8_path_is_refused_before_anything_is_written(trained_all, banded_dir, tmp_path,
+                                                              capsys, case):
+    # reports, policy files and printed lines are UTF-8, so a path that is not is refused
+    # up front; capsys's stdout is strict UTF-8, as under a UTF-8 locale
+    inputs = tmp_path / "in"
+    bad_root = inputs / os.fsdecode(b"data\xff")
+    shutil.copytree(banded_dir, bad_root)
+    listed = inputs / "listed"
+    shutil.copytree(banded_dir, listed)
+    probe = sorted((listed / "s01").glob("*.pgm"))[0]
+    bad_image = inputs / os.fsdecode(b"probe\xff.pgm")
+    shutil.copy(probe, bad_image)
+    probe.rename(probe.with_name(os.fsdecode(b"\xfe.pgm")))
+    eigen = str(trained_all / "eigen.ffm")
+    argv = {
+        "train_all_dataset": ["train", "--method", "all", "--dataset", str(bad_root),
+                              "--out", str(tmp_path / "models"), "--k", "12"],
+        "evaluate_report_dataset": ["evaluate", "--model", eigen, "--dataset", str(bad_root),
+                                    "--report", str(tmp_path / "r.csv")],
+        "recognize_image": ["recognize", "--model", eigen, "--image", str(bad_image)],
+        "train_out": ["train", "--method", "eigen", "--dataset", str(banded_dir), "--k", "12",
+                      "--out", str(tmp_path / os.fsdecode(b"m\xff.ffm"))],
+        "evaluate_listed_file": ["evaluate", "--model", eigen, "--dataset", str(listed)],
+    }[case]
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: path ") and captured.err.count("\n") == 1
+    assert captured.err.endswith(" is not UTF-8 text\n")
+    assert _tree(tmp_path) == before
+
+
+def _main_with_file_size_limit(argv, limit):
+    """Run the CLI in a child process that may write no file beyond limit bytes."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_FSIZE,
+                           (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+    env = {**os.environ, "PYTHONPATH": str(Path(facelab.__file__).parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-m", "facelab", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=cap, timeout=120)
+
+
+def test_failed_write_leaves_the_model_set_as_it_was(tall_dir, tmp_path):
+    flags = ["--dataset", str(tall_dir), "--k", "1", "--block-l", "4", "--overlap", "3",
+             "--states", "4", "--klt-d", "4"]
+    sizes = tmp_path / "sizes"
+    assert main(["train", "--method", "all", "--out", str(sizes)] + flags) == 0
+    size = {path.name: path.stat().st_size for path in sizes.iterdir()}
+    # written in the order policy.cfg, eigen.ffm, fisher.ffm: the third is the first too large
+    limit = (size["eigen.ffm"] + size["fisher.ffm"]) // 2
+    assert size["policy.cfg"] < limit and size["eigen.ffm"] < limit < size["fisher.ffm"]
+    out = tmp_path / "models"
+    out.mkdir()
+    for name in size:
+        (out / name).write_text(f"an older {name}\n")
+    before = _tree(out)
+    proc = _main_with_file_size_limit(["train", "--method", "all", "--out", str(out)] + flags,
+                                      limit)
+    assert proc.returncode == 2 and proc.stdout == "" and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("data error: ")  # the target is named, not a temporary
+    assert proc.stderr.endswith(f": '{out / 'fisher.ffm'}'\n")
+    assert _tree(out) == before  # no new file beside the older ones, and no temporary
+
+
+def test_failed_report_write_leaves_no_report(trained_all, banded_dir, tmp_path):
+    report = tmp_path / "r.csv"
+    proc = _main_with_file_size_limit(["evaluate", "--model", str(trained_all / "eigen.ffm"),
+                                       "--dataset", str(banded_dir), "--report", str(report)],
+                                      1024)
+    assert proc.returncode == 2 and proc.stdout == "" and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("data error: ") and proc.stderr.endswith(f": '{report}'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])

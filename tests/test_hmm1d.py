@@ -283,6 +283,47 @@ class TestKlt:
             observe(GrayImage(4, 3, np.zeros((4, 3))), params, KltBasis(np.zeros(4), np.eye(4)[:2]))
 
 
+def two_pass_reestimate(model, seqs, paths):
+    """The segmental M-step spelled out: each state's two-pass mean and variance
+    over the observations the paths assign it, rows from stay and move counts;
+    an empty state and a never-left row keep the model's."""
+    obs, states = np.concatenate(seqs), np.concatenate(paths)
+    trans, means, variances = model.trans.copy(), model.means.copy(), model.variances.copy()
+    for i in range(model.n_states):
+        assigned = obs[states == i]
+        if len(assigned):
+            means[i] = assigned.mean(axis=0)
+            variances[i] = np.maximum(assigned.var(axis=0), VAR_FLOOR)
+        if i + 1 < model.n_states:
+            stay = sum(np.count_nonzero((p[:-1] == i) & (p[1:] == i)) for p in paths)
+            move = sum(np.count_nonzero((p[:-1] == i) & (p[1:] == i + 1)) for p in paths)
+            if stay + move:
+                trans[i, i], trans[i, i + 1] = stay / (stay + move), move / (stay + move)
+    return trans, means, variances
+
+
+def assert_matches_two_pass(model, reference):
+    trans, means, variances = reference
+    assert np.array_equal(model.trans, trans)
+    for got, want in ((model.means, means), (model.variances, variances)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_hard_path_m_step_equals_the_two_pass_reference():
+    # the uniform start and the Viterbi stage read 0/1 path posteriors through the
+    # M-step Baum-Welch uses: one-pass moments, within rounding of the two-pass ones
+    rng = np.random.default_rng(7)
+    true = random_lr_model(rng, 4, 3)
+    seqs = [sample_sequences(true, rng, 1, t_len)[0] for t_len in (20, 27, 20, 33)]
+    blank = HmmModel(np.eye(4), np.zeros((4, 3)), np.ones((4, 3)))
+    uniform = [(np.arange(len(s)) * 4) // len(s) for s in seqs]
+    start = init_uniform(seqs, 4)
+    assert_matches_two_pass(start, two_pass_reestimate(blank, seqs, uniform))
+    stepped = viterbi_train(start, seqs, tol=-1.0, max_iter=1)
+    paths = [viterbi(start, s)[0] for s in seqs]
+    assert_matches_two_pass(stepped, two_pass_reestimate(start, seqs, paths))
+
+
 class TestInitUniform:
     def test_single_state_pools_everything(self):
         seqs = [np.array([[0.0], [2.0], [4.0]]), np.array([[6.0], [8.0]])]
@@ -689,26 +730,25 @@ class TestBatchedKernels:
         seqs = [sample_sequences(true, rng, 1, t_len)[0] for t_len in (12, 15, 12)]
         return init_uniform(seqs, 4), seqs
 
-    def test_viterbi_train_mixed_lengths(self, mixed_lengths, monkeypatch):
+    def test_viterbi_train_mixed_lengths(self, mixed_lengths):
         start, seqs = mixed_lengths
-        used = []
-        reestimate = hmm1d._reestimate_from_paths
-
-        def spy(model, seqs, paths):
-            used.append((model, seqs, paths))
-            return reestimate(model, seqs, paths)
-
-        monkeypatch.setattr(hmm1d, "_reestimate_from_paths", spy)
+        assert [s.shape[0] for s in seqs] == [12, 15, 12]
         history = []
         model = viterbi_train(start, seqs, tol=0.0, max_iter=6, history=history)
         assert_left_to_right(model)
         assert all(b >= a - 1e-9 for a, b in zip(history, history[1:]))
         assert history[0] == sum(viterbi(start, s)[1] for s in seqs)
-        assert used
-        for fitted, batch_seqs, paths in used:
-            assert [s.shape[0] for s in batch_seqs] == [12, 15, 12]
-            for seq, path in zip(batch_seqs, paths):
-                assert np.array_equal(path, viterbi(fitted, seq)[0])
+        # sequences are batched by length, yet each update reads every sequence's own
+        # Viterbi path under the model it updates, in input order
+        fitted = start
+        for _ in range(6):
+            paths = [viterbi(fitted, seq)[0] for seq in seqs]
+            stepped = viterbi_train(fitted, seqs, tol=-1.0, max_iter=1)
+            assert_matches_two_pass(stepped, two_pass_reestimate(fitted, seqs, paths))
+            fitted = stepped
+        six = viterbi_train(start, seqs, tol=-1.0, max_iter=6)
+        for name in ("trans", "means", "variances"):
+            assert np.array_equal(getattr(fitted, name), getattr(six, name))
 
     def test_baum_welch_mixed_lengths(self, mixed_lengths):
         start, seqs = mixed_lengths
