@@ -8,6 +8,7 @@ global rescale would not change any decision).
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import os
 from dataclasses import dataclass
@@ -233,11 +234,15 @@ def check_path(path: str | Path) -> None:
 @contextlib.contextmanager
 def replacing(paths: list[Path]) -> Iterator[list[Path]]:
     """Yield a new temporary path beside each of paths for the block to write, then
-    rename each onto its path, so no path is replaced before every file is written.
-    On failure the temporaries go, and an OSError names a path, not its temporary."""
+    rename each onto its path, so no path is replaced before every file is written
+    and every path is checked. On failure the temporaries go, and an OSError names a
+    path, not its temporary."""
     temps = [Path(f"{p}.{os.urandom(4).hex()}.tmp") for p in paths]  # beside, even for "."
     try:
         yield temps
+        for path in paths:  # a file cannot be renamed onto a directory (a link to one is fine)
+            if path.is_dir() and not path.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for tmp, path in zip(temps, paths):
             os.replace(tmp, path)
     except BaseException as exc:

@@ -14,10 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import GrayImage, check_dims, flatten
+from .dataset import GrayImage
 from .errors import DataError
 # Bound here, not called: sym_eigen for benchmarks/tests, and project (the weights
-# omega = U^T (face - mean) of an eigen model) for the tests.
+# omega = U^T (face - mean) of one face under an eigen model) for the tests.
 from .numerics import (FaceSpace, affine_residual, check_face, gram_pca, label_slices, nearest,
                        project, require_spread, sample_matrix, sym_eigen)
 
@@ -44,10 +44,10 @@ class EigenModel(FaceSpace):
     def predict(self, images: Sequence[GrayImage]) -> list[tuple[str, float]]:
         """Per image, (label or rejection marker, score); the score is the
         nearest-neighbor distance, or the face-space distance for a probe
-        rejected as not a face."""
-        decisions = [classify(self, flatten(check_dims(image, self.dims))) for image in images]
+        rejected as not a face. The probes are classified as row matrices of
+        FaceSpace.probe_rows."""
         return [(predicted_label(d), float(d.dffs if d.distance is None else d.distance))
-                for d in decisions]
+                for rows in self.probe_rows(images) for d in classify_rows(self, rows)]
 
 
 @dataclass(frozen=True)
@@ -109,19 +109,26 @@ def reconstruct(model: EigenModel, weights: np.ndarray) -> np.ndarray:
     return model.mean + model.basis @ weights
 
 
-def classify(model: EigenModel, face: np.ndarray) -> EigenDecision:
-    """Face-space test on the distance from face space, then nearest gallery
-    weight vector in L2.
+def classify_rows(model: EigenModel, faces: np.ndarray) -> list[EigenDecision]:
+    """Per row of an n x D matrix of faces: the face-space test on the distance
+    from face space, then the nearest gallery weight vector in L2. One
+    affine_residual takes the weights and distances of every row.
 
     Ties go to the lexicographically smallest label (gallery row order).
     """
-    weights, residual = affine_residual(check_face(face, model.mean), model.mean, model.basis)
-    residual = float(residual)
-    if residual > model.theta_face:
-        return EigenDecision(NOT_A_FACE, None, None, residual, weights)
-    row, best_dist = nearest(model.gallery, weights)
-    best_label = model.row_labels[row]
-    if best_dist > model.theta_known:
-        return EigenDecision(UNKNOWN_FACE, best_label, best_dist, residual, weights)
-    return EigenDecision(FACE, best_label, best_dist, residual, weights)
+    weights, residuals = affine_residual(faces, model.mean, model.basis)
+    decisions = []
+    for row_weights, residual in zip(weights, residuals.tolist()):
+        if residual > model.theta_face:
+            decisions.append(EigenDecision(NOT_A_FACE, None, None, residual, row_weights))
+            continue
+        row, best_dist = nearest(model.gallery, row_weights)
+        verdict = UNKNOWN_FACE if best_dist > model.theta_known else FACE
+        decisions.append(EigenDecision(verdict, model.row_labels[row], best_dist, residual,
+                                       row_weights))
+    return decisions
 
+
+def classify(model: EigenModel, face: np.ndarray) -> EigenDecision:
+    """classify_rows of one face vector, as a one-row matrix."""
+    return classify_rows(model, check_face(face, model.mean)[None])[0]

@@ -14,10 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import GrayImage, check_dims, flatten
+from .dataset import GrayImage
 from .errors import DataError, NumericError, SingularOrIndefinite
-# sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
-from .numerics import (FaceSpace, affine_coords, fix_signs, gen_sym_eigen, gram_pca,
+# Bound here, not called: sym_eigen for benchmarks/tests, and project (the
+# discriminant-space coordinates of one face) for the tests.
+from .numerics import (FaceSpace, affine_coords, check_face, fix_signs, gen_sym_eigen, gram_pca,
                        label_slices, nearest, project, require_spread, sample_matrix, sym_eigen)
 
 RIDGE_REL = 1e-8  # ridge added to within-class scatter when Cholesky fails
@@ -48,8 +49,10 @@ class FisherModel(FaceSpace):
         return self.basis.shape[1]
 
     def predict(self, images: Sequence[GrayImage]) -> list[tuple[str, float]]:
-        """Per image, (nearest-centroid label, its discriminant-space distance)."""
-        return [classify(self, flatten(check_dims(image, self.dims))) for image in images]
+        """Per image, (nearest-centroid label, its discriminant-space distance).
+        The probes are classified as row matrices of FaceSpace.probe_rows."""
+        return [decision for rows in self.probe_rows(images)
+                for decision in classify_rows(self, rows)]
 
 
 def compute_scatter(samples: list[tuple[str, np.ndarray]]) -> ScatterPair:
@@ -143,7 +146,15 @@ def train_fisher(
     return FisherModel(dims, mean, projection, lam, centroids, tuple(classes))
 
 
+def classify_rows(model: FisherModel, faces: np.ndarray) -> list[tuple[str, float]]:
+    """Per row of an n x D matrix of faces, the nearest class centroid in
+    discriminant space and its distance; one affine_coords projects every row.
+    Ties go to the smallest label."""
+    coords = affine_coords(faces, model.mean, model.basis)
+    return [(model.row_labels[row], dist)
+            for row, dist in (nearest(model.gallery, z) for z in coords)]
+
+
 def classify(model: FisherModel, face: np.ndarray) -> tuple[str, float]:
-    """Nearest class centroid in discriminant space; ties to smallest label."""
-    row, dist = nearest(model.gallery, project(model, face))
-    return model.row_labels[row], dist
+    """classify_rows of one face vector, as a one-row matrix."""
+    return classify_rows(model, check_face(face, model.mean)[None])[0]

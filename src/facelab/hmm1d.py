@@ -25,7 +25,8 @@ import numpy as np
 from .dataset import GrayImage, check_dims
 from .errors import DataError, NumericError
 # sym_eigen is not called here; benchmarks/tests still finds it bound in this module.
-from .numerics import gram_pca, require_shape, require_spread, scatter_pca, sym_eigen
+from .numerics import (PROBE_CHUNK, gram_pca, require_shape, require_spread, scatter_pca,
+                       sym_eigen)
 
 log = logging.getLogger(__name__)
 
@@ -36,9 +37,6 @@ DEFAULT_OVERLAP = 9
 DEFAULT_KLT_DIM = 10
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 20
-# probes per recognize forward pass: 320 rows for 40 subjects, so the one emission
-# buffer and each forward array hold about 1.3 MB
-PROBE_CHUNK = 8
 
 FEATURE_KLT = "klt"
 FEATURE_RAW = "raw"

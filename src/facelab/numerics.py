@@ -1,7 +1,7 @@
 """Dense symmetric eigendecomposition, Cholesky, the whitened generalized
 symmetric eigenproblem, PCA, the affine-subspace rule, the nearest-row rule,
-the shape checks shared by all recognizers, and the linear face space that
-eigenfaces and fisherfaces both fit.
+the shape checks and the probe chunk shared by all recognizers, and the
+linear face space that eigenfaces and fisherfaces both fit.
 
 All dense linear algebra goes through numpy.linalg (one LAPACK, one BLAS
 thread pool), and every PCA is one full-spectrum sym_eigen call.
@@ -17,13 +17,19 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from .dataset import GrayImage, check_dims, flatten
 from .errors import DataError, NumericError, SingularOrIndefinite
 
 SYM_RTOL = 1e-10  # relative entrywise symmetry requirement on inputs
 EPS_CUT_REL = 1e-10  # PCA drops eigenvalues below this fraction of the largest
+# probes every recognizer scores at a time: for 112 x 92 faces, an 8 x 10,304 row matrix
+# (0.66 MB) in eigenfaces and fisherfaces, and 320 forward rows for 40 HMM subjects, so
+# the HMM's one emission buffer and each forward array hold about 1.3 MB
+PROBE_CHUNK = 8
 _IDENTICAL = "zero variance: all training samples are identical"
 
 
@@ -156,20 +162,19 @@ def affine_coords(points: np.ndarray, mean: np.ndarray, basis: np.ndarray) -> np
 
 def affine_residual(points: np.ndarray, mean: np.ndarray, basis: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray | float]:
-    """(coordinates, distance from the affine subspace) of a vector, or of each
-    row, for a D x K basis with orthonormal columns.
+    """(coordinates, distance from the affine subspace) of each row, for a
+    D x K basis with orthonormal columns; a vector is one row.
 
     The distance is the norm of what the reconstruction coordinates @ basis^T
     leaves of points - mean: Turk & Pentland's distance from face space, and
     the KLT block residual. The residual keeps the memory layout of
-    points - mean, and the norms sum in that order: a vector's norm is one
-    dot product, and F-ordered rows (the transpose of column samples) sum as
-    the columns would.
+    points - mean, and the norms sum in that order: F-ordered rows (the
+    transpose of column samples) sum as the columns would.
     """
     centred = points - mean
     coords = centred @ basis
     centred -= coords @ basis.T
-    return coords, np.linalg.norm(centred, axis=None if centred.ndim == 1 else -1)
+    return coords, np.linalg.norm(centred, axis=-1)
 
 
 def check_face(face: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -230,6 +235,15 @@ class FaceSpace:
     @property
     def labels(self) -> list[str]:
         return list(dict.fromkeys(self.row_labels))
+
+    def probe_rows(self, images: Sequence[GrayImage]) -> Iterator[np.ndarray]:
+        """The images' face vectors, in order, as row matrices of at most
+        PROBE_CHUNK rows; a lone probe is a view of its pixels, not a copy.
+        DataError for an image that is not dims."""
+        for start in range(0, len(images), PROBE_CHUNK):
+            faces = [flatten(check_dims(image, self.dims))
+                     for image in images[start:start + PROBE_CHUNK]]
+            yield faces[0][None] if len(faces) == 1 else np.stack(faces)
 
 
 def project(model: FaceSpace, face: np.ndarray) -> np.ndarray:

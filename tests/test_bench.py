@@ -10,6 +10,11 @@ from facelab.eigenfaces import train_eigen
 from facelab.errors import DataError
 from facelab.fisherfaces import train_fisher
 from facelab.hmm1d import BlockParams, train_bank
+from facelab.numerics import PROBE_CHUNK
+
+
+def _bits(score: float) -> int:
+    return int(np.float64(score).view(np.int64))
 
 
 class TestEvaluate:
@@ -32,10 +37,20 @@ class TestEvaluate:
         report = bench.evaluate_entries(model, banded.test_entries)
         by_path = {path: image for _, path, image in banded.test_entries}
         assert [rec.path for rec in report.records] == sorted(by_path)
+        if method != "bank":
+            # eigen and fisher score their probes as row matrices, and BLAS may sum a row
+            # of a larger product in another order than the row alone: the report is one
+            # predict of the ordered probes bit for bit, and each probe alone to 1e-12
+            ordered = model.predict([by_path[rec.path] for rec in report.records])
+            assert [(rec.prediction, _bits(rec.score)) for rec in report.records] == \
+                [(prediction, _bits(score)) for prediction, score in ordered]
         for rec in report.records:
             [(prediction, score)] = model.predict([by_path[rec.path]])
             assert rec.prediction == prediction
-            assert np.float64(rec.score).view(np.int64) == np.float64(score).view(np.int64)
+            if method == "bank":
+                assert _bits(rec.score) == _bits(score)
+            else:
+                assert rec.score == pytest.approx(score, rel=1e-12, abs=0)
 
     def test_error_rate_recomputable_from_records(self, banded, banded_models):
         report = bench.evaluate_entries(banded_models.fisher, banded.test_entries)
@@ -84,6 +99,21 @@ class TestEvaluate:
     def test_evaluate_manifest(self, banded, banded_models):
         report = bench.evaluate(banded_models.bank, banded.test)
         assert report.error_rate <= 0.05
+
+
+@pytest.mark.parametrize("method", ["eigen", "fisher"])
+def test_chunked_predictions_equal_each_probe_alone(banded, banded_models, method):
+    model = getattr(banded_models, method)
+    probes = [image for _, _, image in banded.test_entries]
+    count = 2 * PROBE_CHUNK + 3  # three chunks, the last one short
+    assert count <= len(probes)
+    probes = probes[:count]
+    predicted = model.predict(probes)
+    assert len(predicted) == count
+    for image, (label, score) in zip(probes, predicted):
+        [(alone_label, alone_score)] = model.predict([image])
+        assert label == alone_label
+        assert score == pytest.approx(alone_score, rel=1e-12, abs=0)
 
 
 class TestPredict:

@@ -656,6 +656,26 @@ def test_failed_write_leaves_the_model_set_as_it_was(tall_dir, tmp_path):
     assert _tree(out) == before  # no new file beside the older ones, and no temporary
 
 
+def test_directory_among_the_targets_leaves_the_model_set_as_it_was(tall_dir, tmp_path, capsys):
+    # policy.cfg and eigen.ffm are renamed before fisher.ffm: every target is checked first
+    out = tmp_path / "models"
+    out.mkdir()
+    for name in ("policy.cfg", "eigen.ffm", "hmm.ffm"):
+        (out / name).write_text(f"an older {name}\n")
+    (out / "fisher.ffm").mkdir()
+    (out / "fisher.ffm" / "kept").write_text("kept\n")
+    before = _tree(out)
+    capsys.readouterr()
+    assert main(["train", "--method", "all", "--dataset", str(tall_dir), "--k", "1",
+                 "--block-l", "4", "--overlap", "3", "--states", "4", "--klt-d", "4",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("data error: [Errno 21] Is a directory")
+    assert captured.err.endswith(f": '{out / 'fisher.ffm'}'\n")
+    assert _tree(out) == before  # nothing replaced, and no temporary left behind
+
+
 def test_failed_report_write_leaves_no_report(trained_all, banded_dir, tmp_path):
     report = tmp_path / "r.csv"
     proc = _main_with_file_size_limit(["evaluate", "--model", str(trained_all / "eigen.ffm"),

@@ -17,7 +17,7 @@ from facelab.hmm1d import (BlockParams, FEATURE_RAW, VAR_FLOOR, HmmModel, KltBas
                            SubjectBank, baum_welch, extract_blocks, features_for, fit_klt,
                            init_uniform, loglik, observe, recognize, train_bank, viterbi,
                            viterbi_train)
-from facelab.numerics import sym_eigen
+from facelab.numerics import PROBE_CHUNK, sym_eigen
 
 RT2 = np.sqrt(2.0)
 
@@ -696,7 +696,7 @@ class TestBatchedKernels:
     def test_chunked_scores_equal_each_probe_alone(self, banded, banded_models):
         bank = banded_models.bank
         probes = [image for _, _, image in banded.test_entries]
-        count = 2 * hmm1d.PROBE_CHUNK + 3  # three chunks, the last one short
+        count = 2 * PROBE_CHUNK + 3  # three chunks, the last one short
         assert count <= len(probes)
         probes = probes[:count]
         batched = recognize(bank, probes)
@@ -713,10 +713,10 @@ class TestBatchedKernels:
             assert score == scores[label] == single.max()
 
     def test_wrong_size_probe_anywhere_in_a_batch_is_data_error(self, banded, banded_models):
-        probes = [image for _, _, image in banded.test_entries][:2 * hmm1d.PROBE_CHUNK + 1]
+        probes = [image for _, _, image in banded.test_entries][:2 * PROBE_CHUNK + 1]
         odd = GrayImage(8, 6, np.zeros((8, 6)))
         for model in (banded_models.eigen, banded_models.fisher, banded_models.bank):
-            for at in (0, hmm1d.PROBE_CHUNK - 1, hmm1d.PROBE_CHUNK + 2, len(probes)):
+            for at in (0, PROBE_CHUNK - 1, PROBE_CHUNK + 2, len(probes)):
                 with pytest.raises(DataError):
                     model.predict(probes[:at] + [odd] + probes[at:])
 

@@ -15,8 +15,8 @@ from facelab.dataset import flatten
 from facelab.eigenfaces import EigenModel, train_eigen
 from facelab.errors import DataError, NumericError, SingularOrIndefinite
 from facelab.fisherfaces import FisherModel, train_fisher
-from facelab.numerics import (EPS_CUT_REL, affine_coords, affine_residual, cholesky, fix_signs,
-                              gen_sym_eigen, sample_matrix, scatter_pca, sym_eigen)
+from facelab.numerics import (EPS_CUT_REL, PROBE_CHUNK, affine_coords, affine_residual, cholesky,
+                              fix_signs, gen_sym_eigen, sample_matrix, scatter_pca, sym_eigen)
 
 RT2 = np.sqrt(2.0)
 
@@ -319,3 +319,24 @@ def test_only_fisher_rejects_a_repeated_label(kind):
     assert model.row_labels == ("a", "b", "b")  # stable: b's rows keep their order
     assert model.gallery[:, 0].tolist() == [1.0, 2.0, 0.0]
     assert model.labels == ["a", "b"]
+
+
+@pytest.mark.parametrize("train", [lambda samples: train_eigen(samples, 40, (112, 92)),
+                                   lambda samples: train_fisher(samples, (112, 92))],
+                         ids=["eigen", "fisher"])
+def test_prediction_holds_one_chunk_of_probes(train):
+    # predict scores PROBE_CHUNK probes at a time: the stacked rows, their centred copy
+    # and its reconstruction make at most 3 chunk matrices (2 for fisher, which has no
+    # reconstruction), where one stack of all 40 probes would make 3 matrices of 40 rows
+    entries = synth.make_banded_dataset(20, 5, 112, 92)
+    model = train([(label, flatten(image)) for label, image in entries])
+    probes = [image for _, image in entries[:40]]
+    chunk_bytes = PROBE_CHUNK * 112 * 92 * 8
+    assert len(probes) > 2 * PROBE_CHUNK
+    tracemalloc.start()
+    try:
+        model.predict(probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * chunk_bytes
