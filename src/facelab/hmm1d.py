@@ -4,7 +4,9 @@ Images are cut into overlapping horizontal blocks; each block becomes a
 low-dimensional KLT coefficient vector; one left-to-right HMM per subject is
 trained by uniform segmentation, then Viterbi (segmental) re-estimation, then
 Baum-Welch. Recognition scores a probe under every subject model with the
-scaled forward algorithm.
+forward algorithm. Forward and backward recursions run in the log domain
+(Rabiner 1989, section V), so no path is lost to underflow however far
+behind it falls, and raw-pixel emissions train as KLT ones do.
 
 observe is the one KLT view of an image's blocks: HMM training and scoring
 read its coefficients, and the dispatcher's occlusion profile its distances.
@@ -362,55 +364,46 @@ def viterbi(model: HmmModel, seq: np.ndarray) -> tuple[np.ndarray, float]:
     return paths[0], float(scores[0])
 
 
-def _scaled_forward(trans: np.ndarray, logb: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batched scaled forward pass over B sequences.
+def _forward(trans: np.ndarray, logb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched log-domain forward pass over B sequences: (T x N x B log alpha, B logL).
 
     trans is B x N x N (or 1 x N x N, shared) and left-to-right, logb is
-    B x T x N. Returns (alpha_hat, propagated masses, scales, shifts, logL),
-    shaped B x T x N, B x T x N, B x T, B x T and B. Each step's emissions are
-    shifted by the maximum of the propagated log-mass before exponentiation,
-    so the recursion neither underflows on long or surprising sequences nor
-    overflows through states the left-to-right support cannot reach yet.
-    The per-step state is kept state-major, T x N x B: each step moves mass
-    along the stay and move diagonals and reduces over the N states with
-    whole-row operations of length B.
+    B x T x N. With pi = (1, 0, ..., 0), log alpha[t][j] is the logaddexp of
+    log alpha[t-1][j] + log a[j][j] and log alpha[t-1][j-1] + log a[j-1][j],
+    plus log b_j(x_t): no path is ever rounded away, however far behind it
+    falls. The state is kept state-major, T x N x B, in a copy of the
+    emissions, so each step is four whole-row operations of length B along
+    the stay and move diagonals.
     """
     batch, t_len, n = logb.shape
-    # N x B (or N x 1) a[j][j], and (N-1) x B a[j-1][j] for j >= 1
-    stay, move = (np.ascontiguousarray(np.diagonal(trans, k, 1, 2).T) for k in (0, 1))
-    by_step = np.ascontiguousarray(logb.transpose(1, 2, 0))  # T x N x B
-    alpha = np.empty((t_len, n, batch))
-    masses = np.empty((t_len, n, batch))
-    scales = np.zeros((batch, t_len))
-    shifts = np.zeros((batch, t_len))
-    masses[0] = 0.0
-    masses[0, 0] = 1.0  # pi = (1, 0, ..., 0)
-    # a vanished step yields NaN from here on; it is reported after the loop
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(t_len):
-            if t:
-                np.multiply(alpha[t - 1], stay, out=masses[t])
-                masses[t, 1:] += alpha[t - 1, :-1] * move
-            log_unnorm = np.log(masses[t]) + by_step[t]  # -inf where unreachable
-            shift = log_unnorm.max(axis=0)
-            unnorm = np.exp(log_unnorm - shift)
-            total = unnorm.sum(axis=0)  # >= 1: the max term contributes exactly 1
-            scales[:, t] = total
-            shifts[:, t] = shift
-            np.divide(unnorm, total, out=alpha[t])
-    vanished = ~np.isfinite(shifts).all(axis=0)
-    if vanished.any():
-        raise NumericError(f"forward recursion vanished at step {int(np.argmax(vanished))}")
-    total_ll = np.sum(np.log(scales), axis=1) + np.sum(shifts, axis=1)
-    return alpha.transpose(2, 0, 1), masses.transpose(2, 0, 1), scales, shifts, total_ll
+    stay, move = _log_diagonals(trans)
+    alpha = logb.transpose(1, 2, 0).copy()  # T x N x B, the emissions until added
+    alpha[0, 1:] = -np.inf
+    reached = np.empty((n, batch))
+    moved = np.empty((n - 1, batch))
+    for t in range(1, t_len):
+        np.add(alpha[t - 1], stay, out=reached)
+        np.add(alpha[t - 1, :-1], move, out=moved)
+        np.logaddexp(reached[1:], moved, out=reached[1:])
+        alpha[t] += reached
+    total_ll = np.logaddexp.reduce(alpha[-1], axis=0)
+    if not np.isfinite(total_ll).all():
+        dead = ~(alpha > -np.inf).any(axis=1)  # T x B: no state holds any mass
+        raise NumericError(f"forward recursion vanished at step {int(np.argmax(dead.any(axis=1)))}")
+    return alpha, total_ll
+
+
+def _log_diagonals(trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N x B (or N x 1) log a[j][j], and (N-1) x B log a[j-1][j] for j >= 1."""
+    with np.errstate(divide="ignore"):  # structural zeros are -inf
+        return tuple(np.log(np.ascontiguousarray(np.diagonal(trans, k, 1, 2).T)) for k in (0, 1))
 
 
 def loglik(model: HmmModel, seq: np.ndarray) -> float:
     """Total forward log-likelihood (sum over all feasible paths)."""
     seq = _check_seq(model.dim, seq)
     p = _stack([model])
-    return float(_scaled_forward(p.trans, _log_emissions(p, seq[None]))[-1][0])
+    return float(_forward(p.trans, _log_emissions(p, seq[None]))[1][0])
 
 
 def init_uniform(seqs: list[np.ndarray], n_states: int) -> HmmModel:
@@ -548,37 +541,44 @@ def viterbi_train(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_
 
 
 def _expect(p: _Stacked, batch: np.ndarray) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Baum-Welch E-step: per row, (logL, gamma T x N, xi summed over t N x N)."""
+    """Baum-Welch E-step: per row, (logL, gamma T x N, xi summed over t N x N).
+
+    log beta runs _forward's recursion backwards in the same T x N x B
+    layout, and gamma = exp(log alpha + log beta - logL). xi has only the
+    stay and move diagonals, each summed over t from a (T-1) x N x B array.
+    """
     logb = _log_emissions(p, batch)
-    alpha, masses, scales, shifts, ll = _scaled_forward(p.trans, logb)
-    beta = np.zeros_like(alpha)
-    beta[:, -1] = 1.0
-    # an unlikely state with a far better emission can overflow b * beta; checked below
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = np.where(masses > 0.0, np.exp(np.minimum(logb - shifts[:, :, None], 700.0)), 0.0)
-        for t in range(batch.shape[1] - 2, -1, -1):
-            ahead = (b[:, t + 1] * beta[:, t + 1])[:, :, None]
-            beta[:, t] = np.matmul(p.trans, ahead)[:, :, 0] / scales[:, t + 1, None]
-    overflowed = np.flatnonzero(~np.isfinite(beta).all(axis=(0, 2)))
-    if overflowed.size:
-        raise NumericError(f"backward recursion overflowed at step {overflowed[-1]}")
-    gamma = alpha * beta  # rows sum to 1
-    xi = (alpha[:, :-1, :, None] * p.trans[:, None]
-          * (b[:, 1:] * beta[:, 1:])[:, :, None, :]) / scales[:, 1:, None, None]
-    return list(zip(ll.tolist(), gamma, xi.sum(axis=1)))
+    alpha, ll = _forward(p.trans, logb)
+    stay, move = _log_diagonals(p.trans)
+    t_len, n, rows = alpha.shape
+    beta = np.empty_like(alpha)
+    beta[-1] = 0.0
+    ahead = logb.transpose(1, 2, 0)[1:].copy()  # (T-1) x N x B, + log beta[t+1] below
+    for t in range(t_len - 2, -1, -1):
+        ahead[t] += beta[t + 1]  # log b(x_t+1) + log beta[t+1]
+        np.add(ahead[t], stay, out=beta[t])
+        np.logaddexp(beta[t, :-1], ahead[t, 1:] + move, out=beta[t, :-1])
+    gamma = np.exp(alpha + beta - ll)
+    left = alpha[:-1] - ll  # log alpha[t] - logL for t < T-1
+    counts = np.zeros((rows, n, n))
+    states = np.arange(n)
+    counts[:, states, states] = np.exp(left + stay + ahead).sum(axis=0).T
+    counts[:, states[:-1], states[1:]] = np.exp(left[:, :-1] + move + ahead[:, 1:]).sum(axis=0).T
+    return list(zip(ll.tolist(), gamma.transpose(2, 0, 1), counts))
 
 
 def baum_welch(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER,
                history: list[float] | None = None) -> HmmModel:
-    """Expectation-maximization with the scaled forward-backward recursions.
+    """Expectation-maximization with the log-domain forward-backward recursions.
 
-    The total forward log-likelihood is non-decreasing across iterations (up
-    to the variance floor); structural zeros of the transition matrix are
-    never touched. Stops on relative log-likelihood change below tol or
-    after max_iter updates. max_iter = 0 returns the input model unchanged;
-    a negative tol disables the convergence test so exactly max_iter updates
-    run.
+    Posteriors are exp(log alpha + log beta - logL), and the transition
+    counts sum the stay and move terms of xi over t. The total forward
+    log-likelihood is non-decreasing across iterations (up to the variance
+    floor); structural zeros of the transition matrix are never touched.
+    Stops on relative log-likelihood change below tol or after max_iter
+    updates. max_iter = 0 returns the input model unchanged; a negative tol
+    disables the convergence test so exactly max_iter updates run.
     """
     return _fit([model], [seqs], tol, max_iter, [[] if history is None else history], _expect)[0]
 
@@ -655,7 +655,7 @@ def recognize(bank: SubjectBank, images: Sequence[GrayImage]
         for k, image in enumerate(probes):
             _log_emissions(p, _check_seq(p.dim, features_for(bank, image))[None], out=logb[k])
         batch = logb[:len(probes)].reshape(-1, *logb.shape[2:])
-        scores = _scaled_forward(trans[:len(batch)], batch)[-1].reshape(-1, len(labels))
+        scores = _forward(trans[:len(batch)], batch)[1].reshape(-1, len(labels))
         # labels are sorted and argmax returns the first maximum: ties keep the lowest label
         results.extend((labels[int(np.argmax(row))], dict(zip(labels, row.tolist())))
                        for row in scores)

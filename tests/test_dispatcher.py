@@ -357,7 +357,7 @@ def _route_probe(kind, image, rng):
 # recognizer gets wrong), then the dispatcher's eigen/fisher/hmm route counts.
 ROUTE_TABLE = {
     "clean": ({"eigen": 2, "fisher": 0, "hmm": 0, "dispatch": 2, "oracle": 0}, (15, 4, 1)),
-    "ramp": ({"eigen": 20, "fisher": 0, "hmm": 15, "dispatch": 0, "oracle": 0}, (0, 20, 0)),
+    "ramp": ({"eigen": 20, "fisher": 0, "hmm": 11, "dispatch": 0, "oracle": 0}, (0, 20, 0)),
     "occlude": ({"eigen": 20, "fisher": 15, "hmm": 15, "dispatch": 15, "oracle": 10}, (0, 20, 0)),
     "roll": ({"eigen": 20, "fisher": 20, "hmm": 2, "dispatch": 6, "oracle": 2}, (0, 4, 16)),
 }
