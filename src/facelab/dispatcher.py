@@ -113,23 +113,23 @@ def _illumination(image: GrayImage, context: ProfileContext) -> float:
             + _half_asymmetry(image) / context.asym_sigma)
 
 
-def _profile(image: GrayImage, eigen: eigenfaces.EigenModel, frontal_ref: np.ndarray,
-             residuals: np.ndarray, context: ProfileContext) -> ImageProfile:
-    """profile, given the frontal reference as a checked face vector and the
-    image's block residuals. The pose term is the norm of the probe's weights
-    less the reference's, U^T (x - mean) - U^T (ref - mean) = U^T (x - ref):
-    one projection."""
-    face = check_face(image.pixels, eigen.mean)
-    pose = float(np.linalg.norm(affine_coords(face, frontal_ref, eigen.basis)))
+def _profile(pose: float, image: GrayImage, residuals: np.ndarray,
+             context: ProfileContext) -> ImageProfile:
+    """profile, given the image's pose term and block residuals."""
     occlusion = float(np.mean(residuals > context.resid_p99))
     return ImageProfile(pose, _illumination(image, context), occlusion)
 
 
 def profile(image: GrayImage, eigen: eigenfaces.EigenModel, frontal_ref: np.ndarray,
             bank: hmm1d.SubjectBank, context: ProfileContext) -> ImageProfile:
-    """Measure pose, illumination and occlusion properties of a probe."""
-    return _profile(image, eigen, check_face(frontal_ref, eigen.mean),
-                    block_residuals(bank, image), context)
+    """Measure pose, illumination and occlusion properties of a probe. The pose
+    term is the norm of the probe's weights less the reference's,
+    U^T (x - mean) - U^T (ref - mean) = U^T (x - ref): one projection."""
+    frontal_ref = check_face(frontal_ref, eigen.mean)
+    residuals = block_residuals(bank, image)  # checks the dims
+    face = check_face(image.pixels, eigen.mean)
+    pose = float(np.linalg.norm(affine_coords(face, frontal_ref, eigen.basis)))
+    return _profile(pose, image, residuals, context)
 
 
 def select(prof: ImageProfile, policy: DispatchPolicy) -> str:
@@ -152,10 +152,17 @@ def calibrate_policy(train_images: list[GrayImage], eigen: eigenfaces.EigenModel
                      context: ProfileContext) -> DispatchPolicy:
     """Thresholds at the POLICY_PERCENTILE of clean-training profiles; residuals
     holds each training image's block_residuals, as given to calibrate_context,
-    and frontal_ref is the reference face vector that every pose is taken from."""
+    and frontal_ref is the reference face vector that every pose is taken from.
+    The poses are projected as the row matrices of eigen.probe_rows, as
+    inference projects its probes, not one image at a time."""
+    if not train_images:
+        raise DataError("no training images to calibrate on")
     frontal_ref = check_face(frontal_ref, eigen.mean)
-    profiles = [_profile(img, eigen, frontal_ref, resids, context)
-                for img, resids in zip(train_images, residuals, strict=True)]
+    poses = np.concatenate([np.linalg.norm(affine_coords(rows, frontal_ref, eigen.basis), axis=1)
+                            for rows in eigen.probe_rows(train_images)])
+    profiles = [_profile(pose, img, resids, context)
+                for pose, img, resids in zip(poses.tolist(), train_images, residuals,
+                                             strict=True)]
     pose, illum, occl = (float(np.percentile(values, POLICY_PERCENTILE))
                          for values in zip(*map(astuple, profiles)))
     return DispatchPolicy(tau_illum=illum, tau_pose=pose, tau_occl=occl)

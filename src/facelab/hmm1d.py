@@ -217,8 +217,9 @@ def fit_klt(images: list[np.ndarray], params: BlockParams, d: int) -> KltBasis:
     blocks t of x[t*s + r]^T x[t*s + r + k], for x the image rows and s the
     stride. Rows are first shifted by their per-column mean, which leaves
     the scatter unchanged and keeps the cancellation in removing
-    n * mean mean^T small; numerics.scatter_pca then keeps the top d eigenpairs
-    of the scatter's full spectrum. The caller's arrays are never modified.
+    n * mean mean^T small; numerics.scatter_pca then solves only the scatter's
+    top d eigenpairs, by subspace iteration, or its full spectrum where that
+    does not converge. The caller's arrays are never modified.
     """
     for pixels in images:
         require_shape("training image", pixels, params.image_dims)

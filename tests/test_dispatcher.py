@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facelab import synth
+from facelab import dispatcher, synth
 from facelab.dataset import GrayImage, flatten
-from facelab.dispatcher import (METHOD_EIGEN, METHOD_FISHER, METHOD_HMM,
+from facelab.dispatcher import (METHOD_EIGEN, METHOD_FISHER, METHOD_HMM, POLICY_PERCENTILE,
                                 DispatchPolicy, ImageProfile, ProfileContext,
                                 _illumination, block_residuals, calibrate,
                                 calibrate_context, calibrate_policy, profile,
@@ -17,7 +17,7 @@ from facelab.dispatcher import (METHOD_EIGEN, METHOD_FISHER, METHOD_HMM,
 from facelab.eigenfaces import project
 from facelab.errors import DataError
 from facelab.hmm1d import BlockParams, SubjectBank, extract_blocks, fit_klt, observe
-from facelab.numerics import affine_coords, affine_residual
+from facelab.numerics import PROBE_CHUNK, affine_coords, affine_residual
 
 
 class TestProfile:
@@ -206,6 +206,34 @@ class TestCalibration:
     def test_context_requires_images(self):
         with pytest.raises(DataError):
             calibrate_context([], [])
+
+    def test_policy_requires_images(self, banded_models):
+        m = banded_models
+        with pytest.raises(DataError, match="^no training images to calibrate on$"):
+            calibrate_policy([], m.eigen, m.frontal, [], m.context)
+
+    def test_chunked_poses_match_lone_probes(self, banded_models, monkeypatch):
+        # the training images are projected PROBE_CHUNK at a time, the last chunk
+        # ragged; each pose and threshold is the one-image-at-a-time figure
+        m = banded_models
+        assert len(m.train_images) % PROBE_CHUNK != 0
+        residuals = [block_residuals(m.bank, img) for img in m.train_images]
+        poses, real_profile = [], dispatcher._profile
+
+        def spy(pose, *args):
+            poses.append(pose)
+            return real_profile(pose, *args)
+
+        monkeypatch.setattr(dispatcher, "_profile", spy)
+        policy = calibrate_policy(m.train_images, m.eigen, m.frontal, residuals, m.context)
+        monkeypatch.undo()
+        alone = [profile(img, m.eigen, m.frontal, m.bank, m.context) for img in m.train_images]
+        assert poses == pytest.approx([p.pose_deviation for p in alone], rel=1e-12, abs=0.0)
+        assert poses[m.frontal_idx] == 0.0
+        expected = [np.percentile(values, POLICY_PERCENTILE)
+                    for values in zip(*map(dataclasses.astuple, alone))]
+        assert dataclasses.astuple(policy) == pytest.approx(
+            [expected[1], expected[0], expected[2]], rel=1e-12, abs=0.0)  # illum, pose, occl
 
 
 class TestRecognizeMulti:

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 from scipy.stats import norm
 
-from facelab import hmm1d, synth
+from facelab import hmm1d, numerics, synth
 from facelab.dataset import GrayImage
 from facelab.errors import DataError, NumericError
 from facelab.hmm1d import (BlockParams, FEATURE_RAW, VAR_FLOOR, HmmModel, KltBasis,
@@ -273,6 +273,26 @@ class TestKlt:
             tracemalloc.stop()
         assert klt.dim == 10
         assert peak < 60e6  # the 20,600 x 920 float64 block matrix alone is 152 MB
+
+    def test_orl_height_scatter_takes_the_top_d_route(self, monkeypatch):
+        # 40 banded faces at 112 x 92: the D = 920 block scatter of the default
+        # geometry converges without the full spectrum, and gives its basis
+        images = [img.pixels for _, img in synth.make_banded_dataset(4, 10, 112, 92)]
+        params = BlockParams(10, 9, (112, 92))
+        full_solves = []
+
+        def spy(S):
+            full_solves.append(S.shape)
+            return sym_eigen(S)
+
+        monkeypatch.setattr(numerics, "sym_eigen", spy)
+        klt = fit_klt(images, params, d=10)
+        assert full_solves == []
+        monkeypatch.setattr(numerics, "SUBSPACE_STEPS", 0)  # every solve falls back
+        full = fit_klt(images, params, d=10)
+        assert full_solves == [(920, 920)]
+        assert np.array_equal(klt.mean, full.mean)
+        assert np.abs(klt.basis - full.basis).max() <= 1e-10
 
     def test_observe_dimension_check(self):
         params = BlockParams(2, 1, (4, 3))

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 import facelab
-from facelab import synth
+from facelab import numerics, synth
 from facelab.dataset import flatten
 from facelab.eigenfaces import EigenModel, train_eigen
 from facelab.errors import DataError, NumericError, SingularOrIndefinite
 from facelab.fisherfaces import FisherModel, train_fisher
-from facelab.numerics import (EPS_CUT_REL, PROBE_CHUNK, affine_coords, affine_residual, cholesky,
-                              fix_signs, gen_sym_eigen, sample_matrix, scatter_pca, sym_eigen)
+from facelab.numerics import (EPS_CUT_REL, PROBE_CHUNK, SUBSPACE_BLOCK, SUBSPACE_SPAN,
+                              affine_coords, affine_residual, cholesky, fix_signs, gen_sym_eigen,
+                              sample_matrix, scatter_pca, sym_eigen)
 
 RT2 = np.sqrt(2.0)
 
@@ -183,6 +184,80 @@ class TestScatterPca:
     def test_identical_samples_rejected(self):
         with pytest.raises(NumericError, match="identical"):
             scatter_pca(np.zeros((5, 5)), 2)
+        with pytest.raises(NumericError, match="identical"):
+            scatter_pca(np.zeros((40, 40)), 2)  # sized for the subspace route
+
+    @pytest.fixture
+    def full_solves(self, monkeypatch):
+        """Each matrix that scatter_pca hands to sym_eigen."""
+        seen = []
+
+        def spy(S):
+            seen.append(S)
+            return sym_eigen(S)
+
+        monkeypatch.setattr(numerics, "sym_eigen", spy)
+        return seen
+
+    @staticmethod
+    def _with_spectrum(values, seed=7):
+        """A symmetric matrix with the given eigenvalues and random eigenvectors."""
+        q = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(values),) * 2))[0]
+        scatter = (q * values) @ q.T
+        return 0.5 * (scatter + scatter.T)
+
+    def test_subspace_route_matches_full_spectrum(self, full_solves):
+        k = 12
+        dim = SUBSPACE_SPAN * SUBSPACE_BLOCK * k  # the smallest matrix that takes the route
+        scatter = self._with_spectrum(100.0 * 0.7 ** np.arange(dim))
+        vectors, values = scatter_pca(scatter, k)
+        assert full_solves == []
+        full = sym_eigen(scatter)
+        lam_max = full.eigenvalues[0]
+        assert vectors.shape == (dim, k) and values.shape == (k,)
+        assert np.abs(values - full.eigenvalues[:k]).max() <= 1e-12 * lam_max
+        assert np.abs(vectors - full.eigenvectors[:, :k]).max() <= 1e-10
+        assert np.abs(vectors.T @ vectors - np.eye(k)).max() <= 1e-12
+        assert np.all(vectors[np.argmax(np.abs(vectors), axis=0), np.arange(k)] >= 0.0)
+
+    @pytest.mark.parametrize("rank", [1, 5])
+    def test_subspace_route_makes_the_same_rank_cut(self, full_solves, rank):
+        rng = np.random.default_rng(rank)
+        phi = rng.normal(size=(80, rank)) * 2.0 ** -np.arange(rank)
+        scatter = phi @ phi.T
+        vectors, values = scatter_pca(scatter, 8)
+        assert full_solves == []
+        full = sym_eigen(scatter)
+        assert int(np.sum(full.eigenvalues > EPS_CUT_REL * full.eigenvalues[0])) == rank
+        assert vectors.shape == (80, rank) and values.shape == (rank,)
+        assert np.abs(values - full.eigenvalues[:rank]).max() <= 1e-12 * full.eigenvalues[0]
+        assert np.abs(vectors - full.eigenvectors[:, :rank]).max() <= 1e-10
+
+    def test_subspace_route_is_deterministic(self, full_solves):
+        scatter = self._with_spectrum(0.5 ** np.arange(64))
+        first, second = scatter_pca(scatter, 4), scatter_pca(scatter.copy(), 4)
+        assert full_solves == []
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+    def test_flat_spectrum_falls_back_to_the_full_solve(self, full_solves):
+        scatter = self._with_spectrum(np.linspace(1.0, 0.9, 96))
+        vectors, values = scatter_pca(scatter, 12)
+        assert len(full_solves) == 1
+        full = sym_eigen(scatter)
+        assert np.array_equal(values, full.eigenvalues[:12])
+        assert np.array_equal(vectors, full.eigenvectors[:, :12])
+
+    def test_finds_a_top_pair_that_the_diagonal_hides(self, full_solves):
+        # the all-ones block of coordinates 2-9 has eigenvalue 8 but diagonal 1, and
+        # coordinates 0 and 1 hold 6 and 1.2: their unit vectors span an invariant
+        # subspace, so a start from the largest diagonal entries would return 6
+        scatter = np.diag(np.r_[6.0, 1.2, np.zeros(8), np.full(6, 1e-3)])
+        scatter[2:10, 2:10] = 1.0
+        vectors, values = scatter_pca(scatter, 1)
+        assert full_solves == []
+        assert values[0] == pytest.approx(8.0, rel=1e-13)
+        assert np.abs(vectors[:, 0] - np.r_[0.0, 0.0, np.full(8, 8 ** -0.5), np.zeros(6)]).max() \
+            <= 1e-12
 
     def test_input_checks(self):
         with pytest.raises(DataError):
