@@ -4,9 +4,13 @@ Images are cut into overlapping horizontal blocks; each block becomes a
 low-dimensional KLT coefficient vector; one left-to-right HMM per subject is
 trained by uniform segmentation, then Viterbi (segmental) re-estimation, then
 Baum-Welch. Recognition scores a probe under every subject model with the
-forward algorithm. Forward and backward recursions run in the log domain
-(Rabiner 1989, section V), so no path is lost to underflow however far
-behind it falls, and raw-pixel emissions train as KLT ones do.
+forward algorithm. Viterbi and the forward pass are one log-domain
+left-to-right recursion (Rabiner 1989, section V); they differ only in how a
+state's stay and move terms combine: logaddexp for scores, max plus a
+back-pointer for Viterbi, whose ties go to the lower predecessor and then the
+lowest final state. The backward pass is log-domain too, so no path is lost
+to underflow however far behind it falls, and raw pixels train as KLT
+features do.
 
 observe is the one KLT view of an image's blocks: HMM training and scoring
 read its coefficients, and the dispatcher's occlusion profile its distances.
@@ -129,7 +133,8 @@ class HmmModel:
 class _Stacked(NamedTuple):
     """The parameters of S same-shape HMMs, stacked on a leading axis."""
 
-    trans: np.ndarray  # S x N x N
+    stay: np.ndarray  # S x N, log a[j][j]
+    move: np.ndarray  # S x (N-1), log a[j-1][j] for j >= 1
     weights: np.ndarray  # S x 2d x N, rows [1 / variances; -2 means / variances]
     const: np.ndarray  # S x N, sum of means^2 / variances plus log det(2*pi*Sigma)
 
@@ -142,10 +147,12 @@ def _stack(models: list[HmmModel]) -> _Stacked:
     means = np.stack([m.means for m in models])
     variances = np.stack([m.variances for m in models])
     inv_var = 1.0 / variances
-    with np.errstate(over="ignore"):  # a mean too far for its variance gives -inf emissions
+    # a mean too far for its variance gives -inf emissions, and structural zeros -inf logs
+    with np.errstate(over="ignore", divide="ignore"):
         weights = np.concatenate([inv_var, -2.0 * means * inv_var], axis=2).transpose(0, 2, 1)
         const = np.sum(means * means * inv_var + np.log(2.0 * np.pi * variances), axis=2)
-    return _Stacked(np.stack([m.trans for m in models]), np.ascontiguousarray(weights), const)
+        stay, move = (np.log([np.diagonal(m.trans, k) for m in models]) for k in (0, 1))
+    return _Stacked(stay, move, np.ascontiguousarray(weights), const)
 
 
 @dataclass(frozen=True)
@@ -318,38 +325,54 @@ def _log_emissions(p: _Stacked, seqs: np.ndarray, out: np.ndarray | None = None)
     return out
 
 
-def _viterbi(trans: np.ndarray, logb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched Viterbi over B sequences: (B x T paths, B joint log-likelihoods).
+def _left_to_right(p: _Stacked, logb: np.ndarray, combine: Callable) -> np.ndarray:
+    """The one recursion of Viterbi and the forward pass: T x N x B log delta of
+    B x T x N emissions, B being one or more leading axes that p's rows broadcast to.
 
-    trans is B x N x N (or 1 x N x N, shared), logb is B x T x N. The path
-    starts in state 0 and moves by at most one state per step; score ties
-    prefer the lower predecessor, and the lowest final state wins ties.
+    From pi = (1, 0, ..., 0), step t forms each state's stay term
+    delta[t-1][j] + log a[j][j] and move term delta[t-1][j-1] + log a[j-1][j];
+    combine(t, stay terms of states 1.., move terms) merges them in place, and
+    log b_j(x_t) is added. The state is kept state-major in a copy of the
+    emissions, so each step is whole-row operations along the two diagonals.
+    Max-product and sum-product leave the same states at -inf, so Viterbi and
+    the forward pass name the same step when a row's mass vanishes.
     """
+    batch = logb.shape[:-2]
+    stay, move = (np.moveaxis(np.broadcast_to(a, batch + a.shape[-1:]), -1, 0).copy()
+                  for a in (p.stay, p.move))  # N x B and (N-1) x B
+    delta = np.moveaxis(logb, (-2, -1), (0, 1)).copy()  # T x N x B, the emissions until added
+    delta[0, 1:] = -np.inf
+    reached, moved = np.empty(stay.shape), np.empty(move.shape)
+    for t in range(1, len(delta)):
+        np.add(delta[t - 1], stay, out=reached)
+        np.add(delta[t - 1, :-1], move, out=moved)
+        combine(t, reached[1:], moved)
+        delta[t] += reached
+    if not (delta[-1] > -np.inf).any(axis=0).all():
+        dead = ~(delta > -np.inf).any(axis=1).reshape(len(delta), -1)  # T x rows
+        raise NumericError(f"recursion vanished at step {int(np.argmax(dead.any(axis=1)))}: "
+                           "no state holds any mass")
+    return delta
+
+
+def _viterbi(p: _Stacked, logb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched Viterbi over B sequences, (B x T paths, B joint log-likelihoods):
+    the left-to-right recursion under max, with a back-pointer per step and
+    state. Ties prefer the lower predecessor, then the lowest final state."""
     batch, t_len, n = logb.shape
-    with np.errstate(divide="ignore"):
-        loga = np.log(trans)
-    stay = np.diagonal(loga, axis1=1, axis2=2).copy()  # a[j][j]
-    move = np.diagonal(loga, offset=1, axis1=1, axis2=2).copy()  # a[j-1][j], j >= 1
-    by_step = np.ascontiguousarray(logb.transpose(1, 0, 2))  # T x B x N
-    delta = np.full((batch, n), -np.inf)
-    delta[:, 0] = by_step[0, :, 0]  # pi = (1, 0, ..., 0)
-    moved = np.zeros((t_len, batch, n), dtype=bool)  # best predecessor of j at t is j - 1
-    for t in range(1, t_len):
-        best = delta + stay
-        step = delta[:, :-1] + move
-        np.greater_equal(step, best[:, 1:], out=moved[t, :, 1:])
-        np.maximum(best[:, 1:], step, out=best[:, 1:])
-        delta = best + by_step[t]
-    end = np.argmax(delta, axis=1)  # lowest index wins ties
+    moved = np.zeros((t_len, n, batch), dtype=bool)  # best predecessor of j at t is j - 1
+
+    def best(t: int, stayed: np.ndarray, step: np.ndarray) -> None:
+        np.greater_equal(step, stayed, out=moved[t, 1:])
+        np.maximum(stayed, step, out=stayed)
+
+    delta = _left_to_right(p, logb, best)
     rows = np.arange(batch)
-    scores = delta[rows, end]
-    if not np.all(np.isfinite(scores)):
-        raise NumericError("no feasible state path: every path has probability zero")
     paths = np.empty((batch, t_len), dtype=np.intp)
-    paths[:, -1] = end
+    paths[:, -1] = np.argmax(delta[-1], axis=0)  # lowest index wins ties
     for t in range(t_len - 1, 0, -1):
-        paths[:, t - 1] = paths[:, t] - moved[t, rows, paths[:, t]]
-    return paths, scores
+        paths[:, t - 1] = paths[:, t] - moved[t, paths[:, t], rows]
+    return paths, delta[-1, paths[:, -1], rows]
 
 
 def viterbi(model: HmmModel, seq: np.ndarray) -> tuple[np.ndarray, float]:
@@ -361,50 +384,22 @@ def viterbi(model: HmmModel, seq: np.ndarray) -> tuple[np.ndarray, float]:
     """
     seq = _check_seq(model.dim, seq)
     p = _stack([model])
-    paths, scores = _viterbi(p.trans, _log_emissions(p, seq[None]))
+    paths, scores = _viterbi(p, _log_emissions(p, seq[None]))
     return paths[0], float(scores[0])
 
 
-def _forward(trans: np.ndarray, logb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched log-domain forward pass over B sequences: (T x N x B log alpha, B logL).
-
-    trans is B x N x N (or 1 x N x N, shared) and left-to-right, logb is
-    B x T x N. With pi = (1, 0, ..., 0), log alpha[t][j] is the logaddexp of
-    log alpha[t-1][j] + log a[j][j] and log alpha[t-1][j-1] + log a[j-1][j],
-    plus log b_j(x_t): no path is ever rounded away, however far behind it
-    falls. The state is kept state-major, T x N x B, in a copy of the
-    emissions, so each step is four whole-row operations of length B along
-    the stay and move diagonals.
-    """
-    batch, t_len, n = logb.shape
-    stay, move = _log_diagonals(trans)
-    alpha = logb.transpose(1, 2, 0).copy()  # T x N x B, the emissions until added
-    alpha[0, 1:] = -np.inf
-    reached = np.empty((n, batch))
-    moved = np.empty((n - 1, batch))
-    for t in range(1, t_len):
-        np.add(alpha[t - 1], stay, out=reached)
-        np.add(alpha[t - 1, :-1], move, out=moved)
-        np.logaddexp(reached[1:], moved, out=reached[1:])
-        alpha[t] += reached
-    total_ll = np.logaddexp.reduce(alpha[-1], axis=0)
-    if not np.isfinite(total_ll).all():
-        dead = ~(alpha > -np.inf).any(axis=1)  # T x B: no state holds any mass
-        raise NumericError(f"forward recursion vanished at step {int(np.argmax(dead.any(axis=1)))}")
-    return alpha, total_ll
-
-
-def _log_diagonals(trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """N x B (or N x 1) log a[j][j], and (N-1) x B log a[j-1][j] for j >= 1."""
-    with np.errstate(divide="ignore"):  # structural zeros are -inf
-        return tuple(np.log(np.ascontiguousarray(np.diagonal(trans, k, 1, 2).T)) for k in (0, 1))
+def _forward(p: _Stacked, logb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched log-domain forward pass, (T x N x B log alpha, B logL): the
+    left-to-right recursion under logaddexp, so no path is ever rounded away."""
+    alpha = _left_to_right(p, logb, lambda t, stayed, step: np.logaddexp(stayed, step, out=stayed))
+    return alpha, np.logaddexp.reduce(alpha[-1], axis=0)
 
 
 def loglik(model: HmmModel, seq: np.ndarray) -> float:
     """Total forward log-likelihood (sum over all feasible paths)."""
     seq = _check_seq(model.dim, seq)
     p = _stack([model])
-    return float(_forward(p.trans, _log_emissions(p, seq[None]))[1][0])
+    return float(_forward(p, _log_emissions(p, seq[None]))[1][0])
 
 
 def init_uniform(seqs: list[np.ndarray], n_states: int) -> HmmModel:
@@ -524,8 +519,8 @@ def _fit(models: list[HmmModel], seqs: list[list[np.ndarray]], tol: float, max_i
 def _segment(p: _Stacked, batch: np.ndarray) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Segmental k-means E-step: per row, (Viterbi score, the best path's 0/1
     posteriors T x N, its transition counts N x N)."""
-    paths, scores = _viterbi(p.trans, _log_emissions(p, batch))
-    return list(zip(scores.tolist(), *_path_posteriors(paths, p.trans.shape[1])))
+    paths, scores = _viterbi(p, _log_emissions(p, batch))
+    return list(zip(scores.tolist(), *_path_posteriors(paths, p.const.shape[1])))
 
 
 def viterbi_train(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL,
@@ -549,8 +544,8 @@ def _expect(p: _Stacked, batch: np.ndarray) -> list[tuple[float, np.ndarray, np.
     stay and move diagonals, each summed over t from a (T-1) x N x B array.
     """
     logb = _log_emissions(p, batch)
-    alpha, ll = _forward(p.trans, logb)
-    stay, move = _log_diagonals(p.trans)
+    alpha, ll = _forward(p, logb)
+    stay, move = (np.ascontiguousarray(a.T) for a in (p.stay, p.move))  # N x B, (N-1) x B
     t_len, n, rows = alpha.shape
     beta = np.empty_like(alpha)
     beta[-1] = 0.0
@@ -638,25 +633,23 @@ def recognize(bank: SubjectBank, images: Sequence[GrayImage]
     subject); ties go to the smallest label.
 
     Probes are scored PROBE_CHUNK at a time: the emissions of each probe under
-    every subject are stacked into one batch, and one forward pass scores the
-    chunk, each row under its own subject's transitions. One probe is a chunk
-    of one, and each score is that of the probe alone.
+    every subject fill one probe by subject batch, and one forward pass scores
+    the chunk, the stack's log transitions shared by every probe. One probe is
+    a chunk of one, and each score is that of the probe alone.
     """
     p = bank.stacked
     if p is None:
         raise DataError("HMM bank has no subjects")
     labels = bank.labels
-    chunk = min(len(images), PROBE_CHUNK)
-    trans = np.tile(p.trans, (chunk, 1, 1))
     # one emission buffer, probe by subject by block by state, reused by every chunk
-    logb = np.empty((chunk, len(labels), bank.params.block_count, p.trans.shape[1]))
+    logb = np.empty((min(len(images), PROBE_CHUNK), len(labels), bank.params.block_count,
+                     p.const.shape[1]))
     results = []
     for start in range(0, len(images), PROBE_CHUNK):
         probes = images[start:start + PROBE_CHUNK]
         for k, image in enumerate(probes):
             _log_emissions(p, _check_seq(p.dim, features_for(bank, image))[None], out=logb[k])
-        batch = logb[:len(probes)].reshape(-1, *logb.shape[2:])
-        scores = _forward(trans[:len(batch)], batch)[1].reshape(-1, len(labels))
+        scores = _forward(p, logb[:len(probes)])[1]  # probe by subject
         # labels are sorted and argmax returns the first maximum: ties keep the lowest label
         results.extend((labels[int(np.argmax(row))], dict(zip(labels, row.tolist())))
                        for row in scores)

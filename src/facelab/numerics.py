@@ -213,14 +213,15 @@ def affine_residual(points: np.ndarray, mean: np.ndarray, basis: np.ndarray
 
     The distance is the norm of what the reconstruction coordinates @ basis^T
     leaves of points - mean: Turk & Pentland's distance from face space, and
-    the KLT block residual. The residual keeps the memory layout of
-    points - mean, and the norms sum in that order: F-ordered rows (the
-    transpose of column samples) sum as the columns would.
+    the KLT block residual. The residual, squared in place, keeps the memory
+    layout of points - mean, and the norms sum in that order: F-ordered rows
+    (the transpose of column samples) sum as the columns would.
     """
     centred = points - mean
     coords = centred @ basis
     centred -= coords @ basis.T
-    return coords, np.linalg.norm(centred, axis=-1)
+    centred *= centred
+    return coords, np.sqrt(np.add.reduce(centred, axis=-1))
 
 
 def check_face(face: np.ndarray, mean: np.ndarray) -> np.ndarray:

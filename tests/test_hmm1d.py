@@ -419,6 +419,50 @@ class TestViterbi:
         assert np.array_equal(path, oracle_path)
         assert score == pytest.approx(oracle_score, abs=1e-12)
 
+    def test_batched_rows_match_lone_calls(self):
+        # eight rows, each under its own model: random ones, and ones whose states
+        # 0 and 1 share a Gaussian under stay = move = 0.5, so 0,0,1,2 and 0,1,1,2
+        # score exactly the same and the lower predecessor at step 2 must win
+        rng = np.random.default_rng(37)
+        models, seqs = [], []
+        for row in range(8):
+            if row % 2:
+                models.append(random_lr_model(rng, 3, 2))
+                seqs.append(rng.normal(0.0, 2.0, size=(4, 2)))
+            else:
+                mean, far = rng.normal(0.0, 3.0, 2), rng.normal(0.0, 3.0, 2) + 20.0
+                variances = np.tile(rng.uniform(0.5, 2.0, 2), (3, 1))
+                models.append(lr_model([(0.5, 0.5), (0.5, 0.5), (1.0, 0.0)],
+                                       [mean, mean, far], variances))
+                seqs.append(np.vstack([np.tile(mean, (3, 1)), far]))
+                tied = [path_logprob(models[-1], seqs[-1], path)
+                        for path in ([0, 0, 1, 2], [0, 1, 1, 2])]
+                assert tied[0] == tied[1]
+        p = hmm1d._stack(models)
+        paths, scores = hmm1d._viterbi(p, hmm1d._log_emissions(p, np.stack(seqs)))
+        for row, (model, seq) in enumerate(zip(models, seqs)):
+            path, score = viterbi(model, seq)
+            assert np.array_equal(paths[row], path)
+            assert scores[row] == score
+            assert np.array_equal(path, brute_force_viterbi(model, seq)[0])
+            if row % 2 == 0:
+                assert np.array_equal(path, [0, 0, 1, 2])
+
+    def test_infeasible_sequence_names_the_forward_pass_step(self):
+        # a mean of 1e200 overflows means^2 / variances, so its state emits -inf: the
+        # mass dies at step 0, or at step 1, where the forced move enters such a state
+        far = lr_model([(0.5, 0.5), (1.0, 0.0)], [[1e200], [1e200]], [[1.0]] * 2)
+        forced = lr_model([(0.0, 1.0), (0.0, 1.0), (1.0, 0.0)], [[0.0], [1e200], [1e200]],
+                          [[1.0]] * 3)
+        for model, step in ((far, 0), (forced, 1)):
+            seq = np.zeros((4, 1))
+            with np.errstate(over="ignore"):
+                with pytest.raises(NumericError, match=f"vanished at step {step}:") as by_path:
+                    viterbi(model, seq)
+                with pytest.raises(NumericError) as by_sum:
+                    loglik(model, seq)
+            assert str(by_path.value) == str(by_sum.value)
+
     def test_forced_moves_then_final_state(self):
         # no self-loops before the last state: the path must climb one state
         # per step and then sit in the absorbing final state

@@ -311,6 +311,15 @@ class TestAffineSubspace:
         got_coords, got = affine_residual(np.ascontiguousarray(points.T).T, mean, basis)
         assert np.array_equal(got, expected)
         assert np.array_equal(got_coords, coords.T)
+        # the residual squared in place sums as np.linalg.norm sums it, in either layout
+        rng = np.random.default_rng(9)
+        for rows, order in ((1, "C"), (8, "C"), (200, "F")):
+            cloud = np.asarray(rng.normal(size=(rows, mean.size)), order=order)
+            residual = cloud - mean
+            residual -= (residual @ basis) @ basis.T
+            assert residual.flags.c_contiguous == (order == "C")
+            norms = np.linalg.norm(residual, axis=-1)
+            assert np.array_equal(affine_residual(cloud, mean, basis)[1], norms)
 
 
 def test_facelab_loads_no_scipy():
