@@ -4,15 +4,15 @@ A probe is profiled on three axes before classification: pose deviation
 (weight-space distance from a designated representative frontal face),
 illumination deviation (standardized mean-intensity shift plus left/right
 asymmetry), and occlusion degree (fraction of blocks whose KLT residual is
-abnormal). A fixed-priority threshold rule then routes the probe to the
-eigenface, fisherface, or HMM recognizer. All thresholds and the property
-standardization are calibrated from clean training images; none of this is
-learned.
+abnormal), all three taken by one kernel, _measures, for a probe or a batch.
+A fixed-priority threshold rule routes the probe to the eigenface, fisherface,
+or HMM recognizer. Its thresholds are percentiles of the kernel's measures of
+clean training images, which also give the standardization; none is learned.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -113,23 +113,30 @@ def _illumination(image: GrayImage, context: ProfileContext) -> float:
             + _half_asymmetry(image) / context.asym_sigma)
 
 
-def _profile(pose: float, image: GrayImage, residuals: np.ndarray,
-             context: ProfileContext) -> ImageProfile:
-    """profile, given the image's pose term and block residuals."""
-    occlusion = float(np.mean(residuals > context.resid_p99))
-    return ImageProfile(pose, _illumination(image, context), occlusion)
+def _measures(images: list[GrayImage], eigen: eigenfaces.EigenModel, frontal_ref: np.ndarray,
+              residuals: list[np.ndarray], context: ProfileContext) -> np.ndarray:
+    """Each image's ImageProfile fields as a row (pose, illumination, occlusion),
+    given its block_residuals; DataError, in ImageProfile's words, for the first
+    row that is not finite. The pose is the norm of U^T (x - ref), the image's
+    weights less the reference's: one affine_coords per eigen.probe_rows chunk."""
+    frontal_ref = check_face(frontal_ref, eigen.mean)
+    poses = np.concatenate([np.linalg.norm(affine_coords(rows, frontal_ref, eigen.basis), axis=1)
+                            for rows in eigen.probe_rows(images)])
+    measures = np.array([(pose, _illumination(img, context), np.mean(resids > context.resid_p99))
+                         for pose, img, resids in zip(poses, images, residuals, strict=True)])
+    if not np.isfinite(measures).all():  # no field can be negative
+        bad = measures[~np.isfinite(measures).all(axis=1)][0]
+        raise DataError(f"profile fields must be finite and non-negative: {tuple(bad.tolist())}")
+    return measures
 
 
 def profile(image: GrayImage, eigen: eigenfaces.EigenModel, frontal_ref: np.ndarray,
             bank: hmm1d.SubjectBank, context: ProfileContext) -> ImageProfile:
-    """Measure pose, illumination and occlusion properties of a probe. The pose
-    term is the norm of the probe's weights less the reference's,
-    U^T (x - mean) - U^T (ref - mean) = U^T (x - ref): one projection."""
-    frontal_ref = check_face(frontal_ref, eigen.mean)
+    """A probe's pose, illumination and occlusion: _measures of a batch of one."""
+    frontal_ref = check_face(frontal_ref, eigen.mean)  # checked before the bank and the image
     residuals = block_residuals(bank, image)  # checks the dims
-    face = check_face(image.pixels, eigen.mean)
-    pose = float(np.linalg.norm(affine_coords(face, frontal_ref, eigen.basis)))
-    return _profile(pose, image, residuals, context)
+    check_face(image.pixels, eigen.mean)
+    return ImageProfile(*_measures([image], eigen, frontal_ref, [residuals], context)[0].tolist())
 
 
 def select(prof: ImageProfile, policy: DispatchPolicy) -> str:
@@ -150,21 +157,13 @@ def select(prof: ImageProfile, policy: DispatchPolicy) -> str:
 def calibrate_policy(train_images: list[GrayImage], eigen: eigenfaces.EigenModel,
                      frontal_ref: np.ndarray, residuals: list[np.ndarray],
                      context: ProfileContext) -> DispatchPolicy:
-    """Thresholds at the POLICY_PERCENTILE of clean-training profiles; residuals
-    holds each training image's block_residuals, as given to calibrate_context,
-    and frontal_ref is the reference face vector that every pose is taken from.
-    The poses are projected as the row matrices of eigen.probe_rows, as
-    inference projects its probes, not one image at a time."""
+    """Thresholds at the POLICY_PERCENTILE of each column of the training
+    images' _measures; residuals holds each image's block_residuals, as given to
+    calibrate_context, and frontal_ref is the reference face vector."""
     if not train_images:
         raise DataError("no training images to calibrate on")
-    frontal_ref = check_face(frontal_ref, eigen.mean)
-    poses = np.concatenate([np.linalg.norm(affine_coords(rows, frontal_ref, eigen.basis), axis=1)
-                            for rows in eigen.probe_rows(train_images)])
-    profiles = [_profile(pose, img, resids, context)
-                for pose, img, resids in zip(poses.tolist(), train_images, residuals,
-                                             strict=True)]
-    pose, illum, occl = (float(np.percentile(values, POLICY_PERCENTILE))
-                         for values in zip(*map(astuple, profiles)))
+    measures = _measures(train_images, eigen, frontal_ref, residuals, context)
+    pose, illum, occl = np.percentile(measures, POLICY_PERCENTILE, axis=0).tolist()
     return DispatchPolicy(tau_illum=illum, tau_pose=pose, tau_occl=occl)
 
 

@@ -307,6 +307,9 @@ def _check_seq(dim: int, seq: np.ndarray) -> np.ndarray:
         raise DataError("empty observation sequence")
     if seq.shape[1] != dim:
         raise DataError(f"observation dimension {seq.shape[1]} != model dimension {dim}")
+    finite = np.isfinite(seq)
+    if not finite.all():
+        raise DataError(f"non-finite observation at step {int(np.argmin(finite.all(axis=1)))}")
     return seq
 
 
@@ -318,8 +321,11 @@ def _log_emissions(p: _Stacked, seqs: np.ndarray, out: np.ndarray | None = None)
     -0.5 * ([x^2, x] @ weights + const). Its rounding error grows as
     eps * sum((x^2 + means^2) / variances), at most 5.5e-12 on ORL-scale KLT
     features but 0.024 on random 920-pixel raw blocks at the variance floor.
+    A step too far for a state's variance overflows x^2, and its emission is
+    -inf, as _stack makes that of a mean too far for its variance.
     """
-    out = np.matmul(np.concatenate([seqs * seqs, seqs], axis=2), p.weights, out=out)
+    with np.errstate(over="ignore", invalid="ignore"):  # matmul can flag an inf square as invalid
+        out = np.matmul(np.concatenate([seqs * seqs, seqs], axis=2), p.weights, out=out)
     out += p.const[:, None, :]
     out *= -0.5
     return out

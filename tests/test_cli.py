@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import resource
 import shlex
@@ -8,12 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import facelab
 from facelab import cli, synth
 from facelab.archive import load_model
 from facelab.cli import main
 from facelab.dataset import GrayImage, load_pgm_file, write_pgm
+from facelab.dispatcher import METHODS
 
 
 @pytest.fixture(scope="module")
@@ -715,3 +720,62 @@ def test_hmm_trains_on_either_klt_route(banded_dir, tmp_path, capsys, flags, klt
     assert main(["inspect", "--model", str(model)]) == 0
     out = capsys.readouterr().out
     assert f"block_height,{flags[1]}" in out and f"overlap,{flags[3]}" in out
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tall_dir, tmp_path_factory):
+    """Per role of a path option, the paths the CLI fuzz test draws from: the ones
+    the role expects first, then the rest of missing, a directory, an empty file,
+    random bytes (written per example), a real file of a tiny banded tree or of
+    the models trained on it, and a name that is not UTF-8."""
+    root = tmp_path_factory.mktemp("fuzz")
+    models = root / "models"
+    assert main(["train", "--method", "all", "--dataset", str(tall_dir), "--out", str(models),
+                 "--k", "8", "--block-l", "4", "--overlap", "3", "--states", "4",
+                 "--klt-d", "4"]) == 0
+    (root / "empty").write_bytes(b"")
+    (root / "adir").mkdir()
+    probe = sorted((tall_dir / "s01").glob("*.pgm"))[0]
+    not_utf8 = root / os.fsdecode(b"probe\xff.pgm")
+    shutil.copy(probe, not_utf8)
+    expected = {"model": [models / f"{method}.ffm" for method in METHODS], "models": [models],
+                "policy": [models / "policy.cfg"], "image": [probe], "dataset": [tall_dir]}
+    others = [root / "missing", root / "adir", root / "empty", root / "random", not_utf8]
+    every = others + [path for paths in expected.values() for path in paths]
+    return {role: paths + [p for p in every if p not in paths] for role, paths in expected.items()}
+
+
+_FUZZ_COMMANDS = {
+    "inspect": ["inspect", "--model", "model"],
+    "recognize": ["recognize", "--model", "model", "--image", "image"],
+    "recognize_multi": ["recognize", "--model", "models", "--multi", "--policy", "policy",
+                        "--image", "image"],
+    "assess": ["assess", "--models", "models", "--policy", "policy", "--image", "image"],
+    "evaluate": ["evaluate", "--model", "model", "--dataset", "dataset"],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(_FUZZ_COMMANDS)), data=st.data())
+def test_cli_fuzz_paths_end_in_one_line_or_success(fuzz_paths, command, data):
+    # stdout and stderr are strict UTF-8, as under a UTF-8 locale, so printing a path
+    # that is not UTF-8 would raise rather than pass
+    argv = []
+    for token in _FUZZ_COMMANDS[command]:
+        if token in fuzz_paths:  # a role: draw one of its paths
+            token = data.draw(st.sampled_from(fuzz_paths[token]), label=token)
+            if token.name == "random":
+                token.write_bytes(data.draw(st.binary(max_size=64), label="random bytes"))
+        argv.append(str(token))
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+                for _ in range(2))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    lines = err.buffer.getvalue().decode("utf-8").splitlines()
+    assert rc in (0, 1, 2, 3)
+    assert not any("Traceback" in line for line in lines)
+    if rc != 0:
+        verdicts = [line for line in lines
+                    if line.startswith(("usage error:", "data error:", "numeric failure:"))]
+        assert len(verdicts) == 1
+        assert verdicts[0].startswith({1: "usage", 2: "data", 3: "numeric"}[rc])

@@ -212,26 +212,22 @@ class TestCalibration:
         with pytest.raises(DataError, match="^no training images to calibrate on$"):
             calibrate_policy([], m.eigen, m.frontal, [], m.context)
 
-    def test_chunked_poses_match_lone_probes(self, banded_models, monkeypatch):
-        # the training images are projected PROBE_CHUNK at a time, the last chunk
-        # ragged; each pose and threshold is the one-image-at-a-time figure
+    def test_chunked_poses_match_lone_probes(self, banded_models):
+        # calibration measures the training images PROBE_CHUNK at a time, the last
+        # chunk ragged; each pose is the one-image-at-a-time figure of profile to
+        # 1e-12, the other fields bit for bit, and each threshold the percentile
+        # of one-image-at-a-time profiles
         m = banded_models
         assert len(m.train_images) % PROBE_CHUNK != 0
         residuals = [block_residuals(m.bank, img) for img in m.train_images]
-        poses, real_profile = [], dispatcher._profile
-
-        def spy(pose, *args):
-            poses.append(pose)
-            return real_profile(pose, *args)
-
-        monkeypatch.setattr(dispatcher, "_profile", spy)
+        chunked = dispatcher._measures(m.train_images, m.eigen, m.frontal, residuals, m.context)
+        alone = np.array([dataclasses.astuple(profile(img, m.eigen, m.frontal, m.bank, m.context))
+                          for img in m.train_images])
+        assert chunked[:, 0] == pytest.approx(alone[:, 0], rel=1e-12, abs=0.0)
+        assert chunked[m.frontal_idx, 0] == 0.0
+        np.testing.assert_array_equal(chunked[:, 1:], alone[:, 1:])
         policy = calibrate_policy(m.train_images, m.eigen, m.frontal, residuals, m.context)
-        monkeypatch.undo()
-        alone = [profile(img, m.eigen, m.frontal, m.bank, m.context) for img in m.train_images]
-        assert poses == pytest.approx([p.pose_deviation for p in alone], rel=1e-12, abs=0.0)
-        assert poses[m.frontal_idx] == 0.0
-        expected = [np.percentile(values, POLICY_PERCENTILE)
-                    for values in zip(*map(dataclasses.astuple, alone))]
+        expected = np.percentile(alone, POLICY_PERCENTILE, axis=0)
         assert dataclasses.astuple(policy) == pytest.approx(
             [expected[1], expected[0], expected[2]], rel=1e-12, abs=0.0)  # illum, pose, occl
 

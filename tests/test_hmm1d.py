@@ -463,6 +463,25 @@ class TestViterbi:
                     loglik(model, seq)
             assert str(by_path.value) == str(by_sum.value)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observation_is_data_error(self, bad):
+        seq = np.array([[0.0], [1.0], [bad], [0.5]])
+        for call in (lambda: viterbi(two_state_example(), seq),
+                     lambda: loglik(two_state_example(), seq),
+                     lambda: init_uniform([np.zeros((4, 1)), seq], 2)):
+            with pytest.raises(DataError, match="^non-finite observation at step 2$"):
+                call()
+
+    @pytest.mark.parametrize("far", [1e300, -1e300])
+    def test_observation_past_every_state_vanishes_without_warning(self, far):
+        # x^2 overflows, so the step emits -inf in every state; warnings are errors here
+        seq = np.array([[0.0], [far], [1.0]])
+        with pytest.raises(NumericError, match="^recursion vanished at step 1: ") as by_path:
+            viterbi(two_state_example(), seq)
+        with pytest.raises(NumericError) as by_sum:
+            loglik(two_state_example(), seq)
+        assert str(by_path.value) == str(by_sum.value)
+
     def test_forced_moves_then_final_state(self):
         # no self-loops before the last state: the path must climb one state
         # per step and then sit in the absorbing final state
