@@ -7,10 +7,16 @@ hex, 16 digits per value, so every value round-trips bit-exactly. Scalars,
 ints, labels and dims stay decimal text. Files are written atomically (temp
 file + rename) and diff line by line, one array row per line; `facelab
 inspect` is the human-readable view.
+
+The reader takes the file's bytes once. Lines end in "\n", "\r\n" or "\r",
+as in text mode, and the final line end may be missing. Record lines are
+decoded one at a time; an array's rows are its next rows * (16 * cols + 1)
+bytes, decoded in one pass once each row is seen to end in "\n".
 """
 
 from __future__ import annotations
 
+import binascii
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +32,11 @@ MAGIC = "FFM2"
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _quote(line: str) -> str:
+    """repr of at most 60 characters of a line: a file with no line breaks is one line."""
+    return repr(line[:60]) + ("..." if len(line) > 60 else "")
 
 
 def _emit_array(lines: list[str], name: str, array: np.ndarray) -> None:
@@ -94,29 +105,37 @@ def save_model(model, path: Path) -> None:
 
 
 class _Reader:
-    """Sequential record reader over the archive lines."""
+    """Sequential record reader over the archive bytes."""
 
     def __init__(self, path: Path):
         self.path = path
         try:
-            text = Path(path).read_text(encoding="ascii")
-        except (OSError, UnicodeDecodeError) as exc:
+            data = Path(path).read_bytes()
+        except OSError as exc:
             raise DataError(f"cannot read model archive {path}: {exc}") from exc
-        self.lines = text.splitlines()
-        self.pos = 0
+        if not data.isascii():
+            at = int(np.argmax(np.frombuffer(data, np.uint8) >= 0x80))
+            raise DataError(f"cannot read model archive {path}: non-ASCII byte at offset {at}")
+        if b"\r" in data:  # the line ends that text mode reads as "\n"
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if data and not data.endswith(b"\n"):
+            data += b"\n"
+        self.data = data
+        self.pos = 0  # offset of the next line; every line ends in "\n"
 
     def next_line(self) -> str:
-        if self.pos >= len(self.lines):
+        if self.pos >= len(self.data):
             raise DataError(f"{self.path}: truncated archive")
-        line = self.lines[self.pos]
-        self.pos += 1
+        end = self.data.index(b"\n", self.pos)
+        line = self.data[self.pos:end].decode("ascii")
+        self.pos = end + 1
         return line
 
     def expect(self, keyword: str) -> list[str]:
         line = self.next_line()
         parts = line.split()
         if not parts or parts[0] != keyword:
-            raise DataError(f"{self.path}: expected {keyword!r} record, got {line!r}")
+            raise DataError(f"{self.path}: expected {keyword!r} record, got {_quote(line)}")
         return parts[1:]
 
     def read_array(self, name: str) -> np.ndarray:
@@ -129,21 +148,35 @@ class _Reader:
             raise DataError(f"{self.path}: malformed array header for {name!r}") from None
         if rows < 0 or cols < 0:
             raise DataError(f"{self.path}: negative array shape for {name!r}")
-        if self.pos + rows > len(self.lines):  # so a header's shape claim allocates nothing
-            raise DataError(f"{self.path}: truncated archive")
-        block = self.lines[self.pos:self.pos + rows]
-        self.pos += rows
-        for r, line in enumerate(block):
-            if len(line) != 16 * cols:
-                raise DataError(f"{self.path}: truncated section: array {name!r} row {r}")
-        # fromhex skips whitespace between digit pairs, so the decoded length is checked too
-        try:
-            out = np.frombuffer(bytearray.fromhex("".join(block)), "<f8").reshape(rows, cols)
-        except ValueError:
-            raise DataError(f"{self.path}: malformed float in array {name!r}") from None
-        if not np.all(np.isfinite(out)):
+        width = 16 * cols + 1
+        end = self.pos + rows * width
+        # each row ends in "\n" at its width; a claim past the file allocates nothing
+        if end > len(self.data) or self.data[self.pos + width - 1:end:width] != b"\n" * rows:
+            raise self._block_error(name, rows, cols)
+        grid = np.frombuffer(self.data, np.uint8, end - self.pos, self.pos)
+        try:  # a2b_hex takes no whitespace, so a line break inside a row fails here too
+            digits = binascii.a2b_hex(np.ascontiguousarray(grid.reshape(rows, width)[:, :-1]))
+            out = np.frombuffer(digits, "<f8").reshape(rows, cols)
+        except ValueError:  # a non-hex digit, or a shape past numpy's limits
+            raise self._block_error(name, rows, cols) from None
+        if not np.isfinite(out).all():
             raise DataError(f"{self.path}: non-finite value in array {name!r}")
+        self.pos = end
         return out
+
+    def _block_error(self, name: str, rows: int, cols: int) -> DataError:
+        """The error of an array block that does not decode, from a walk over
+        its lines: too few lines, else the first of a wrong width, else a
+        character that is not a hex digit."""
+        if self.data.count(b"\n", self.pos) < rows:
+            return DataError(f"{self.path}: truncated archive")
+        at = self.pos
+        for r in range(rows):
+            end = self.data.index(b"\n", at)
+            if end - at != 16 * cols:
+                return DataError(f"{self.path}: truncated section: array {name!r} row {r}")
+            at = end + 1
+        return DataError(f"{self.path}: malformed float in array {name!r}")
 
     def read_value(self, keyword: str, name: str, parse):
         """The value of a one-field record `<keyword> <name> <value>`, read by `parse`."""
@@ -219,7 +252,7 @@ def load_model(path: Path):
     r = _Reader(path)
     magic = r.next_line().strip()
     if magic != MAGIC:
-        raise DataError(f"{path}: bad magic {magic!r} (expected {MAGIC!r}): "
+        raise DataError(f"{path}: bad magic {_quote(magic)} (expected {MAGIC!r}): "
                         f"not a model archive or unsupported version")
     method_args = r.expect("method")
     if len(method_args) != 1:

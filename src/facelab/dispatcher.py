@@ -116,14 +116,20 @@ def _illumination(image: GrayImage, context: ProfileContext) -> float:
 def _measures(images: list[GrayImage], eigen: eigenfaces.EigenModel, frontal_ref: np.ndarray,
               residuals: list[np.ndarray], context: ProfileContext) -> np.ndarray:
     """Each image's ImageProfile fields as a row (pose, illumination, occlusion),
-    given its block_residuals; DataError, in ImageProfile's words, for the first
-    row that is not finite. The pose is the norm of U^T (x - ref), the image's
+    given its block_residuals; DataError for a residual list of another length or
+    an empty residual array, and, in ImageProfile's words, for the first row that
+    is not finite. The pose is the norm of U^T (x - ref), the image's
     weights less the reference's: one affine_coords per eigen.probe_rows chunk."""
+    if len(residuals) != len(images):
+        raise DataError(f"{len(residuals)} residual arrays for {len(images)} images")
+    for i, resids in enumerate(residuals):
+        if np.size(resids) == 0:
+            raise DataError(f"image {i} has no block residuals")
     frontal_ref = check_face(frontal_ref, eigen.mean)
     poses = np.concatenate([np.linalg.norm(affine_coords(rows, frontal_ref, eigen.basis), axis=1)
                             for rows in eigen.probe_rows(images)])
     measures = np.array([(pose, _illumination(img, context), np.mean(resids > context.resid_p99))
-                         for pose, img, resids in zip(poses, images, residuals, strict=True)])
+                         for pose, img, resids in zip(poses, images, residuals)])
     if not np.isfinite(measures).all():  # no field can be negative
         bad = measures[~np.isfinite(measures).all(axis=1)][0]
         raise DataError(f"profile fields must be finite and non-negative: {tuple(bad.tolist())}")

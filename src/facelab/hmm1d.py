@@ -445,15 +445,20 @@ def _m_step(model: HmmModel, seqs: list[np.ndarray], stats: list) -> HmmModel:
     the variance taken in one pass as E[x^2] - mean^2. Row i becomes (stay[i],
     move[i]) / their sum; a state never left keeps its row, so the last stays
     absorbing. A state whose occupancy is at most _GAMMA_FLOOR keeps its Gaussian
-    and counts a warning."""
+    and counts a warning. A step whose square passes the float range is a
+    DataError, and so, through HmmModel, is a variance that does."""
     gamma = np.concatenate([g for _, g, _ in stats], dtype=np.float64)
     obs = np.concatenate(seqs)
     occupancy = gamma.sum(axis=0)
     counts = sum(c for _, _, c in stats)  # a running total, in input order
     stay, move = np.diagonal(counts), np.diagonal(counts, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # empty states are not read
+    # empty states are not read; an overflowing sum leaves an inf variance
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        squares = obs * obs
+        if not np.isfinite(squares.sum()):
+            _check_squares(seqs, squares)
         means = gamma.T @ obs / occupancy[:, None]
-        variances = gamma.T @ (obs * obs) / occupancy[:, None] - means ** 2
+        variances = gamma.T @ squares / occupancy[:, None] - means ** 2
     occupied = occupancy > _GAMMA_FLOOR
     trans = model.trans.copy()
     for i in range(model.n_states - 1):
@@ -468,6 +473,17 @@ def _m_step(model: HmmModel, seqs: list[np.ndarray], stats: list) -> HmmModel:
     return replace(model, trans=trans, means=np.where(keep, model.means, means),
                    variances=np.where(keep, model.variances, np.maximum(variances, VAR_FLOOR)),
                    warnings=model.warnings + int(np.count_nonzero(~occupied)))
+
+
+def _check_squares(seqs: list[np.ndarray], squares: np.ndarray) -> None:
+    """DataError naming the first training step, of the stacked seqs, whose square is inf."""
+    finite = np.isfinite(squares).all(axis=1)
+    if not finite.all():
+        at = int(np.argmin(finite))
+        starts = np.cumsum([0] + [len(s) for s in seqs])
+        k = int(np.searchsorted(starts, at, side="right")) - 1
+        raise DataError(f"training sequence {k}: the square of step {at - starts[k]} "
+                        f"passes the float range")
 
 
 def _fit(models: list[HmmModel], seqs: list[list[np.ndarray]], tol: float, max_iter: int,

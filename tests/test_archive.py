@@ -3,6 +3,7 @@ import os
 import re
 import stat
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -337,20 +338,45 @@ def test_malformed_array_records(array_file, lines, message):
         _read_back(array_file, lines)
 
 
+def test_row_claim_past_the_file_allocates_nothing(array_file):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="truncated archive$"):
+            _read_back(array_file, [f"array x {10 ** 12} {10 ** 6}", _ROW, _ROW])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def _named_arrays(model):
+    """The arrays of a model under their archive record names."""
+    if isinstance(model, SubjectBank):
+        named = {"klt_mean": model.klt.mean, "klt_basis": model.klt.basis}
+        for label, hmm in model.models.items():
+            named.update({f"model:{label}:trans": hmm.trans, f"model:{label}:means": hmm.means,
+                          f"model:{label}:vars": hmm.variances})
+        return named
+    basis, gallery = (("basis", "gallery") if isinstance(model, EigenModel)
+                      else ("projection", "centroids"))
+    return {"mean": model.mean, "eigenvalues": model.eigenvalues, basis: model.basis,
+            gallery: model.gallery}
+
+
 @pytest.mark.parametrize("which", ["eigen", "fisher", "bank"])
 def test_saved_arrays_equal_per_value_floats(tmp_path, banded_models, which):
     path = tmp_path / "m.ffm"
     save_model(getattr(banded_models, which), path)
-    reader = archive._Reader(path)
-    headers = [at for at, line in enumerate(reader.lines) if line.startswith("array ")]
-    assert len(headers) >= 4
+    lines = path.read_text().splitlines()
+    named = _named_arrays(load_model(path))
+    headers = [at for at, line in enumerate(lines) if line.startswith("array ")]
+    assert len(headers) >= 4 and len(headers) == len(named)
     for at in headers:
-        _, name, rows, cols = reader.lines[at].split()
-        reader.pos = at
-        out = reader.read_array(name)
+        _, name, rows, cols = lines[at].split()
         expected = [np.array([struct.unpack("<d", bytes.fromhex(line[i:i + 16]))[0]
                               for i in range(0, len(line), 16)])
-                    for line in reader.lines[at + 1:at + 1 + int(rows)]]
+                    for line in lines[at + 1:at + 1 + int(rows)]]
+        out = np.atleast_2d(named[name])
         assert out.shape == (int(rows), int(cols))
         assert [row.tobytes() for row in out] == [row.tobytes() for row in expected]
 
@@ -477,6 +503,79 @@ def test_mutated_archive_loads_consistently_or_is_data_error(tiny_archives, whic
     except DataError:
         return
     records = {line.split()[0]: line.split()[1:] for line in lines[1:] if line.split()}
+    assert method_of(model) == records["method"][0]
+    assert model.dims == (int(records["dims"][0]), int(records["dims"][1]))
+    assert model.labels == sorted(set(records["labels"][1:]))
+
+
+def _load_bytes(path, data):
+    """load_model of a file holding `data`, with every warning raised."""
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return load_model(path)
+
+
+def _same_model(a, b):
+    named_a, named_b = _named_arrays(a), _named_arrays(b)
+    return (type(a) is type(b) and a.dims == b.dims and a.labels == b.labels
+            and named_a.keys() == named_b.keys()
+            and all(named_a[k].shape == named_b[k].shape
+                    and named_a[k].tobytes() == named_b[k].tobytes() for k in named_a))
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+@pytest.mark.parametrize("edit", [lambda text: text.replace("\n", "\r\n"),
+                                  lambda text: text.replace("\n", "\r"),
+                                  lambda text: text[:-1],
+                                  lambda text: text.replace("\n", "\r\n")[:-2],
+                                  lambda text: text.replace("\n", "\r")[:-1]],
+                         ids=["crlf", "cr", "no final lf", "crlf, no final crlf", "cr, no final cr"])
+def test_text_mode_line_ends_load_bit_identically(tiny_archives, which, edit):
+    path, texts = tiny_archives
+    reference = _load_bytes(path, texts[which].encode("ascii"))
+    assert _same_model(_load_bytes(path, edit(texts[which]).encode("ascii")), reference)
+
+
+# str.splitlines also breaks lines at these; an archive breaks lines only at
+# "\n", "\r\n" or "\r"
+@pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e"])
+def test_other_line_separators_are_data_errors(tiny_archives, separator):
+    path, texts = tiny_archives
+    with pytest.raises(DataError, match="bad magic 'FFM2") as error:
+        _load_bytes(path, texts[0].replace("\n", separator).encode("ascii"))
+    assert len(str(error.value)) < len(str(path)) + 150  # the file is one line: quoted in part
+
+
+@pytest.mark.parametrize("byte", [0x80, 0xc3, 0xff])
+def test_non_ascii_archive_names_the_offset(tiny_archives, byte):
+    path, texts = tiny_archives
+    data = texts[0].encode("ascii")
+    at = data.index(b"\n", 40) + 3
+    with pytest.raises(DataError, match=f"non-ASCII byte at offset {at}$"):
+        _load_bytes(path, data[:at] + bytes([byte]) + data[at:] + bytes([byte]))
+
+
+_BYTES = st.one_of(st.sampled_from(b"\r\n\t\x0c\x00"), st.integers(0x80, 0xff),
+                   st.sampled_from(b"0123456789abcdefABCDEF"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.integers(0, 2), at=st.integers(0, 100_000),
+       kind=st.sampled_from(["insert", "replace", "delete"]), byte=_BYTES)
+def test_byte_edit_loads_consistently_or_is_data_error(tiny_archives, which, at, kind, byte):
+    path, texts = tiny_archives
+    data = texts[which].encode("ascii")
+    at %= len(data) + (kind == "insert")
+    edited = {"insert": data[:at] + bytes([byte]) + data[at:],
+              "replace": data[:at] + bytes([byte]) + data[at + 1:],
+              "delete": data[:at] + data[at + 1:]}[kind]
+    try:
+        model = _load_bytes(path, edited)
+    except DataError:
+        return
+    text = edited.decode("ascii").replace("\r\n", "\n").replace("\r", "\n")
+    records = {line.split()[0]: line.split()[1:] for line in text.split("\n") if line.split()}
     assert method_of(model) == records["method"][0]
     assert model.dims == (int(records["dims"][0]), int(records["dims"][1]))
     assert model.labels == sorted(set(records["labels"][1:]))

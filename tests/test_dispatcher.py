@@ -212,6 +212,22 @@ class TestCalibration:
         with pytest.raises(DataError, match="^no training images to calibrate on$"):
             calibrate_policy([], m.eigen, m.frontal, [], m.context)
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_policy_residual_count_is_data_error(self, banded_models, extra):
+        m = banded_models
+        n = len(m.train_images)
+        residuals = [block_residuals(m.bank, img) for img in m.train_images * 2][:n + extra]
+        with pytest.raises(DataError, match=f"^{n + extra} residual arrays for {n} images$"):
+            calibrate_policy(m.train_images, m.eigen, m.frontal, residuals, m.context)
+
+    def test_policy_empty_residuals_is_data_error(self, banded_models):
+        # warnings are errors here: a mean of an empty slice would fail as one
+        m = banded_models
+        residuals = [block_residuals(m.bank, img) for img in m.train_images]
+        residuals[3] = np.zeros(0)
+        with pytest.raises(DataError, match="^image 3 has no block residuals$"):
+            calibrate_policy(m.train_images, m.eigen, m.frontal, residuals, m.context)
+
     def test_chunked_poses_match_lone_probes(self, banded_models):
         # calibration measures the training images PROBE_CHUNK at a time, the last
         # chunk ragged; each pose is the one-image-at-a-time figure of profile to

@@ -482,6 +482,17 @@ class TestViterbi:
             loglik(two_state_example(), seq)
         assert str(by_path.value) == str(by_sum.value)
 
+    @pytest.mark.parametrize("far", [1e160, -1e300])
+    def test_training_step_past_the_float_range_is_data_error(self, far):
+        # scoring emits -inf for such a step (above); training refuses it, and
+        # warnings are errors here
+        seq = np.array([[0.0], [1.0], [0.5], [2.0], [far], [1.5]])
+        with pytest.raises(DataError, match="^training sequence 1: the square of step 4 "
+                                            "passes the float range$"):
+            init_uniform([np.zeros((6, 1)), seq, np.ones((6, 1))], 2)
+        with pytest.raises(DataError, match="^HMM parameters must be finite$"):  # a sum overflows
+            init_uniform([np.zeros((6, 1)), np.full((6, 1), 1.2e154)], 2)
+
     def test_forced_moves_then_final_state(self):
         # no self-loops before the last state: the path must climb one state
         # per step and then sit in the absorbing final state
