@@ -16,10 +16,11 @@ from . import bench, dispatcher, hmm1d
 from .archive import load_model, method_of, save_model
 from .dataset import (SplitSpec, check_dims, check_path, flatten, load_labeled_images,
                       load_pgm_file, replacing, scan_dataset, split, write_atomic)
-from .eigenfaces import EigenModel, train_eigen
+from .eigenfaces import EigenModel, component_count, train_eigen
 from .errors import DataError, FacelabError, NumericError
 from .fisherfaces import FisherModel, train_fisher
 from .hmm1d import BlockParams, SubjectBank, train_bank
+from .numerics import face_pca, sample_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -123,11 +124,13 @@ def _cmd_train(args) -> int:
     images = [(label, img) for label, _, img in entries]
     # views of the pixels, taken only when the eigen or fisher trainer runs
     vectors = lambda: [(label, flatten(img)) for label, img in images]  # noqa: E731
+    residuals: list[np.ndarray] = []  # each training image's block residuals, from train_bank
     trainers = {
         "eigen": lambda: train_eigen(vectors(), args.k, dims),
         "fisher": lambda: train_fisher(vectors(), dims),
         "hmm": lambda: train_bank(images, BlockParams(args.block_l, args.overlap, dims),
-                                  args.states, args.klt_d, feature_mode=args.features),
+                                  args.states, args.klt_d, feature_mode=args.features,
+                                  residuals=residuals),
     }
     if args.method != "all":
         save_model(trainers[args.method](), args.out)
@@ -137,9 +140,10 @@ def _cmd_train(args) -> int:
     # --method all: three models plus a calibrated dispatch policy
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    models = {method: train() for method, train in trainers.items()}
+    eigen, fisher = _train_faces(vectors(), args.k, dims)
+    models = {"eigen": eigen, "fisher": fisher, "hmm": trainers["hmm"]()}
     policy, context, ref = dispatcher.calibrate([img for _, img in images], models["eigen"],
-                                                models["hmm"])
+                                                models["hmm"], residuals)
     # no file is replaced before all four are written; the policy goes first, so that a
     # reference path it cannot hold (absolute, to be found from any working directory)
     # stops train before any file is written
@@ -151,6 +155,17 @@ def _cmd_train(args) -> int:
             save_model(model, tmp)
     print(f"saved,all,{out_dir}")
     return EXIT_OK
+
+
+def _train_faces(faces: list[tuple[str, np.ndarray]], k: int, dims: tuple[int, int]
+                 ) -> tuple[EigenModel, FisherModel]:
+    """Eigenfaces and fisherfaces from one face_pca, solved for the more of
+    eigen's min(k, M - 1) directions and fisher's N - c, after train_eigen's
+    own argument checks, so that errors come in the order of training each
+    alone. Each keeps a prefix of the shared basis."""
+    count = max(component_count(faces, k), len(faces) - len({label for label, _ in faces}))
+    pca = face_pca(*sample_matrix(faces, dims), count)
+    return train_eigen(faces, k, dims, pca), train_fisher(faces, dims, pca)
 
 
 def _load_dispatch(models_dir: Path, policy_path: Path) -> tuple[

@@ -84,21 +84,32 @@ def _half_asymmetry(image: GrayImage) -> float:
     return abs(left - right)
 
 
-def block_residuals(bank: hmm1d.SubjectBank, image: GrayImage) -> np.ndarray:
-    """Per-block distance to the bank's KLT subspace: hmm1d.observe's residuals."""
+def _observe(bank: hmm1d.SubjectBank, image: GrayImage) -> tuple[np.ndarray, np.ndarray]:
+    """hmm1d.observe of an image under the bank's KLT basis: (coordinates, residuals)."""
     if bank.klt is None:
         raise DataError("occlusion profiling requires a KLT-based bank")
-    return hmm1d.observe(image, bank.params, bank.klt)[1]
+    return hmm1d.observe(image, bank.params, bank.klt)
 
 
-def calibrate_context(train_images: list[GrayImage],
-                      residuals: list[np.ndarray]) -> ProfileContext:
+def block_residuals(bank: hmm1d.SubjectBank, image: GrayImage) -> np.ndarray:
+    """Per-block distance to the bank's KLT subspace: hmm1d.observe's residuals."""
+    return _observe(bank, image)[1]
+
+
+def _brightness(images: list[GrayImage]) -> np.ndarray:
+    """2 x n: each image's mean intensity (row 0) and left/right asymmetry (row 1)."""
+    return np.array([[img.pixels.mean() for img in images],
+                     [_half_asymmetry(img) for img in images]])
+
+
+def calibrate_context(train_images: list[GrayImage], residuals: list[np.ndarray],
+                      brightness: np.ndarray | None = None) -> ProfileContext:
     """Standardization statistics from clean training images and their
-    block_residuals, one array per image."""
+    block_residuals, one array per image; brightness, when the caller has it,
+    is the images' _brightness."""
     if not train_images:
         raise DataError("no training images to calibrate on")
-    means = np.array([img.pixels.mean() for img in train_images])
-    asyms = np.array([_half_asymmetry(img) for img in train_images])
+    means, asyms = _brightness(train_images) if brightness is None else brightness
     return ProfileContext(
         mean_mu=float(means.mean()),
         mean_sigma=max(float(means.std()), _SIGMA_FLOOR),
@@ -107,16 +118,19 @@ def calibrate_context(train_images: list[GrayImage],
     )
 
 
-def _illumination(image: GrayImage, context: ProfileContext) -> float:
-    """Standardized mean-intensity shift plus standardized left/right asymmetry."""
-    return (abs(float(image.pixels.mean()) - context.mean_mu) / context.mean_sigma
-            + _half_asymmetry(image) / context.asym_sigma)
+def _illumination(brightness: np.ndarray, context: ProfileContext) -> np.ndarray:
+    """Each image's illumination deviation from its _brightness: standardized
+    mean-intensity shift plus standardized left/right asymmetry."""
+    return (np.abs(brightness[0] - context.mean_mu) / context.mean_sigma
+            + brightness[1] / context.asym_sigma)
 
 
 def _measures(images: list[GrayImage], eigen: eigenfaces.EigenModel, frontal_ref: np.ndarray,
-              residuals: list[np.ndarray], context: ProfileContext) -> np.ndarray:
+              residuals: list[np.ndarray], context: ProfileContext,
+              illumination: np.ndarray | None = None) -> np.ndarray:
     """Each image's ImageProfile fields as a row (pose, illumination, occlusion),
-    given its block_residuals; DataError for a residual list of another length or
+    given its block_residuals and, when the caller has them, the images'
+    illumination deviations; DataError for a residual list of another length or
     an empty residual array, and, in ImageProfile's words, for the first row that
     is not finite. The pose is the norm of U^T (x - ref), the image's
     weights less the reference's: one affine_coords per eigen.probe_rows chunk."""
@@ -128,8 +142,10 @@ def _measures(images: list[GrayImage], eigen: eigenfaces.EigenModel, frontal_ref
     frontal_ref = check_face(frontal_ref, eigen.mean)
     poses = np.concatenate([np.linalg.norm(affine_coords(rows, frontal_ref, eigen.basis), axis=1)
                             for rows in eigen.probe_rows(images)])
-    measures = np.array([(pose, _illumination(img, context), np.mean(resids > context.resid_p99))
-                         for pose, img, resids in zip(poses, images, residuals)])
+    if illumination is None:
+        illumination = _illumination(_brightness(images), context)
+    occlusion = [np.mean(resids > context.resid_p99) for resids in residuals]
+    measures = np.column_stack([poses, illumination, occlusion])
     if not np.isfinite(measures).all():  # no field can be negative
         bad = measures[~np.isfinite(measures).all(axis=1)][0]
         raise DataError(f"profile fields must be finite and non-negative: {tuple(bad.tolist())}")
@@ -137,10 +153,13 @@ def _measures(images: list[GrayImage], eigen: eigenfaces.EigenModel, frontal_ref
 
 
 def profile(image: GrayImage, eigen: eigenfaces.EigenModel, frontal_ref: np.ndarray,
-            bank: hmm1d.SubjectBank, context: ProfileContext) -> ImageProfile:
-    """A probe's pose, illumination and occlusion: _measures of a batch of one."""
+            bank: hmm1d.SubjectBank, context: ProfileContext,
+            residuals: np.ndarray | None = None) -> ImageProfile:
+    """A probe's pose, illumination and occlusion: _measures of a batch of one.
+    residuals, when the caller has them, are the probe's block_residuals."""
     frontal_ref = check_face(frontal_ref, eigen.mean)  # checked before the bank and the image
-    residuals = block_residuals(bank, image)  # checks the dims
+    if residuals is None:
+        residuals = block_residuals(bank, image)  # checks the dims
     check_face(image.pixels, eigen.mean)
     return ImageProfile(*_measures([image], eigen, frontal_ref, [residuals], context)[0].tolist())
 
@@ -162,27 +181,35 @@ def select(prof: ImageProfile, policy: DispatchPolicy) -> str:
 
 def calibrate_policy(train_images: list[GrayImage], eigen: eigenfaces.EigenModel,
                      frontal_ref: np.ndarray, residuals: list[np.ndarray],
-                     context: ProfileContext) -> DispatchPolicy:
+                     context: ProfileContext, illumination: np.ndarray | None = None
+                     ) -> DispatchPolicy:
     """Thresholds at the POLICY_PERCENTILE of each column of the training
     images' _measures; residuals holds each image's block_residuals, as given to
-    calibrate_context, and frontal_ref is the reference face vector."""
+    calibrate_context, frontal_ref is the reference face vector, and
+    illumination, when the caller has it, each image's illumination deviation."""
     if not train_images:
         raise DataError("no training images to calibrate on")
-    measures = _measures(train_images, eigen, frontal_ref, residuals, context)
+    measures = _measures(train_images, eigen, frontal_ref, residuals, context, illumination)
     pose, illum, occl = np.percentile(measures, POLICY_PERCENTILE, axis=0).tolist()
     return DispatchPolicy(tau_illum=illum, tau_pose=pose, tau_occl=occl)
 
 
 def calibrate(train_images: list[GrayImage], eigen: eigenfaces.EigenModel,
-              bank: hmm1d.SubjectBank) -> tuple[DispatchPolicy, ProfileContext, int]:
+              bank: hmm1d.SubjectBank, residuals: list[np.ndarray] | None = None
+              ) -> tuple[DispatchPolicy, ProfileContext, int]:
     """(policy, context, index of the frontal reference) from clean training
     images. The reference is the most representative frontal face: the least
-    illumination score, the first one on ties."""
-    residuals = [block_residuals(bank, img) for img in train_images]
-    context = calibrate_context(train_images, residuals)
-    ref = min(range(len(train_images)), key=lambda i: _illumination(train_images[i], context))
+    illumination score, the first one on ties. residuals, when the caller has
+    them (hmm1d.train_bank's), are each image's block_residuals; each image's
+    brightness and illumination are taken once."""
+    if residuals is None:
+        residuals = [block_residuals(bank, img) for img in train_images]
+    brightness = _brightness(train_images)
+    context = calibrate_context(train_images, residuals, brightness)
+    illumination = _illumination(brightness, context)
+    ref = int(np.argmin(illumination))  # the first of equal minima
     policy = calibrate_policy(train_images, eigen, flatten(train_images[ref]), residuals,
-                              context)
+                              context, illumination)
     return policy, context, ref
 
 
@@ -195,14 +222,20 @@ def recognize_multi(
     context: ProfileContext,
     image: GrayImage,
 ) -> tuple[str, str, ImageProfile]:
-    """Profile, select a recognizer, and delegate; returns (method, label, profile)."""
+    """Profile, select a recognizer, and delegate; returns (method, label, profile).
+    The image is observed once: the profile reads its block residuals, and the
+    HMM route its block coordinates."""
     if not eigen.labels == fisher.labels == bank.labels:
         raise DataError("models were trained on different label sets")
     if not eigen.dims == fisher.dims == bank.dims:
         raise DataError("models were trained on different image dimensions")
-    prof = profile(image, eigen, frontal_ref, bank, context)  # block_residuals checks the dims
+    check_face(frontal_ref, eigen.mean)  # checked before the bank and the image, as in profile
+    coords, residuals = _observe(bank, image)  # checks the dims
+    prof = profile(image, eigen, frontal_ref, bank, context, residuals)
     method = select(prof, policy)
-    model = {METHOD_EIGEN: eigen, METHOD_FISHER: fisher, METHOD_HMM: bank}[method]
+    if method == METHOD_HMM:
+        return method, hmm1d.recognize(bank, [image], [coords])[0][0], prof
+    model = {METHOD_EIGEN: eigen, METHOD_FISHER: fisher}[method]
     return method, model.predict([image])[0][0], prof
 
 

@@ -18,8 +18,8 @@ from .dataset import GrayImage
 from .errors import DataError
 # Bound here, not called: sym_eigen for benchmarks/tests, and project (the weights
 # omega = U^T (face - mean) of one face under an eigen model) for the tests.
-from .numerics import (FaceSpace, affine_residual, check_face, gram_pca, label_slices, nearest,
-                       project, require_spread, sample_matrix, sym_eigen)
+from .numerics import (FacePca, FaceSpace, affine_residual, check_face, face_pca, label_slices,
+                       nearest, project, sample_matrix, sym_eigen)
 
 FACE = "face"
 UNKNOWN_FACE = "unknown-face"
@@ -66,39 +66,47 @@ def predicted_label(decision: EigenDecision) -> str:
     return UNKNOWN_LABEL if decision.verdict == UNKNOWN_FACE else NOT_A_FACE_LABEL
 
 
-def train_eigen(
-    samples: list[tuple[str, np.ndarray]],
-    k: int,
-    dims: tuple[int, int] | None = None,
-) -> EigenModel:
-    """Fit mean, eigenface basis and a gallery of one weight row per image.
-
-    k is a request: the retained count is min(k, M-1, surviving rank), the
-    rank cut being numerics.gram_pca's. Thresholds:
-    theta_face = 3x the 95th percentile of training face-space residuals,
-    theta_known = 3x the largest intra-class gallery distance (both get a
-    small scale-relative floor so full-rank self-matching stays stable).
-    """
+def component_count(samples: list, k: int) -> int:
+    """min(k, M - 1): the principal directions train_eigen keeps at most.
+    DataError for fewer than 2 samples or a request below 1."""
     if len(samples) < 2:
         raise DataError(f"need at least 2 training images, got {len(samples)}")
     if k < 1:
         raise DataError(f"requested component count must be >= 1, got {k}")
-    gamma, labels, dims = sample_matrix(samples, dims)  # M x D
-    psi = gamma.mean(axis=0)
-    phi = gamma.T - psi[:, None]  # D x M centred columns
-    spread = np.einsum("ij,ij->", phi, phi)
-    require_spread(spread, np.einsum("ij,ij->", gamma, gamma))
-    basis, lam = gram_pca(phi, min(k, len(gamma) - 1))
+    return min(k, len(samples) - 1)
 
-    gallery, train_dffs = affine_residual(gamma, psi, basis)  # one row per image
 
-    scale = float(np.sqrt(spread / len(gamma)))
+def train_eigen(
+    samples: list[tuple[str, np.ndarray]],
+    k: int,
+    dims: tuple[int, int] | None = None,
+    pca: FacePca | None = None,
+) -> EigenModel:
+    """Fit mean, eigenface basis and a gallery of one weight row per image.
+
+    k is a request: the retained count is min(k, M-1, surviving rank), the
+    rank cut being numerics.gram_pca's. pca, when given, is face_pca of these
+    samples for at least that many directions, shared with another trainer;
+    otherwise it is solved here for exactly that many. Thresholds:
+    theta_face = 3x the 95th percentile of training face-space residuals,
+    theta_known = 3x the largest intra-class gallery distance (both get a
+    small scale-relative floor so full-rank self-matching stays stable).
+    """
+    count = component_count(samples, k)
+    if pca is None:
+        pca = face_pca(*sample_matrix(samples, dims), count)
+    gamma, labels = pca.rows, pca.labels  # M x D
+    basis, lam = np.ascontiguousarray(pca.basis[:, :count]), pca.eigenvalues[:count].copy()
+
+    gallery, train_dffs = affine_residual(gamma, pca.mean, basis)  # one row per image
+
+    scale = float(np.sqrt(pca.spread / len(gamma)))
     theta_face = max(3.0 * float(np.percentile(train_dffs, 95)), 1e-9 * scale)
     largest_intra = max(float(np.linalg.norm(gallery[rows] - row, axis=1).max())
                         for rows in label_slices(labels).values()
                         for row in gallery[rows])  # never an n x n x K array
     theta_known = max(3.0 * largest_intra, 1e-9 * scale)
-    return EigenModel(dims, psi, basis, lam, gallery, labels, theta_face, theta_known)
+    return EigenModel(pca.dims, pca.mean, basis, lam, gallery, labels, theta_face, theta_known)
 
 
 def reconstruct(model: EigenModel, weights: np.ndarray) -> np.ndarray:

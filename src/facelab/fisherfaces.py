@@ -18,8 +18,8 @@ from .dataset import GrayImage
 from .errors import DataError, NumericError, SingularOrIndefinite
 # Bound here, not called: sym_eigen for benchmarks/tests, and project (the
 # discriminant-space coordinates of one face) for the tests.
-from .numerics import (FaceSpace, affine_coords, check_face, fix_signs, gen_sym_eigen, gram_pca,
-                       label_slices, nearest, project, require_spread, sample_matrix, sym_eigen)
+from .numerics import (FacePca, FaceSpace, affine_coords, check_face, face_pca, fix_signs,
+                       gen_sym_eigen, label_slices, nearest, project, sample_matrix, sym_eigen)
 
 RIDGE_REL = 1e-8  # ridge added to within-class scatter when Cholesky fails
 EIGENVALUE_REL_CUT = 1e-10  # generalized eigenvalues kept relative to largest
@@ -97,28 +97,30 @@ def _solve_fld(between: np.ndarray, within: np.ndarray) -> tuple[np.ndarray, np.
 def train_fisher(
     samples: list[tuple[str, np.ndarray]],
     dims: tuple[int, int] | None = None,
+    pca: FacePca | None = None,
 ) -> FisherModel:
     """PCA to min(N - c, rank), then FLD to at most c - 1 discriminants.
 
-    The model keeps only the composed projection W_opt = W_pca W_fld. Its
-    columns have unit Euclidean norm (the PCA basis is orthonormal, so the
-    unit-norm reduced columns carry that norm) and are sign-fixed.
+    pca, when given, is face_pca of these samples for at least N - c
+    directions, shared with another trainer; otherwise it is solved here for
+    exactly N - c. The model keeps only the composed projection W_opt =
+    W_pca W_fld. Its columns have unit Euclidean norm (the PCA basis is
+    orthonormal, so the unit-norm reduced columns carry that norm) and are
+    sign-fixed.
     """
-    gamma, labels, dims = sample_matrix(samples, dims)  # N x D
+    gamma, labels, dims = ((pca.rows, pca.labels, pca.dims) if pca is not None
+                           else sample_matrix(samples, dims))  # N x D
     classes = label_slices(labels)
     c, n_total = len(classes), len(labels)
     if c < 2:
         raise DataError(f"need at least 2 classes, got {c}")
     if n_total < c + 1:
         raise DataError(f"need at least c + 1 = {c + 1} images, got {n_total}")
+    if pca is None:
+        pca = face_pca(gamma, labels, dims, n_total - c)
+    mean, basis = pca.mean, pca.basis[:, :n_total - c]
 
-    mean = gamma.mean(axis=0)
-    phi = gamma.T - mean[:, None]  # D x N centred columns
-    require_spread(np.einsum("ij,ij->", phi, phi), np.einsum("ij,ij->", gamma, gamma))
-    pca = gram_pca(phi, n_total - c)[0]
-
-    # phi.T @ pca is affine_coords(gamma, mean, pca) without a second centred copy
-    scatter = compute_scatter(list(zip(labels, phi.T @ pca)))
+    scatter = compute_scatter(list(zip(labels, pca.coords[:, :n_total - c])))
     vals, vecs, within_used = _solve_fld(scatter.between, scatter.within)
 
     lam1 = float(vals[0])
@@ -140,7 +142,7 @@ def train_fisher(
     if worst > RESIDUAL_RTOL * scale:
         raise NumericError(f"generalized eigen residual {worst:g} exceeds bound")
 
-    projection = fix_signs(pca @ fld)
+    projection = fix_signs(basis @ fld)
     class_means = np.vstack([gamma[s].mean(axis=0) for s in classes.values()])
     centroids = affine_coords(class_means, mean, projection)
     return FisherModel(dims, mean, projection, lam, centroids, tuple(classes))

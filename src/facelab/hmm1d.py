@@ -219,14 +219,17 @@ def fit_klt(images: list[np.ndarray], params: BlockParams, d: int) -> KltBasis:
 
     With no more blocks than block dimensions the blocks are stacked and
     numerics.gram_pca takes the Gram-matrix route. Otherwise the D x D
-    scatter is summed from lagged row products, never forming the n x D
-    block matrix: block (r, r+k) of the scatter is the sum over images and
-    blocks t of x[t*s + r]^T x[t*s + r + k], for x the image rows and s the
-    stride. Rows are first shifted by their per-column mean, which leaves
-    the scatter unchanged and keeps the cancellation in removing
-    n * mean mean^T small; numerics.scatter_pca then solves only the scatter's
-    top d eigenpairs, by subspace iteration, or its full spectrum where that
-    does not converge. The caller's arrays are never modified.
+    scatter is built from windows of image rows, never forming the n x D
+    block matrix: block (r, q) of the scatter is X_r^T X_q, for X_r the rows
+    x[t*s + r] of every block t of every image and s the stride. For r < s it
+    is one product of two windows, which are views of the rows at stride 1.
+    For r >= s, window r is window r - s less its first row and plus the row
+    after its last, so block (r, q) is block (r - s, q - s) less one W x W
+    row product and plus another. Rows are first shifted by their per-column
+    mean, which leaves the scatter unchanged and keeps the cancellation in
+    removing n * mean mean^T small; numerics.scatter_pca then solves only the
+    scatter's top d eigenpairs, by subspace iteration, or its full spectrum
+    where that does not converge. The caller's arrays are never modified.
     """
     for pixels in images:
         require_shape("training image", pixels, params.image_dims)
@@ -245,7 +248,6 @@ def fit_klt(images: list[np.ndarray], params: BlockParams, d: int) -> KltBasis:
 
     height, stride, width = params.height, params.stride, params.image_dims[1]
     span = (params.block_count - 1) * stride + 1  # from row r of the first block to the last's
-    last = span + height - 1  # rows from here on are in no block
     rows = np.empty((params.image_dims[0], len(images), width))  # rows[j, i]: row j of image i
     for i, pixels in enumerate(images):
         rows[:, i] = pixels
@@ -253,14 +255,23 @@ def fit_klt(images: list[np.ndarray], params: BlockParams, d: int) -> KltBasis:
     rows -= column_mean
     shifted_mean = _windows(rows.sum(axis=1), params).sum(axis=0) / n
     scatter = np.empty((params.block_dim, params.block_dim))
-    first = rows.transpose(0, 2, 1)  # H x W x images
-    for lag in range(height):
-        products = np.matmul(first[:last - lag], rows[lag:last])  # x[j]^T x[j + lag]
-        for r in range(height - lag):
-            block = products[r:r + span:stride].sum(axis=0)
-            a, b = r * width, (r + lag) * width
-            scatter[a:a + width, b:b + width] = block
-            scatter[b:b + width, a:a + width] = block.T
+
+    def cell(r: int, q: int) -> np.ndarray:  # block (r, q) of the scatter, a view
+        return scatter[r * width:(r + 1) * width, q * width:(q + 1) * width]
+
+    for r in range(height):
+        if r < stride:  # window r: row r of every block of every image, a view at stride 1
+            window = rows[r:r + span:stride].reshape(-1, width)
+        for q in range(r, height):
+            if r < stride:
+                block = window.T @ rows[q:q + span:stride].reshape(-1, width)
+            else:  # window r is window r - stride less its first row, plus the row after its last
+                drop, add = r - stride, r + span - 1
+                block = cell(r - stride, q - stride) - rows[drop].T @ rows[drop + q - r]
+                block += rows[add].T @ rows[add + q - r]
+            cell(r, q)[...] = block
+            cell(q, r)[...] = block.T
+    del rows, window  # the solve below needs only the scatter
     raw_trace = np.trace(scatter)
     scatter -= n * np.outer(shifted_mean, shifted_mean)
     require_spread(np.trace(scatter), raw_trace)
@@ -446,7 +457,8 @@ def _m_step(model: HmmModel, seqs: list[np.ndarray], stats: list) -> HmmModel:
     move[i]) / their sum; a state never left keeps its row, so the last stays
     absorbing. A state whose occupancy is at most _GAMMA_FLOOR keeps its Gaussian
     and counts a warning. A step whose square passes the float range is a
-    DataError, and so, through HmmModel, is a variance that does."""
+    DataError, and so is a state whose sum of squares does, naming the state
+    and the first sequence whose steps take that sum past the float range."""
     gamma = np.concatenate([g for _, g, _ in stats], dtype=np.float64)
     obs = np.concatenate(seqs)
     occupancy = gamma.sum(axis=0)
@@ -460,6 +472,9 @@ def _m_step(model: HmmModel, seqs: list[np.ndarray], stats: list) -> HmmModel:
         means = gamma.T @ obs / occupancy[:, None]
         variances = gamma.T @ squares / occupancy[:, None] - means ** 2
     occupied = occupancy > _GAMMA_FLOOR
+    overflowed = occupied & ~np.isfinite(variances).all(axis=1)
+    if overflowed.any():
+        _raise_sum_overflow(int(np.argmax(overflowed)), seqs, stats)
     trans = model.trans.copy()
     for i in range(model.n_states - 1):
         total = stay[i] + move[i]
@@ -484,6 +499,17 @@ def _check_squares(seqs: list[np.ndarray], squares: np.ndarray) -> None:
         k = int(np.searchsorted(starts, at, side="right")) - 1
         raise DataError(f"training sequence {k}: the square of step {at - starts[k]} "
                         f"passes the float range")
+
+
+def _raise_sum_overflow(state: int, seqs: list[np.ndarray], stats: list) -> None:
+    """DataError naming a state whose weighted sum of squared steps passes the
+    float range, and the first sequence whose share takes the running sum there."""
+    with np.errstate(over="ignore"):
+        running = np.cumsum([g[:, state] @ (seq * seq) for seq, (_, g, _) in zip(seqs, stats)],
+                            axis=0)
+    k = int(np.argmax(~np.isfinite(running).all(axis=1)))
+    raise DataError(f"training sequence {k} takes the sum of squared steps of state {state} "
+                    f"past the float range")
 
 
 def _fit(models: list[HmmModel], seqs: list[list[np.ndarray]], tol: float, max_iter: int,
@@ -614,13 +640,16 @@ def train_bank(
     n_states: int = DEFAULT_STATES,
     klt_dim: int = DEFAULT_KLT_DIM,
     feature_mode: str = FEATURE_KLT,
+    residuals: list[np.ndarray] | None = None,
 ) -> SubjectBank:
     """One left-to-right HMM per subject over a shared KLT feature space.
 
     Pipeline per subject: uniform segmentation init, Viterbi re-estimation,
     then Baum-Welch. Each stage steps every subject in one batch, and each
     subject stops at its own convergence, so the models are those of
-    training each subject alone.
+    training each subject alone. Each image is observed once; with KLT
+    features, residuals, when given, receives the block residuals of that
+    observe call for each image of train, in train's order.
     """
     if feature_mode not in (FEATURE_KLT, FEATURE_RAW):
         raise DataError(f"unknown feature mode {feature_mode!r}")
@@ -637,10 +666,14 @@ def train_bank(
     klt = None
     if feature_mode == FEATURE_KLT:
         klt = fit_klt([image.pixels for _, image in train], params, klt_dim)
-    transform = SubjectBank(params, klt, {})  # the feature transform, before any model
+    # (features, block residuals or None) of each image, in train's order
+    observed = [(extract_blocks(image, params), None) if klt is None
+                else observe(image, params, klt) for _, image in train]
+    if residuals is not None and klt is not None:
+        residuals.extend(resids for _, resids in observed)
     by_label: dict[str, list[np.ndarray]] = {}
-    for label, image in sorted(train, key=lambda entry: entry[0]):  # stable
-        by_label.setdefault(label, []).append(features_for(transform, image))
+    for i in sorted(range(len(train)), key=lambda i: train[i][0]):  # stable
+        by_label.setdefault(train[i][0], []).append(observed[i][0])
 
     seqs = list(by_label.values())
     models = [init_uniform(subject, n_states) for subject in seqs]
@@ -649,10 +682,12 @@ def train_bank(
     return SubjectBank(params, klt, dict(zip(by_label, models)))
 
 
-def recognize(bank: SubjectBank, images: Sequence[GrayImage]
+def recognize(bank: SubjectBank, images: Sequence[GrayImage],
+              features: Sequence[np.ndarray] | None = None
               ) -> list[tuple[str, dict[str, float]]]:
     """Per image, (maximum-forward-likelihood subject, log-likelihood of every
-    subject); ties go to the smallest label.
+    subject); ties go to the smallest label. features, when the caller has
+    them, are the images' observation sequences, as features_for gives them.
 
     Probes are scored PROBE_CHUNK at a time: the emissions of each probe under
     every subject fill one probe by subject batch, and one forward pass scores
@@ -670,7 +705,8 @@ def recognize(bank: SubjectBank, images: Sequence[GrayImage]
     for start in range(0, len(images), PROBE_CHUNK):
         probes = images[start:start + PROBE_CHUNK]
         for k, image in enumerate(probes):
-            _log_emissions(p, _check_seq(p.dim, features_for(bank, image))[None], out=logb[k])
+            seq = features_for(bank, image) if features is None else features[start + k]
+            _log_emissions(p, _check_seq(p.dim, seq)[None], out=logb[k])
         scores = _forward(p, logb[:len(probes)])[1]  # probe by subject
         # labels are sorted and argmax returns the first maximum: ties keep the lowest label
         results.extend((labels[int(np.argmax(row))], dict(zip(labels, row.tolist())))

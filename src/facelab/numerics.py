@@ -1,5 +1,6 @@
 """Dense symmetric eigendecomposition, Cholesky, the whitened generalized
-symmetric eigenproblem, PCA, the affine-subspace rule, the nearest-row rule,
+symmetric eigenproblem, PCA (and the one face PCA of eigenfaces and
+fisherfaces), the affine-subspace rule, the nearest-row rule,
 the shape checks and the probe chunk shared by all recognizers, and the
 linear face space that eigenfaces and fisherfaces both fit.
 
@@ -55,9 +56,19 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.size == 0:
         return vectors.copy()
-    lead = np.argmax(np.abs(vectors), axis=0)  # first max wins ties
-    signs = np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
-    return vectors * signs
+    return vectors * _lead_signs(vectors)
+
+
+def _lead_signs(vectors: np.ndarray) -> np.ndarray:
+    """Per column of a non-empty matrix, -1.0 where its largest-magnitude entry
+    (the first on ties) is negative, else 1.0. Column maxima and minima run
+    along the rows, where an argmax of |v| per column would transpose the
+    matrix; only a column whose two tie in magnitude is searched for its first."""
+    top, bottom = vectors.max(axis=0), vectors.min(axis=0)
+    negative = -bottom > top
+    for j in np.flatnonzero(-bottom == top):
+        negative[j] = vectors[np.argmax(np.abs(vectors[:, j])), j] < 0.0
+    return np.where(negative, -1.0, 1.0)
 
 
 def _check_square_symmetric(S: np.ndarray, what: str) -> np.ndarray:
@@ -197,7 +208,10 @@ def gram_pca(phi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         return scatter_pca(phi @ phi.T, k)
     square = phi.T @ phi
     vectors, lam = scatter_pca(0.5 * (square + square.T), k)
-    return fix_signs(phi @ vectors / np.sqrt(lam)), lam
+    basis = phi @ vectors  # mapped back, scaled and sign-fixed in place
+    basis /= np.sqrt(lam)
+    basis *= _lead_signs(basis)
+    return basis, lam
 
 
 def affine_coords(points: np.ndarray, mean: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -317,6 +331,36 @@ def sample_matrix(samples: list[tuple[str, np.ndarray]], dims: tuple[int, int] |
     elif dims[0] * dims[1] != d:
         raise DataError(f"dims {dims} inconsistent with vector length {d}")
     return rows, tuple(label for label, _ in samples), dims
+
+
+@dataclass(frozen=True)
+class FacePca:
+    """Sample vectors, their mean, and the principal directions of the centred
+    vectors: the one PCA that eigenfaces and fisherfaces both start from."""
+
+    rows: np.ndarray  # M x D, sample_matrix's
+    labels: tuple[str, ...]  # label of each row
+    dims: tuple[int, int]
+    mean: np.ndarray  # length D
+    spread: float  # sum of squares of the centred rows
+    basis: np.ndarray  # D x keep orthonormal directions, gram_pca's
+    eigenvalues: np.ndarray  # descending, one per basis column
+    coords: np.ndarray  # M x keep, the centred rows in the basis
+
+
+def face_pca(rows: np.ndarray, labels: tuple[str, ...], dims: tuple[int, int], k: int
+             ) -> FacePca:
+    """FacePca of sample_matrix's (rows, labels, dims) with gram_pca's top
+    min(k, surviving rank) directions; NumericError when centring leaves only
+    rounding. A trainer that keeps fewer directions takes a prefix of the
+    basis, so trainers that share one FacePca share one solve. The D x M
+    centred columns are not kept: their coordinates are."""
+    mean = rows.mean(axis=0)
+    phi = rows.T - mean[:, None]
+    spread = float(np.einsum("ij,ij->", phi, phi))
+    require_spread(spread, np.einsum("ij,ij->", rows, rows))
+    basis, lam = gram_pca(phi, k)
+    return FacePca(rows, labels, dims, mean, spread, basis, lam, phi.T @ basis)
 
 
 def label_slices(labels: tuple[str, ...]) -> dict[str, slice]:

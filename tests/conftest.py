@@ -67,16 +67,16 @@ def banded_models(banded):
 def train_fisher_keeping_pca(monkeypatch):
     """train_fisher that also returns the D x p PCA pre-projection it built;
     the model itself keeps only the composed projection."""
-    real_gram_pca, seen = fisherfaces.gram_pca, []
+    real_face_pca, seen = fisherfaces.face_pca, []
 
-    def spy(phi, k):
-        seen.append(real_gram_pca(phi, k))
+    def spy(rows, labels, dims, k):
+        seen.append(real_face_pca(rows, labels, dims, k))
         return seen[-1]
 
-    monkeypatch.setattr(fisherfaces, "gram_pca", spy)
+    monkeypatch.setattr(fisherfaces, "face_pca", spy)
 
     def train(samples, dims=None):
         model = train_fisher(samples, dims)
-        return model, seen[-1][0]
+        return model, seen[-1].basis
 
     return train

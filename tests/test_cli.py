@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import facelab
-from facelab import cli, synth
+from facelab import cli, hmm1d, synth
 from facelab.archive import load_model
 from facelab.cli import main
 from facelab.dataset import GrayImage, load_pgm_file, write_pgm
@@ -149,6 +149,58 @@ def test_train_all_assess_and_multi_recognize(banded_dir, tmp_path, capsys):
     fields = line.split(",")
     assert fields[1] in ("eigen", "fisher", "hmm")
     assert fields[2] == "s02"
+
+
+def test_train_all_observes_each_training_image_once(banded_dir, tmp_path, monkeypatch):
+    # train_bank's observe calls give both the HMM features and the residuals that
+    # calibrate the dispatcher
+    real_observe, observed = hmm1d.observe, []
+
+    def spy(image, params, klt):
+        observed.append(image)
+        return real_observe(image, params, klt)
+
+    monkeypatch.setattr(hmm1d, "observe", spy)
+    assert main(["train", "--method", "all", "--dataset", str(banded_dir),
+                 "--out", str(tmp_path / "models"), "--split", "k:5,seed:0", "--k", "12"]) == 0
+    n_train = 5 * len([p for p in banded_dir.iterdir() if p.is_dir()])
+    assert len(observed) == n_train
+    assert len({id(image) for image in observed}) == n_train
+
+
+@pytest.mark.parametrize("split", [["--split", "k:5,seed:0"], []], ids=["half", "all_images"])
+def test_train_all_faces_match_training_each_alone(banded_dir, tmp_path, split):
+    # --method all fits eigen and fisher from one PCA, solved for the more directions
+    # of the two. At the default k both trainers alone take the full Gram spectrum,
+    # and each archive is byte-identical to training its method alone.
+    flags = ["--dataset", str(banded_dir)] + split
+    assert main(["train", "--method", "all", "--out", str(tmp_path / "all")] + flags) == 0
+    for method in ("eigen", "fisher"):
+        alone = tmp_path / f"{method}.ffm"
+        assert main(["train", "--method", method, "--out", str(alone)] + flags) == 0
+        assert (tmp_path / "all" / f"{method}.ffm").read_bytes() == alone.read_bytes()
+
+
+def test_train_all_eigen_takes_the_shared_full_solve(banded_dir, tmp_path):
+    # --k 1 of 20 images: eigen alone solves its one pair by subspace iteration, while
+    # --method all takes it from fisher's full 16-pair Gram solve; the two agree
+    # within the subspace route's tolerances, and classify alike
+    flags = ["--dataset", str(banded_dir), "--split", "k:5,seed:0", "--k", "1"]
+    assert main(["train", "--method", "all", "--out", str(tmp_path / "all")] + flags) == 0
+    assert main(["train", "--method", "eigen", "--out", str(tmp_path / "eigen.ffm")] + flags) == 0
+    shared, alone = (load_model(path) for path in (tmp_path / "all" / "eigen.ffm",
+                                                    tmp_path / "eigen.ffm"))
+    assert shared.k == alone.k == 1
+    assert np.array_equal(shared.mean, alone.mean)
+    assert np.abs(shared.basis - alone.basis).max() <= 1e-10
+    assert np.abs(shared.eigenvalues - alone.eigenvalues).max() <= 1e-12 * alone.eigenvalues[0]
+    scale = np.abs(alone.gallery).max()
+    assert np.abs(shared.gallery - alone.gallery).max() <= 1e-10 * scale
+    assert shared.theta_face == pytest.approx(alone.theta_face, rel=1e-9)
+    assert shared.theta_known == pytest.approx(alone.theta_known, rel=1e-9)
+    probes = [load_pgm_file(p) for p in sorted(banded_dir.glob("*/*.pgm"))]
+    assert [label for label, _ in shared.predict(probes)] == \
+        [label for label, _ in alone.predict(probes)]
 
 
 def test_multi_without_policy_is_usage_error(banded_dir, tmp_path, capsys):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facelab import dispatcher, synth
+from facelab import dispatcher, hmm1d, synth
 from facelab.dataset import GrayImage, flatten
 from facelab.dispatcher import (METHOD_EIGEN, METHOD_FISHER, METHOD_HMM, POLICY_PERCENTILE,
                                 DispatchPolicy, ImageProfile, ProfileContext,
-                                _illumination, block_residuals, calibrate,
+                                block_residuals, calibrate,
                                 calibrate_context, calibrate_policy, profile,
                                 read_policy_file, recognize_multi, select,
                                 write_policy_file)
@@ -193,8 +193,9 @@ class TestCalibration:
         assert covered >= int(0.8 * len(banded_models.train_images))
 
     def test_frontal_ref_is_least_deviant(self, banded_models):
-        images, context = banded_models.train_images, banded_models.context
-        scores = [_illumination(img, context) for img in images]
+        m = banded_models
+        scores = [profile(img, m.eigen, m.frontal, m.bank, m.context).illumination_deviation
+                  for img in m.train_images]
         assert scores[banded_models.frontal_idx] == min(scores)
 
     def test_duplicated_frontal_ref_resolves_to_first_copy(self, banded_models):
@@ -278,6 +279,26 @@ class TestRecognizeMulti:
             banded_models.frontal, banded_models.policy, banded_models.context, probe)
         assert method == METHOD_FISHER
         assert label == fisherfaces.classify(banded_models.fisher, flatten(probe))[0]
+
+    def test_hmm_route_observes_the_probe_once(self, banded, banded_models, monkeypatch):
+        # the HMM route scores the KLT coordinates that the profile's observe call gave
+        m = banded_models
+        truth, _, img = banded.test_entries[2]
+        probe = GrayImage(img.h, img.w, np.roll(img.pixels, 1, axis=0))
+        real_observe, observed = hmm1d.observe, []
+
+        def spy(image, params, klt):
+            observed.append(image)
+            return real_observe(image, params, klt)
+
+        monkeypatch.setattr(hmm1d, "observe", spy)
+        pose_only = DispatchPolicy(tau_illum=1e9, tau_pose=0.0, tau_occl=1.0)
+        method, label, prof = recognize_multi(m.eigen, m.fisher, m.bank, m.frontal, pose_only,
+                                              m.context, probe)
+        assert method == METHOD_HMM and prof.pose_deviation > 0.0
+        assert observed == [probe]
+        assert label == hmm1d.recognize(m.bank, [probe])[0][0]
+        assert prof == profile(probe, m.eigen, m.frontal, m.bank, m.context)
 
     def test_label_set_mismatch_rejected(self, banded_models):
         fisher = banded_models.fisher

@@ -225,7 +225,10 @@ class TestKlt:
         (30, (13, 5), 4, 0),  # no overlap: the last row is in no block
         (10, (8, 6), 8, 0),  # one block per image, fewer blocks than dimensions: Gram route
         (1, (40, 3), 2, 1),  # a single image
-    ], ids=["stride1", "stride3_trailing_row", "no_overlap", "gram_route", "single_image"])
+        (20, (20, 5), 6, 4),  # stride 2: windows 2-5 slide from windows 0-3
+        (30, (17, 4), 5, 2),  # stride 3: lags 3 and 4 have fewer windows than the stride
+    ], ids=["stride1", "stride3_trailing_row", "no_overlap", "gram_route", "single_image",
+            "stride2_slides", "stride3_short_lags"])
     def test_matches_stacked_block_pca(self, count, dims, height, overlap):
         rng = np.random.default_rng(4)
         images = [rng.uniform(0.0, 255.0, size=dims) for _ in range(count)]
@@ -273,6 +276,22 @@ class TestKlt:
             tracemalloc.stop()
         assert klt.dim == 10
         assert peak < 60e6  # the 20,600 x 920 float64 block matrix alone is 152 MB
+
+    def test_scatter_route_holds_the_rows_and_few_scatters(self):
+        # the windowed scatter keeps no per-row product stack, and the centred rows are
+        # freed before the solve: the peak is the rows (16.5 MB) and at most three
+        # scatter-sized arrays (6.8 MB each) where lag-product stacks peaked at 50.7 MB
+        rng = np.random.default_rng(0)
+        images = [rng.integers(0, 256, size=(112, 92)).astype(np.float64) for _ in range(200)]
+        params = BlockParams(10, 9, (112, 92))
+        tracemalloc.start()
+        try:
+            fit_klt(images, params, d=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows_bytes, scatter_bytes = 112 * 200 * 92 * 8, params.block_dim ** 2 * 8
+        assert peak < rows_bytes + 3 * scatter_bytes
 
     def test_orl_height_scatter_takes_the_top_d_route(self, monkeypatch):
         # 40 banded faces at 112 x 92: the D = 920 block scatter of the default
@@ -490,8 +509,24 @@ class TestViterbi:
         with pytest.raises(DataError, match="^training sequence 1: the square of step 4 "
                                             "passes the float range$"):
             init_uniform([np.zeros((6, 1)), seq, np.ones((6, 1))], 2)
-        with pytest.raises(DataError, match="^HMM parameters must be finite$"):  # a sum overflows
-            init_uniform([np.zeros((6, 1)), np.full((6, 1), 1.2e154)], 2)
+        with pytest.raises(DataError, match="^training sequence 1 takes the sum of squared "
+                                            "steps of state 0 past the float range$"):
+            init_uniform([np.zeros((6, 1)), np.full((6, 1), 1.2e154)], 2)  # a sum overflows
+
+    def test_state_sum_past_the_float_range_names_state_and_sequence(self):
+        # each square is finite, but state 1 sums nine of them; warnings are errors here
+        seqs = [np.vstack([np.full((3, 2), float(k)), np.full((3, 2), 1.2e154)])
+                for k in range(3)]
+        assert np.isfinite(np.concatenate(seqs) ** 2).all()
+        with pytest.raises(DataError, match="^training sequence 0 takes the sum of squared "
+                                            "steps of state 1 past the float range$"):
+            init_uniform(seqs, 2)
+        # one such step in each of the last two sequences: their running sum passes the range
+        seqs[0][3:] = 1.0
+        seqs[1][3:5] = seqs[2][3:5] = 1.0
+        with pytest.raises(DataError, match="^training sequence 2 takes the sum of squared "
+                                            "steps of state 1 past the float range$"):
+            init_uniform(seqs, 2)
 
     def test_forced_moves_then_final_state(self):
         # no self-loops before the last state: the path must climb one state
