@@ -125,23 +125,33 @@ def _illumination(brightness: np.ndarray, context: ProfileContext) -> np.ndarray
             + brightness[1] / context.asym_sigma)
 
 
+def _pose_offsets(images: list[GrayImage], eigen: eigenfaces.EigenModel,
+                  frontal_ref: np.ndarray) -> np.ndarray:
+    """n x K: each image's eigen weights less the reference's, U^T (x - ref), by
+    one affine_coords per eigen.probe_rows chunk. The pose is a row's norm."""
+    frontal_ref = check_face(frontal_ref, eigen.mean)
+    return np.concatenate([affine_coords(rows, frontal_ref, eigen.basis)
+                           for rows in eigen.probe_rows(images)])
+
+
 def _measures(images: list[GrayImage], eigen: eigenfaces.EigenModel, frontal_ref: np.ndarray,
               residuals: list[np.ndarray], context: ProfileContext,
-              illumination: np.ndarray | None = None) -> np.ndarray:
+              illumination: np.ndarray | None = None, offsets: np.ndarray | None = None
+              ) -> np.ndarray:
     """Each image's ImageProfile fields as a row (pose, illumination, occlusion),
     given its block_residuals and, when the caller has them, the images'
-    illumination deviations; DataError for a residual list of another length or
-    an empty residual array, and, in ImageProfile's words, for the first row that
-    is not finite. The pose is the norm of U^T (x - ref), the image's
-    weights less the reference's: one affine_coords per eigen.probe_rows chunk."""
+    illumination deviations and _pose_offsets; DataError for a residual list of
+    another length or an empty residual array, and, in ImageProfile's words, for
+    the first row that is not finite. The pose is the norm of U^T (x - ref), the
+    image's weights less the reference's."""
     if len(residuals) != len(images):
         raise DataError(f"{len(residuals)} residual arrays for {len(images)} images")
     for i, resids in enumerate(residuals):
         if np.size(resids) == 0:
             raise DataError(f"image {i} has no block residuals")
-    frontal_ref = check_face(frontal_ref, eigen.mean)
-    poses = np.concatenate([np.linalg.norm(affine_coords(rows, frontal_ref, eigen.basis), axis=1)
-                            for rows in eigen.probe_rows(images)])
+    if offsets is None:
+        offsets = _pose_offsets(images, eigen, frontal_ref)
+    poses = np.linalg.norm(offsets, axis=1)
     if illumination is None:
         illumination = _illumination(_brightness(images), context)
     occlusion = [np.mean(resids > context.resid_p99) for resids in residuals]
@@ -154,14 +164,17 @@ def _measures(images: list[GrayImage], eigen: eigenfaces.EigenModel, frontal_ref
 
 def profile(image: GrayImage, eigen: eigenfaces.EigenModel, frontal_ref: np.ndarray,
             bank: hmm1d.SubjectBank, context: ProfileContext,
-            residuals: np.ndarray | None = None) -> ImageProfile:
+            residuals: np.ndarray | None = None, offset: np.ndarray | None = None
+            ) -> ImageProfile:
     """A probe's pose, illumination and occlusion: _measures of a batch of one.
-    residuals, when the caller has them, are the probe's block_residuals."""
+    residuals and offset, when the caller has them, are the probe's
+    block_residuals and its 1 x K _pose_offsets."""
     frontal_ref = check_face(frontal_ref, eigen.mean)  # checked before the bank and the image
     if residuals is None:
         residuals = block_residuals(bank, image)  # checks the dims
     check_face(image.pixels, eigen.mean)
-    return ImageProfile(*_measures([image], eigen, frontal_ref, [residuals], context)[0].tolist())
+    return ImageProfile(*_measures([image], eigen, frontal_ref, [residuals], context,
+                                   offsets=offset)[0].tolist())
 
 
 def select(prof: ImageProfile, policy: DispatchPolicy) -> str:
@@ -223,20 +236,29 @@ def recognize_multi(
     image: GrayImage,
 ) -> tuple[str, str, ImageProfile]:
     """Profile, select a recognizer, and delegate; returns (method, label, profile).
+
     The image is observed once: the profile reads its block residuals, and the
-    HMM route its block coordinates."""
+    HMM route its block coordinates. It is projected onto the eigenfaces once:
+    the pose is the norm of its offset U^T (x - ref), and the eigen route
+    classifies on offset + EigenModel.reference_weights(ref), its weights
+    U^T (x - mean) to rounding (about 1e-14 relative).
+    """
     if not eigen.labels == fisher.labels == bank.labels:
         raise DataError("models were trained on different label sets")
     if not eigen.dims == fisher.dims == bank.dims:
         raise DataError("models were trained on different image dimensions")
-    check_face(frontal_ref, eigen.mean)  # checked before the bank and the image, as in profile
+    frontal_ref = check_face(frontal_ref, eigen.mean)  # before the bank and the image
     coords, residuals = _observe(bank, image)  # checks the dims
-    prof = profile(image, eigen, frontal_ref, bank, context, residuals)
+    offset = _pose_offsets([image], eigen, frontal_ref)
+    prof = profile(image, eigen, frontal_ref, bank, context, residuals, offset)
     method = select(prof, policy)
     if method == METHOD_HMM:
         return method, hmm1d.recognize(bank, [image], [coords])[0][0], prof
-    model = {METHOD_EIGEN: eigen, METHOD_FISHER: fisher}[method]
-    return method, model.predict([image])[0][0], prof
+    if method == METHOD_FISHER:
+        return method, fisher.predict([image])[0][0], prof
+    weights = offset + eigen.reference_weights(frontal_ref)
+    decision = eigenfaces.classify_rows(eigen, flatten(image)[None], weights)[0]
+    return method, eigenfaces.predicted_label(decision), prof
 
 
 def _parse_fields(cls, values: dict[str, str]):

@@ -9,7 +9,7 @@ rescales eigenvalues only and affects no decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -18,8 +18,8 @@ from .dataset import GrayImage
 from .errors import DataError
 # Bound here, not called: sym_eigen for benchmarks/tests, and project (the weights
 # omega = U^T (face - mean) of one face under an eigen model) for the tests.
-from .numerics import (FacePca, FaceSpace, affine_residual, check_face, face_pca, label_slices,
-                       nearest, project, sample_matrix, sym_eigen)
+from .numerics import (FacePca, FaceSpace, affine_coords, affine_residual, check_face, face_pca,
+                       label_slices, nearest, project, sample_matrix, sym_eigen)
 
 FACE = "face"
 UNKNOWN_FACE = "unknown-face"
@@ -36,10 +36,27 @@ class EigenModel(FaceSpace):
 
     theta_face: float  # face-space (residual) distance threshold
     theta_known: float  # weight-space nearest-neighbor threshold
+    # (reference face, its weights) of the last reference_weights call
+    _reference: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def k(self) -> int:
         return self.basis.shape[1]
+
+    def reference_weights(self, face: np.ndarray) -> np.ndarray:
+        """The weights U^T (face - mean) of a reference face vector of length D,
+        kept for the last reference given: a face of the same bits, the same
+        object or another, reads them back instead of projecting again."""
+        face = check_face(face, self.mean)
+        if self._reference is not None:
+            kept, weights = self._reference
+            if np.array_equal(kept.view(np.int64), face.view(np.int64)):
+                return weights
+        weights = affine_coords(face, self.mean, self.basis)
+        weights.flags.writeable = False
+        object.__setattr__(self, "_reference", (face.copy(), weights))
+        return weights
 
     def predict(self, images: Sequence[GrayImage]) -> list[tuple[str, float]]:
         """Per image, (label or rejection marker, score); the score is the
@@ -117,14 +134,16 @@ def reconstruct(model: EigenModel, weights: np.ndarray) -> np.ndarray:
     return model.mean + model.basis @ weights
 
 
-def classify_rows(model: EigenModel, faces: np.ndarray) -> list[EigenDecision]:
+def classify_rows(model: EigenModel, faces: np.ndarray, weights: np.ndarray | None = None
+                  ) -> list[EigenDecision]:
     """Per row of an n x D matrix of faces: the face-space test on the distance
     from face space, then the nearest gallery weight vector in L2. One
-    affine_residual takes the weights and distances of every row.
+    affine_residual takes the weights and distances of every row; weights,
+    when the caller has them (n x K), are the rows' and are not projected again.
 
     Ties go to the lexicographically smallest label (gallery row order).
     """
-    weights, residuals = affine_residual(faces, model.mean, model.basis)
+    weights, residuals = affine_residual(faces, model.mean, model.basis, weights)
     decisions = []
     for row_weights, residual in zip(weights, residuals.tolist()):
         if residual > model.theta_face:

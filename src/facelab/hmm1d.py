@@ -86,6 +86,9 @@ class KltBasis:
 
     mean: np.ndarray  # length L*W
     basis: np.ndarray  # d x (L*W)
+    # observe's frame for the last block width it was built for, and that width
+    _frame: tuple[int, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_shape("KLT basis", self.basis, (np.shape(self.basis)[0], np.size(self.mean)))
@@ -93,6 +96,18 @@ class KltBasis:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    def frame(self, width: int) -> np.ndarray:
+        """W x L(1+d): the L row slices of [mu | B] side by side for blocks of
+        width W, column r(1+d) + c holding row r of mu (c = 0) or of basis row
+        c - 1. Built the first time a width is asked for, and kept."""
+        if self._frame is None or self._frame[0] != width:
+            height = self.mean.size // width
+            frame = np.concatenate([self.mean[None], self.basis]).reshape(-1, height, width)
+            frame = frame.transpose(2, 1, 0).reshape(width, -1)
+            frame.flags.writeable = False
+            object.__setattr__(self, "_frame", (width, frame))
+        return self._frame[1]
 
 
 @dataclass(frozen=True)
@@ -284,9 +299,10 @@ def observe(image: GrayImage, params: BlockParams, klt: KltBasis
     """(T x d KLT coordinates (b_t - mu) B^T, T distances from the KLT subspace)
     of an image's blocks b_t, from its pixel rows without stacking the blocks.
 
-    One product of the pixel rows with the L row slices of [mu | B] gives
-    b_t . mu and b_t B^T as L strided row sums, as fit_klt sums its lagged row
-    products; a cumulative sum of row norms gives |b_t|^2, and the distance is
+    One product of the pixel rows with KltBasis.frame, the L row slices of
+    [mu | B], gives b_t . mu and b_t B^T as sums over r of row t*s + r's
+    products with slice r, taken in one strided reduction in the order r = 0, 1,
+    ...; a cumulative sum of row norms gives |b_t|^2, and the distance is
     the root of |b_t - mu|^2 - |(b_t - mu) B^T|^2, clamped at 0. That identity
     cancels where a distance is small next to |b_t - mu|: the distances agree
     with numerics.affine_residual of extract_blocks to within 1e-9 relative,
@@ -298,13 +314,12 @@ def observe(image: GrayImage, params: BlockParams, klt: KltBasis
                         f"{params.block_dim}")
     height, stride, width = params.height, params.stride, params.image_dims[1]
     mean, basis = klt.mean, klt.basis
-    frame = np.concatenate([mean[None], basis]).reshape(-1, height, width)  # (1+d) x L x W
-    products = (pixels @ frame.transpose(2, 1, 0).reshape(width, -1)).reshape(
-        -1, height, len(frame))  # products[j, r] = x[j] . [mu_r | B_r]
+    products = pixels @ klt.frame(width)  # products[j, r(1+d) + c] = x[j] . [mu_r | B_r]_c
+    row, item = products.strides  # a view whose entry [t, r] is row t*s + r against slice r:
+    diagonal = np.ndarray((params.block_count, height, 1 + klt.dim), products.dtype, products,
+                          strides=(stride * row, row + (1 + klt.dim) * item, item))
+    sums = diagonal.sum(axis=1)  # row t: [b_t . mu | b_t B^T]
     span = (params.block_count - 1) * stride + 1  # from row r of the first block to the last's
-    sums = products[:span:stride, 0].copy()
-    for r in range(1, height):
-        sums += products[r:r + span:stride, r]  # row t: [b_t . mu | b_t B^T]
     cum_norms = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", pixels, pixels))])
     block_norms = cum_norms[height:height + span:stride] - cum_norms[:span:stride]
     coords = sums[:, 1:] - basis @ mean

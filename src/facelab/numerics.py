@@ -19,7 +19,7 @@ Conventions enforced on every spectrum:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .dataset import GrayImage, check_dims, flatten
 from .errors import DataError, NumericError, SingularOrIndefinite
 
 SYM_RTOL = 1e-10  # relative entrywise symmetry requirement on inputs
+SYM_BLOCK = 64  # rows of a matrix that the symmetry check compares at a time
 EPS_CUT_REL = 1e-10  # PCA drops eigenvalues below this fraction of the largest
 # probes every recognizer scores at a time: for 112 x 92 faces, an 8 x 10,304 row matrix
 # (0.66 MB) in eigenfaces and fisherfaces, and 320 forward rows for 40 HMM subjects, so
@@ -72,14 +73,21 @@ def _lead_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _check_square_symmetric(S: np.ndarray, what: str) -> np.ndarray:
+    """S as float64; DataError unless it is square, finite, and max |S - S^T| is
+    at most SYM_RTOL * max(1, max |S|). The upper triangle is compared with the
+    lower SYM_BLOCK rows at a time, so no D x D temporary is formed; max and min
+    propagate NaN, so they find a non-finite entry too."""
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] < 1:
         raise DataError(f"{what} must be a square matrix, got shape {S.shape}")
-    if not np.all(np.isfinite(S)):
+    top, bottom = float(S.max()), float(S.min())
+    if not (np.isfinite(top) and np.isfinite(bottom)):
         raise DataError(f"{what} contains non-finite entries")
-    scale = max(1.0, float(np.abs(S).max()))
-    if float(np.abs(S - S.T).max()) > SYM_RTOL * scale:
-        raise DataError(f"{what} is not symmetric to {SYM_RTOL:g} relative")
+    bound = SYM_RTOL * max(1.0, top, -bottom)
+    for start in range(0, len(S), SYM_BLOCK):
+        stop = start + SYM_BLOCK
+        if float(np.abs(S[start:stop, start:] - S[start:, start:stop].T).max()) > bound:
+            raise DataError(f"{what} is not symmetric to {SYM_RTOL:g} relative")
     return S
 
 
@@ -220,10 +228,11 @@ def affine_coords(points: np.ndarray, mean: np.ndarray, basis: np.ndarray) -> np
     return (points - mean) @ basis
 
 
-def affine_residual(points: np.ndarray, mean: np.ndarray, basis: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray | float]:
+def affine_residual(points: np.ndarray, mean: np.ndarray, basis: np.ndarray,
+                    coords: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | float]:
     """(coordinates, distance from the affine subspace) of each row, for a
-    D x K basis with orthonormal columns; a vector is one row.
+    D x K basis with orthonormal columns; a vector is one row. coords, when the
+    caller has them, are the rows' coordinates, and are not computed again.
 
     The distance is the norm of what the reconstruction coordinates @ basis^T
     leaves of points - mean: Turk & Pentland's distance from face space, and
@@ -232,7 +241,8 @@ def affine_residual(points: np.ndarray, mean: np.ndarray, basis: np.ndarray
     (the transpose of column samples) sum as the columns would.
     """
     centred = points - mean
-    coords = centred @ basis
+    if coords is None:
+        coords = centred @ basis
     centred -= coords @ basis.T
     centred *= centred
     return coords, np.sqrt(np.add.reduce(centred, axis=-1))
@@ -281,6 +291,8 @@ class FaceSpace:
     eigenvalues: np.ndarray  # descending, one per basis column
     gallery: np.ndarray  # one K-dim row per entry
     row_labels: tuple[str, ...]  # label of each gallery row
+    # the distinct row labels in order, taken once
+    _labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         what = type(self).__name__
@@ -292,10 +304,11 @@ class FaceSpace:
         gallery, row_labels = sort_rows(self.gallery, self.row_labels)
         object.__setattr__(self, "gallery", gallery)
         object.__setattr__(self, "row_labels", row_labels)
+        object.__setattr__(self, "_labels", tuple(dict.fromkeys(row_labels)))
 
     @property
     def labels(self) -> list[str]:
-        return list(dict.fromkeys(self.row_labels))
+        return list(self._labels)
 
     def probe_rows(self, images: Sequence[GrayImage]) -> Iterator[np.ndarray]:
         """The images' face vectors, in order, as row matrices of at most

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facelab import dispatcher, hmm1d, synth
+from facelab import dispatcher, eigenfaces, hmm1d, synth
 from facelab.dataset import GrayImage, flatten
 from facelab.dispatcher import (METHOD_EIGEN, METHOD_FISHER, METHOD_HMM, POLICY_PERCENTILE,
                                 DispatchPolicy, ImageProfile, ProfileContext,
@@ -315,6 +316,129 @@ class TestRecognizeMulti:
             recognize_multi(banded_models.eigen, banded_models.fisher,
                             banded_models.bank, banded_models.frontal,
                             banded_models.policy, banded_models.context, small)
+
+
+class _CountingBasis(np.ndarray):
+    """A D x K eigen basis, D > K, that records the shape of every array projected onto
+    it: each product faces @ basis. Its transpose, a K x D view of the same class, is
+    left out, so reconstructions weights @ basis.T are not counted."""
+
+    projected: list
+
+    def __array_finalize__(self, obj):
+        self.projected = getattr(obj, "projected", [])
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[1] is self and self.shape[0] > self.shape[1]:
+            self.projected.append(inputs[0].shape)
+        plain = [np.asarray(x) if isinstance(x, _CountingBasis) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def _counting(eigen, projected):
+    """A copy of an eigen model whose basis appends each projection's shape to projected."""
+    basis = eigen.basis.view(_CountingBasis)
+    basis.projected = projected
+    return dataclasses.replace(eigen, basis=basis)
+
+
+class TestEigenRouteProjectsOnce:
+    EIGEN_ONLY = DispatchPolicy(tau_illum=1e9, tau_pose=1e9, tau_occl=1.0)  # nothing exceeds
+
+    def test_warm_probe_is_projected_once(self, banded, banded_models):
+        # cold: the probe for the pose, and the reference for its weights; warm: only the
+        # probe, whose offset from the reference the eigen route reuses. The reconstruction
+        # reads the basis too, but projects nothing.
+        m, projected = banded_models, []
+        eigen = _counting(banded_models.eigen, projected)
+        probe = banded.test_entries[0][2]
+        d = m.frontal.size
+        for expected in ([(1, d), (d,)], [(1, d)], [(1, d)]):
+            projected.clear()
+            method, _, _ = recognize_multi(eigen, m.fisher, m.bank, m.frontal,
+                                           self.EIGEN_ONLY, m.context, probe)
+            assert method == METHOD_EIGEN
+            assert projected == expected
+
+    def test_fisher_and_hmm_routes_take_no_reference_weights(self, banded, banded_models):
+        m, projected = banded_models, []
+        eigen = _counting(banded_models.eigen, projected)
+        probe = banded.test_entries[0][2]
+        for policy, route in ((DispatchPolicy(tau_illum=0.0, tau_pose=1e9, tau_occl=1.0),
+                               METHOD_FISHER),
+                              (DispatchPolicy(tau_illum=1e9, tau_pose=0.0, tau_occl=1.0),
+                               METHOD_HMM)):
+            projected.clear()
+            method, _, _ = recognize_multi(eigen, m.fisher, m.bank, m.frontal, policy,
+                                           m.context, probe)
+            assert method == route
+            assert projected == [(1, m.frontal.size)]  # the pose alone
+            assert eigen._reference is None
+
+    def test_reference_weights_are_kept_per_model_and_reference(self, banded, banded_models):
+        m, projected = banded_models, []
+        eigen = _counting(banded_models.eigen, projected)
+        d = m.frontal.size
+        other = flatten(m.train_images[(m.frontal_idx + 1) % len(m.train_images)])
+
+        def references_projected(eigen, frontal, probes):
+            projected.clear()
+            for _, _, image in probes:
+                method, _, _ = recognize_multi(eigen, m.fisher, m.bank, frontal,
+                                               self.EIGEN_ONLY, m.context, image)
+                assert method == METHOD_EIGEN
+            assert projected.count((1, d)) == len(probes)  # the pose of each probe
+            return projected.count((d,))
+
+        probes = banded.test_entries[:6]
+        assert references_projected(eigen, m.frontal, probes) == 1
+        assert references_projected(eigen, m.frontal.copy(), probes) == 0  # same bits
+        assert references_projected(eigen, other, probes) == 1  # other content
+        assert references_projected(eigen, other, probes) == 0
+        assert references_projected(eigen, m.frontal, probes) == 1  # the last one is kept
+        twin = dataclasses.replace(eigen)  # a second model over the same arrays
+        assert references_projected(twin, m.frontal, probes) == 1
+        assert references_projected(eigen, m.frontal, probes) == 0
+        np.testing.assert_array_equal(eigen.reference_weights(m.frontal),
+                                      project(m.eigen, m.frontal))
+        with pytest.raises(ValueError, match="read-only"):
+            eigen.reference_weights(m.frontal)[0] = 0.0
+
+    def test_route_decides_as_predict(self, banded, banded_models, monkeypatch):
+        # every probe kind forced to the eigen route, and a model with a stricter
+        # known-face threshold, so that all three verdicts occur: one classify_rows
+        # call on the kept weights gives predict's label and verdict, and its
+        # distance to 1e-12 relative
+        m = banded_models
+        rng = np.random.default_rng(23)
+        real, decided = eigenfaces.classify_rows, []
+
+        def spy(model, faces, weights=None):
+            decisions = real(model, faces, weights)
+            decided.append((weights is not None, decisions))
+            return decisions
+
+        verdicts = set()
+        strict = dataclasses.replace(m.eigen, theta_known=m.eigen.theta_known / 8)
+        for eigen, kind in itertools.product((m.eigen, strict),
+                                             ("clean", "ramp", "occlude", "roll")):
+            for _, _, image in banded.test_entries:
+                probe = _route_probe(kind, image, rng)
+                expected = real(eigen, flatten(probe)[None])[0]
+                label, score = eigen.predict([probe])[0]
+                monkeypatch.setattr(eigenfaces, "classify_rows", spy)
+                decided.clear()
+                method, routed, _ = recognize_multi(eigen, m.fisher, m.bank, m.frontal,
+                                                    self.EIGEN_ONLY, m.context, probe)
+                monkeypatch.undo()
+                assert method == METHOD_EIGEN and routed == label
+                [(reused, [decision])] = decided
+                assert reused
+                assert (decision.verdict, decision.label) == (expected.verdict, expected.label)
+                got = decision.dffs if decision.distance is None else decision.distance
+                assert got == pytest.approx(score, rel=1e-12, abs=0.0)
+                verdicts.add(decision.verdict)
+        assert verdicts == {eigenfaces.FACE, eigenfaces.UNKNOWN_FACE, eigenfaces.NOT_A_FACE}
 
 
 class TestPolicyFile:

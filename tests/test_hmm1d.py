@@ -313,6 +313,53 @@ class TestKlt:
         assert np.array_equal(klt.mean, full.mean)
         assert np.abs(klt.basis - full.basis).max() <= 1e-10
 
+    @staticmethod
+    def _observe_by_slices(pixels, params, klt):
+        """observe as the L-slice loop wrote it: the frame built on every call, and
+        the L row slices of the products summed one numpy call each, r = 0, 1, ..."""
+        height, stride, width = params.height, params.stride, params.image_dims[1]
+        mean, basis = klt.mean, klt.basis
+        frame = np.concatenate([mean[None], basis]).reshape(-1, height, width)
+        products = (pixels @ frame.transpose(2, 1, 0).reshape(width, -1)).reshape(
+            -1, height, len(frame))
+        span = (params.block_count - 1) * stride + 1
+        sums = products[:span:stride, 0].copy()
+        for r in range(1, height):
+            sums += products[r:r + span:stride, r]
+        cum_norms = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", pixels, pixels))])
+        block_norms = cum_norms[height:height + span:stride] - cum_norms[:span:stride]
+        coords = sums[:, 1:] - basis @ mean
+        squared = (block_norms - 2.0 * sums[:, 0] + mean @ mean
+                   - np.einsum("ij,ij->i", coords, coords))
+        return coords, np.sqrt(np.maximum(squared, 0.0))
+
+    @pytest.mark.parametrize("params", [
+        BlockParams(3, 1, (9, 4)),  # stride 2
+        BlockParams(4, 1, (11, 5)),  # stride 3: the last row is in no block
+        BlockParams(4, 0, (13, 5)),  # no overlap
+        BlockParams(6, 4, (9, 3)),  # stride 2, and the last row is in no block
+        BlockParams(5, 0, (5, 4)),  # one block
+        BlockParams(10, 9, (112, 92)),  # ORL: stride 1
+    ], ids=str)
+    def test_observe_sums_as_the_slice_loop_with_one_frame_per_basis(self, params):
+        rng = np.random.default_rng(6)
+        images = [rng.integers(0, 256, size=params.image_dims).astype(np.float64)
+                  for _ in range(6)]
+        klt = fit_klt(images, params, d=min(3, params.block_dim - 1))
+        assert klt._frame is None
+        frame = klt.frame(params.image_dims[1])
+        assert not frame.flags.writeable
+        for pixels in images + [rng.uniform(0.0, 255.0, size=params.image_dims)]:
+            coords, residuals = observe(GrayImage(*params.image_dims, pixels), params, klt)
+            want_coords, want_residuals = self._observe_by_slices(pixels, params, klt)
+            assert coords.tobytes() == want_coords.tobytes()
+            assert residuals.tobytes() == want_residuals.tobytes()
+            assert klt.frame(params.image_dims[1]) is frame  # built once for the basis
+        twin = replace(klt)  # another basis over the same arrays builds its own
+        assert twin._frame is None
+        twin_frame = twin.frame(params.image_dims[1])
+        assert twin_frame is not frame and np.array_equal(twin_frame, frame)
+
     def test_observe_dimension_check(self):
         params = BlockParams(2, 1, (4, 3))
         klt = KltBasis(np.zeros(6), np.eye(6)[:2])

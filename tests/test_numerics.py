@@ -15,7 +15,7 @@ from facelab.dataset import flatten
 from facelab.eigenfaces import EigenModel, train_eigen
 from facelab.errors import DataError, NumericError, SingularOrIndefinite
 from facelab.fisherfaces import FisherModel, train_fisher
-from facelab.numerics import (EPS_CUT_REL, PROBE_CHUNK, SUBSPACE_BLOCK, SUBSPACE_SPAN,
+from facelab.numerics import (EPS_CUT_REL, PROBE_CHUNK, SUBSPACE_BLOCK, SUBSPACE_SPAN, SYM_RTOL,
                               affine_coords, affine_residual, cholesky, fix_signs, gen_sym_eigen,
                               sample_matrix, scatter_pca, sym_eigen)
 
@@ -87,6 +87,78 @@ class TestSymEigen:
         r1, r2 = sym_eigen(s), sym_eigen(s)
         assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
         assert np.array_equal(r1.eigenvectors, r2.eigenvectors)
+
+
+class TestSymmetryCheck:
+    """numerics._check_square_symmetric: max |S - S^T| against SYM_RTOL * max(1, max |S|),
+    the triangles compared SYM_BLOCK rows at a time."""
+
+    @staticmethod
+    def _symmetric(n, peak):
+        rng = np.random.default_rng(31)
+        a = rng.uniform(-1.0, 1.0, size=(n, n))
+        s = a + a.T
+        s[0, 0] = peak  # max |S| is exactly |peak|
+        return s
+
+    @staticmethod
+    def _definition(s):
+        """The check spelled out on whole matrices."""
+        return np.abs(s - s.T).max() <= SYM_RTOL * max(1.0, np.abs(s).max())
+
+    @pytest.mark.parametrize("peak", [1000.0, -1000.0])
+    @pytest.mark.parametrize("i,j", [(1, 2), (2, 1), (150, 3), (3, 150), (149, 148),
+                                     (70, 70 - numerics.SYM_BLOCK)])
+    def test_asymmetry_just_above_the_bound_raises_and_just_below_passes(self, peak, i, j):
+        # 150 rows: two whole row blocks and a ragged one; the pair (i, j) sits in either
+        # triangle, within a block or across two. The bound is 1e-10 * 1000 = 1e-7, and
+        # 0.5 + delta - 0.5 is delta to within 1e-16.
+        assert 2 * numerics.SYM_BLOCK < 151 < 3 * numerics.SYM_BLOCK
+        for factor, symmetric in ((1.01, False), (0.99, True)):
+            s = self._symmetric(151, peak)
+            s[j, i] = 0.5
+            s[i, j] = 0.5 + factor * SYM_RTOL * 1000.0
+            assert bool(self._definition(s)) == symmetric
+            if symmetric:
+                assert numerics._check_square_symmetric(s, "S") is s
+            else:
+                with pytest.raises(DataError, match="^S is not symmetric to 1e-10 relative$"):
+                    numerics._check_square_symmetric(s, "S")
+
+    def test_verdict_matches_the_definition(self):
+        rng = np.random.default_rng(32)
+        for n in (1, 2, 63, 64, 65, 130):
+            for _ in range(20):
+                s = self._symmetric(n, rng.uniform(-3.0, 3.0))
+                i, j = rng.integers(0, n, size=2)
+                s[i, j] += rng.choice([0.0, 1e-12, 1e-10, 3e-10, 1e-9]) * rng.choice([-1, 1])
+                try:
+                    numerics._check_square_symmetric(s, "S")
+                    verdict = True
+                except DataError:
+                    verdict = False
+                assert verdict == self._definition(s)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (5, 140), (150, 150)])
+    def test_non_finite_is_data_error(self, bad, at):
+        s = self._symmetric(151, 2.0)
+        s[at] = bad
+        with pytest.raises(DataError, match="^S contains non-finite entries$"):
+            numerics._check_square_symmetric(s, "S")
+
+    def test_no_square_temporary(self):
+        # the 920 x 920 KLT scatter's size: differences and magnitudes are taken a
+        # row block at a time, where S - S.T and abs(S) were D x D arrays each
+        n = 920
+        s = self._symmetric(n, 7.0)
+        tracemalloc.start()
+        try:
+            numerics._check_square_symmetric(s, "S")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * s.itemsize
 
 
 class TestCholesky:
@@ -292,6 +364,8 @@ class TestAffineSubspace:
         assert np.allclose(got, coords, atol=1e-12)
         assert np.allclose(dist, np.arange(5) + 1.0, atol=1e-12)
         assert np.array_equal(affine_coords(points, mean, basis), got)
+        kept, kept_dist = affine_residual(points, mean, basis, got)  # coordinates handed in
+        assert kept is got and np.array_equal(kept_dist, dist)
 
     def test_a_vector_is_a_row(self, frame):
         basis, mean, _, points = frame
@@ -390,6 +464,16 @@ def test_face_space_rows_come_back_sorted_by_label(kind):
     assert model.row_labels == ("a", "b", "c")
     assert model.gallery[:, 0].tolist() == [1.0, 2.0, 3.0]
     assert model.labels == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("kind", [EigenModel, FisherModel])
+def test_face_space_labels_are_taken_once(kind):
+    # the distinct labels are kept when the model is built; each call hands out a copy
+    model = _face_space(kind, [[3.0], [1.0], [2.0]], ("c", "a", "b"))
+    assert model._labels == ("a", "b", "c")
+    labels = model.labels
+    labels.append("z")
+    assert model.labels == ["a", "b", "c"] and model.labels is not labels
 
 
 @pytest.mark.parametrize("kind", [EigenModel, FisherModel])
