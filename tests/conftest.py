@@ -6,10 +6,12 @@ training steps to one run for the whole suite.
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from facelab import dispatcher, fisherfaces, synth
-from facelab.dataset import SplitSpec, flatten, load_labeled_images, scan_dataset, split
+from facelab.dataset import (GrayImage, SplitSpec, flatten, load_labeled_images,
+                             scan_dataset, split)
 from facelab.eigenfaces import train_eigen
 from facelab.fisherfaces import train_fisher
 from facelab.hmm1d import BlockParams, train_bank
@@ -61,6 +63,25 @@ def banded_models(banded):
         eigen=eigen, fisher=fisher, bank=bank, context=context, policy=policy,
         frontal=flatten(train_images[ref_idx]), frontal_idx=ref_idx, train_images=train_images,
     )
+
+
+@pytest.fixture(scope="session")
+def route_probe():
+    """route_probe(kind, image, rng): a probe of one kind (clean, ramp, occlude or
+    roll) from a held-out image, as in the benchmark's dispatch mix."""
+
+    def make(kind, image, rng):
+        if kind == "clean":
+            return image
+        if kind == "ramp":
+            lit = synth.add_ramp(image, gx=rng.choice([-1.0, 1.0]) * rng.uniform(100.0, 150.0),
+                                 gy=rng.uniform(-40.0, 40.0))
+            return GrayImage(lit.h, lit.w, np.rint(lit.pixels))
+        if kind == "occlude":
+            return synth.occlude_bottom(image, 0.3)
+        return GrayImage(image.h, image.w, np.roll(image.pixels, 1, axis=0))
+
+    return make
 
 
 @pytest.fixture

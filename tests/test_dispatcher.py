@@ -319,26 +319,31 @@ class TestRecognizeMulti:
 
 
 class _CountingBasis(np.ndarray):
-    """A D x K eigen basis, D > K, that records the shape of every array projected onto
-    it: each product faces @ basis. Its transpose, a K x D view of the same class, is
-    left out, so reconstructions weights @ basis.T are not counted."""
+    """A D x K eigen basis, D > K, that records the shape of every array multiplied by
+    it: each projection faces @ basis in projected, and each reconstruction
+    weights @ basis.T, a product with its K x D transpose, in reconstructed."""
 
     projected: list
+    reconstructed: list
 
     def __array_finalize__(self, obj):
         self.projected = getattr(obj, "projected", [])
+        self.reconstructed = getattr(obj, "reconstructed", [])
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul and inputs[1] is self and self.shape[0] > self.shape[1]:
-            self.projected.append(inputs[0].shape)
+        if ufunc is np.matmul and inputs[1] is self:
+            tall = self.shape[0] > self.shape[1]
+            (self.projected if tall else self.reconstructed).append(inputs[0].shape)
         plain = [np.asarray(x) if isinstance(x, _CountingBasis) else x for x in inputs]
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
-def _counting(eigen, projected):
-    """A copy of an eigen model whose basis appends each projection's shape to projected."""
+def _counting(eigen, projected, reconstructed=None):
+    """A copy of an eigen model whose basis appends each projection's shape to projected
+    and each reconstruction's to reconstructed."""
     basis = eigen.basis.view(_CountingBasis)
     basis.projected = projected
+    basis.reconstructed = [] if reconstructed is None else reconstructed
     return dataclasses.replace(eigen, basis=basis)
 
 
@@ -347,10 +352,10 @@ class TestEigenRouteProjectsOnce:
 
     def test_warm_probe_is_projected_once(self, banded, banded_models):
         # cold: the probe for the pose, and the reference for its weights; warm: only the
-        # probe, whose offset from the reference the eigen route reuses. The reconstruction
-        # reads the basis too, but projects nothing.
-        m, projected = banded_models, []
-        eigen = _counting(banded_models.eigen, projected)
+        # probe, whose offset from the reference the eigen route reuses. A clean probe
+        # sits well inside theta_face, so its face-space test reconstructs nothing.
+        m, projected, reconstructed = banded_models, [], []
+        eigen = _counting(banded_models.eigen, projected, reconstructed)
         probe = banded.test_entries[0][2]
         d = m.frontal.size
         for expected in ([(1, d), (d,)], [(1, d)], [(1, d)]):
@@ -359,6 +364,29 @@ class TestEigenRouteProjectsOnce:
                                            self.EIGEN_ONLY, m.context, probe)
             assert method == METHOD_EIGEN
             assert projected == expected
+            assert reconstructed == []
+
+    def test_warm_probe_reads_the_basis_once_unless_rejected(self, banded, banded_models):
+        # a warm clean probe makes one product with the basis, its projection; a probe
+        # outside face space makes two, its projection and the reconstruction that
+        # gives its exact distance from face space
+        m, projected, reconstructed = banded_models, [], []
+        eigen = _counting(banded_models.eigen, projected, reconstructed)
+        clean = banded.test_entries[0][2]
+        noise = GrayImage(*clean.pixels.shape,
+                          np.random.default_rng(29).uniform(0.0, 255.0, clean.pixels.shape))
+        assert eigenfaces.classify(m.eigen, flatten(noise)).verdict == eigenfaces.NOT_A_FACE
+        recognize_multi(eigen, m.fisher, m.bank, m.frontal, self.EIGEN_ONLY, m.context, clean)
+        d, k = m.frontal.size, m.eigen.k
+        for probe, rejected, products in ((clean, False, [(1, d)]),
+                                          (noise, True, [(1, d), (1, k)])):
+            projected.clear()
+            reconstructed.clear()
+            method, label, _ = recognize_multi(eigen, m.fisher, m.bank, m.frontal,
+                                               self.EIGEN_ONLY, m.context, probe)
+            assert method == METHOD_EIGEN
+            assert (label == eigenfaces.NOT_A_FACE_LABEL) == rejected
+            assert projected + reconstructed == products
 
     def test_fisher_and_hmm_routes_take_no_reference_weights(self, banded, banded_models):
         m, projected = banded_models, []
@@ -404,7 +432,7 @@ class TestEigenRouteProjectsOnce:
         with pytest.raises(ValueError, match="read-only"):
             eigen.reference_weights(m.frontal)[0] = 0.0
 
-    def test_route_decides_as_predict(self, banded, banded_models, monkeypatch):
+    def test_route_decides_as_predict(self, banded, banded_models, monkeypatch, route_probe):
         # every probe kind forced to the eigen route, and a model with a stricter
         # known-face threshold, so that all three verdicts occur: one classify_rows
         # call on the kept weights gives predict's label and verdict, and its
@@ -423,7 +451,7 @@ class TestEigenRouteProjectsOnce:
         for eigen, kind in itertools.product((m.eigen, strict),
                                              ("clean", "ramp", "occlude", "roll")):
             for _, _, image in banded.test_entries:
-                probe = _route_probe(kind, image, rng)
+                probe = route_probe(kind, image, rng)
                 expected = real(eigen, flatten(probe)[None])[0]
                 label, score = eigen.predict([probe])[0]
                 monkeypatch.setattr(eigenfaces, "classify_rows", spy)
@@ -524,19 +552,6 @@ def test_policy_file_parses_to_checked_values_or_is_data_error(tmp_path_factory,
     assert context.mean_sigma > 0.0 and context.asym_sigma > 0.0
 
 
-def _route_probe(kind, image, rng):
-    """A probe of one kind from a held-out image, as in the benchmark's dispatch mix."""
-    if kind == "clean":
-        return image
-    if kind == "ramp":
-        lit = synth.add_ramp(image, gx=rng.choice([-1.0, 1.0]) * rng.uniform(100.0, 150.0),
-                             gy=rng.uniform(-40.0, 40.0))
-        return GrayImage(lit.h, lit.w, np.rint(lit.pixels))
-    if kind == "occlude":
-        return synth.occlude_bottom(image, 0.3)
-    return GrayImage(image.h, image.w, np.roll(image.pixels, 1, axis=0))
-
-
 # Per probe kind over the 20 held-out banded images: wrong predictions of each
 # recognizer alone, of the dispatcher, and of the oracle (probes that every
 # recognizer gets wrong), then the dispatcher's eigen/fisher/hmm route counts.
@@ -548,7 +563,7 @@ ROUTE_TABLE = {
 }
 
 
-def test_route_table_per_probe_kind(banded, banded_models):
+def test_route_table_per_probe_kind(banded, banded_models, route_probe):
     m = banded_models
     models = {METHOD_EIGEN: m.eigen, METHOD_FISHER: m.fisher, METHOD_HMM: m.bank}
     rng = np.random.default_rng(17)
@@ -557,7 +572,7 @@ def test_route_table_per_probe_kind(banded, banded_models):
         errors = dict.fromkeys(["eigen", "fisher", "hmm", "dispatch", "oracle"], 0)
         routes = dict.fromkeys(models, 0)
         for truth, _, image in banded.test_entries:
-            probe = _route_probe(kind, image, rng)
+            probe = route_probe(kind, image, rng)
             wrong = {name: model.predict([probe])[0][0] != truth
                      for name, model in models.items()}
             method, label, _ = recognize_multi(m.eigen, m.fisher, m.bank, m.frontal, m.policy,

@@ -1,10 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from facelab.eigenfaces import (EigenModel, FACE, NOT_A_FACE, UNKNOWN_FACE, classify,
-                                predicted_label, project, reconstruct, train_eigen)
+from facelab import eigenfaces
+from facelab.dataset import flatten
+from facelab.eigenfaces import (EigenModel, FACE, FACE_SPACE_MARGIN, NOT_A_FACE, UNKNOWN_FACE,
+                                classify, classify_rows, predicted_label, project, reconstruct,
+                                train_eigen)
 from facelab.errors import DataError, NumericError
-from facelab.numerics import sym_eigen
+from facelab.numerics import affine_coords, affine_residual, nearest, sym_eigen
 
 RT2 = np.sqrt(2.0)
 
@@ -242,3 +249,106 @@ class TestInvariants:
             mean_dffs_sq = np.mean([classify(model, v).dffs ** 2 for _, v in samples])
             total = model.eigenvalues.sum() / len(samples) + mean_dffs_sq
             assert total == pytest.approx(mean_energy, rel=1e-8)
+
+
+def _reference_decisions(model, faces, weights=None):
+    """(verdict, label, score) per row by the face-space test on affine_residual's
+    reconstruction: the score is the distance from face space of a rejected row,
+    otherwise the nearest-neighbour distance."""
+    weights, residuals = affine_residual(faces, model.mean, model.basis, weights)
+    decisions = []
+    for row_weights, residual in zip(weights, residuals.tolist()):
+        if residual > model.theta_face:
+            decisions.append((NOT_A_FACE, None, residual))
+            continue
+        row, dist = nearest(model.gallery, row_weights)
+        decisions.append((UNKNOWN_FACE if dist > model.theta_known else FACE,
+                          model.row_labels[row], dist))
+    return decisions
+
+
+def _decisions(model, faces, weights=None):
+    return [(d.verdict, d.label, d.dffs if d.distance is None else d.distance)
+            for d in classify_rows(model, faces, weights)]
+
+
+@pytest.fixture
+def reconstructions(monkeypatch):
+    """The number of rows of each affine_residual call that classify_rows makes."""
+    real, rows = eigenfaces.affine_residual, []
+
+    def spy(points, *args):
+        rows.append(len(points))
+        return real(points, *args)
+
+    monkeypatch.setattr(eigenfaces, "affine_residual", spy)
+    return rows
+
+
+class TestFaceSpaceTestAcrossTheThreshold:
+    # theta_face set to a probe's exact distance from face space times each factor
+    FACTORS = (1 - 1e-2, 1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6, 1 + 1e-2)
+
+    def test_route_probes_decide_as_the_reconstruction(self, banded, banded_models,
+                                                       route_probe, reconstructions):
+        # every probe kind, alone as the eigen route classifies it (on handed-in weights
+        # offset + w_ref, and on its own projection), and the kind's probes as one batch
+        # as predict classifies them: verdicts, labels and scores bit for bit those of the
+        # reconstruction, which a batch takes over all its rows, not over the rows near
+        # theta_face alone. A probe within 1e-6 of theta_face takes the reconstruction;
+        # some 1% inside it are decided by the Pythagorean form alone.
+        m, rng = banded_models, np.random.default_rng(29)
+        reference = m.eigen.reference_weights(m.frontal)
+        fast = 0
+        for kind in ("clean", "ramp", "occlude", "roll"):
+            faces = np.stack([flatten(route_probe(kind, image, rng))
+                              for _, _, image in banded.test_entries])
+            handed = affine_coords(faces, m.frontal, m.eigen.basis) + reference
+            exact = affine_residual(faces, m.eigen.mean, m.eigen.basis)[1]
+            for factor in self.FACTORS:
+                for i, face in enumerate(faces):
+                    model = dataclasses.replace(m.eigen, theta_face=exact[i] * factor)
+                    for weights in (None, handed[i:i + 1]):
+                        reconstructions.clear()
+                        got = _decisions(model, face[None], weights)
+                        assert got == _reference_decisions(model, face[None], weights)
+                        if abs(factor - 1.0) <= 1e-6:
+                            assert reconstructions == [1]
+                        fast += not reconstructions
+                middle = exact[np.argsort(exact)[len(exact) // 2]]  # one row near theta_face
+                model = dataclasses.replace(m.eigen, theta_face=middle * factor)
+                assert _decisions(model, faces) == _reference_decisions(model, faces)
+        assert fast > 0
+
+    def test_training_basis_is_orthonormal_within_the_margin(self, banded_models):
+        # the precondition of the margin: delta = max |U^T U - I| far below
+        # FACE_SPACE_MARGIN / K (measured: 4.9e-15 for the 12-direction banded basis)
+        basis = banded_models.eigen.basis
+        delta = np.abs(basis.T @ basis - np.eye(basis.shape[1])).max()
+        assert delta <= 5e-14 < FACE_SPACE_MARGIN / basis.shape[1]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 48), k=st.integers(1, 8),
+       n=st.integers(1, 6), factor=st.sampled_from((0.0, 0.5, 1 - 1e-6, 1 - 1e-12, 1.0,
+                                                     1 + 1e-12, 1 + 1e-6, 2.0)),
+       scale=st.sampled_from((1e-3, 1.0, 1e3)))
+def test_random_face_spaces_decide_as_the_reconstruction(seed, d, k, n, factor, scale):
+    # random orthonormal bases, rows at distances from face space over six orders of
+    # magnitude (some in the span), theta_face near one row's exact distance
+    k = min(k, d - 1)
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((d, k)))[0]
+    mean = scale * rng.standard_normal(d)
+    off = rng.standard_normal((n, d))
+    off -= (off @ basis) @ basis.T
+    faces = (mean + scale * rng.standard_normal((n, k)) @ basis.T
+             + scale * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1)) * (rng.random((n, 1)) < 0.8) * off)
+    gallery = scale * rng.standard_normal((5, k))
+    exact = affine_residual(faces, mean, basis)[1]
+    model = EigenModel((1, d), mean, basis, np.ones(k), gallery, ("a", "b", "c", "d", "e"),
+                       theta_face=float(exact[rng.integers(n)]) * factor,
+                       theta_known=scale * float(rng.uniform(0.5, 3.0)))
+    assert _decisions(model, faces) == _reference_decisions(model, faces)
+    for face in faces:
+        assert _decisions(model, face[None]) == _reference_decisions(model, face[None])
