@@ -12,6 +12,7 @@ clean training images, which also give the standardization; none is learned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -40,7 +41,7 @@ class ImageProfile:
 
     def __post_init__(self):
         values = (self.pose_deviation, self.illumination_deviation, self.occlusion_degree)
-        if not all(np.isfinite(v) and v >= 0.0 for v in values):
+        if not all(math.isfinite(v) and v >= 0.0 for v in values):
             raise DataError(f"profile fields must be finite and non-negative: {values}")
         if self.occlusion_degree > 1.0:
             raise DataError(f"occlusion degree {self.occlusion_degree} exceeds 1")
@@ -75,13 +76,16 @@ class DispatchPolicy:
                 raise DataError(f"{name} must be finite and non-negative")
 
 
+def _mean(pixels: np.ndarray) -> float:
+    """pixels.mean(), the same sum divided by the same count, in fewer numpy calls."""
+    return float(np.add.reduce(pixels, axis=None) / pixels.size)
+
+
 def _half_asymmetry(image: GrayImage) -> float:
     half = image.w // 2
     if half == 0:
         return 0.0
-    left = float(image.pixels[:, :half].mean())
-    right = float(image.pixels[:, image.w - half:].mean())
-    return abs(left - right)
+    return abs(_mean(image.pixels[:, :half]) - _mean(image.pixels[:, image.w - half:]))
 
 
 def _observe(bank: hmm1d.SubjectBank, image: GrayImage) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +102,7 @@ def block_residuals(bank: hmm1d.SubjectBank, image: GrayImage) -> np.ndarray:
 
 def _brightness(images: list[GrayImage]) -> np.ndarray:
     """2 x n: each image's mean intensity (row 0) and left/right asymmetry (row 1)."""
-    return np.array([[img.pixels.mean() for img in images],
+    return np.array([[_mean(img.pixels) for img in images],
                      [_half_asymmetry(img) for img in images]])
 
 
@@ -154,7 +158,7 @@ def _measures(images: list[GrayImage], eigen: eigenfaces.EigenModel, frontal_ref
     poses = np.linalg.norm(offsets, axis=1)
     if illumination is None:
         illumination = _illumination(_brightness(images), context)
-    occlusion = [np.mean(resids > context.resid_p99) for resids in residuals]
+    occlusion = [np.count_nonzero(resids > context.resid_p99) / resids.size for resids in residuals]
     measures = np.column_stack([poses, illumination, occlusion])
     if not np.isfinite(measures).all():  # no field can be negative
         bad = measures[~np.isfinite(measures).all(axis=1)][0]
@@ -253,7 +257,7 @@ def recognize_multi(
     prof = profile(image, eigen, frontal_ref, bank, context, residuals, offset)
     method = select(prof, policy)
     if method == METHOD_HMM:
-        return method, hmm1d.recognize(bank, [image], [coords])[0][0], prof
+        return method, hmm1d.recognize(bank, [image], [coords], scores=False)[0][0], prof
     if method == METHOD_FISHER:
         return method, fisher.predict([image])[0][0], prof
     weights = offset + eigen.reference_weights(frontal_ref)

@@ -3,12 +3,14 @@
 Images are cut into overlapping horizontal blocks; each block becomes a
 low-dimensional KLT coefficient vector; one left-to-right HMM per subject is
 trained by uniform segmentation, then Viterbi (segmental) re-estimation, then
-Baum-Welch. Recognition scores a probe under every subject model with the
-forward algorithm. Viterbi and the forward pass are one log-domain
-left-to-right recursion (Rabiner 1989, section V); they differ only in how a
-state's stay and move terms combine: logaddexp for scores, max plus a
-back-pointer for Viterbi, whose ties go to the lower predecessor and then the
-lowest final state. The backward pass is log-domain too, so no path is lost
+Baum-Welch. Recognition takes the maximum forward log-likelihood over the
+subject models: a max-product pass bounds every subject's score, and the
+forward algorithm scores only the subjects whose bound reaches the leader.
+Viterbi, that bound and the forward pass are one log-domain left-to-right
+recursion (Rabiner 1989, section V); they differ only in how a state's stay
+and move terms combine: logaddexp for scores, max for the bound, and max plus
+a back-pointer for Viterbi, whose ties go to the lower predecessor and then
+the lowest final state. The backward pass is log-domain too, so no path is lost
 to underflow however far behind it falls, and raw pixels train as KLT
 features do.
 
@@ -23,7 +25,9 @@ those structural zeros are preserved exactly through every training stage.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -48,6 +52,16 @@ FEATURE_KLT = "klt"
 FEATURE_RAW = "raw"
 
 _GAMMA_FLOOR = 1e-12  # state occupancy (expected or counted) at most this counts as empty
+
+# recognize's rounding margin on the bound L <= V + log P, relative to 1 + |V_max|.
+# Each of the two passes, max-product and forward, rounds each of its T steps by a
+# few ulps of its running sums, at most max|delta| in size: together they are exact
+# to within 8 T eps max|delta|. Where every log density is negative (variances
+# above 1 / (2 pi)), a path's running sums stay within its final score, so
+# max|delta| is a subject's |V|; one far below V_max is far outside the window
+# too, and 8 T eps |V_max| is what the margin must cover. 1e-6 does for T up to
+# 5e8; at T = 103 that rounding is 2e-13 |V_max|.
+BOUND_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -108,6 +122,15 @@ class KltBasis:
             frame.flags.writeable = False
             object.__setattr__(self, "_frame", (width, frame))
         return self._frame[1]
+
+    @cached_property
+    def centre(self) -> tuple[np.ndarray, float]:
+        """(B mu, mu . mu), which observe takes from every image's sums. Computed the
+        first time they are asked for, not at construction, where the products of a
+        basis read from an edited archive could overflow with a warning."""
+        offset = self.basis @ self.mean
+        offset.flags.writeable = False
+        return offset, float(self.mean @ self.mean)
 
 
 @dataclass(frozen=True)
@@ -209,7 +232,7 @@ class SubjectBank:
 
     def predict(self, images: Sequence[GrayImage]) -> list[tuple[str, float]]:
         """Per image, (maximum-likelihood subject, its forward log-likelihood)."""
-        return [(label, scores[label]) for label, scores in recognize(self, images)]
+        return recognize(self, images)
 
 
 def _windows(pixels: np.ndarray, params: BlockParams) -> np.ndarray:
@@ -313,7 +336,7 @@ def observe(image: GrayImage, params: BlockParams, klt: KltBasis
         raise DataError(f"KLT dimension {klt.mean.size} does not match block dimension "
                         f"{params.block_dim}")
     height, stride, width = params.height, params.stride, params.image_dims[1]
-    mean, basis = klt.mean, klt.basis
+    offset, mean_norm = klt.centre
     products = pixels @ klt.frame(width)  # products[j, r(1+d) + c] = x[j] . [mu_r | B_r]_c
     row, item = products.strides  # a view whose entry [t, r] is row t*s + r against slice r:
     diagonal = np.ndarray((params.block_count, height, 1 + klt.dim), products.dtype, products,
@@ -322,8 +345,8 @@ def observe(image: GrayImage, params: BlockParams, klt: KltBasis
     span = (params.block_count - 1) * stride + 1  # from row r of the first block to the last's
     cum_norms = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", pixels, pixels))])
     block_norms = cum_norms[height:height + span:stride] - cum_norms[:span:stride]
-    coords = sums[:, 1:] - basis @ mean
-    squared = block_norms - 2.0 * sums[:, 0] + mean @ mean - np.einsum("ij,ij->i", coords, coords)
+    coords = sums[:, 1:] - offset
+    squared = block_norms - 2.0 * sums[:, 0] + mean_norm - np.einsum("ij,ij->i", coords, coords)
     return coords, np.sqrt(np.maximum(squared, 0.0))
 
 
@@ -358,8 +381,9 @@ def _log_emissions(p: _Stacked, seqs: np.ndarray, out: np.ndarray | None = None)
 
 
 def _left_to_right(p: _Stacked, logb: np.ndarray, combine: Callable) -> np.ndarray:
-    """The one recursion of Viterbi and the forward pass: T x N x B log delta of
-    B x T x N emissions, B being one or more leading axes that p's rows broadcast to.
+    """The one recursion of Viterbi, the forward pass and recognize's bound: T x N x B
+    log delta of B x T x N emissions, B being one or more leading axes that p's rows
+    broadcast to.
 
     From pi = (1, 0, ..., 0), step t forms each state's stay term
     delta[t-1][j] + log a[j][j] and move term delta[t-1][j-1] + log a[j-1][j];
@@ -697,22 +721,41 @@ def train_bank(
     return SubjectBank(params, klt, dict(zip(by_label, models)))
 
 
-def recognize(bank: SubjectBank, images: Sequence[GrayImage],
-              features: Sequence[np.ndarray] | None = None
-              ) -> list[tuple[str, dict[str, float]]]:
-    """Per image, (maximum-forward-likelihood subject, log-likelihood of every
-    subject); ties go to the smallest label. features, when the caller has
-    them, are the images' observation sequences, as features_for gives them.
+def _log_path_count(n_states: int, t_len: int) -> float:
+    """log P, P = sum over k < min(N, T) of C(T - 1, k): the number of state
+    paths of T steps from state 0 through N left-to-right states, each a
+    choice of which k of the T - 1 steps move. An exact integer, logged once."""
+    return math.log(sum(math.comb(t_len - 1, k) for k in range(min(n_states, t_len))))
 
-    Probes are scored PROBE_CHUNK at a time: the emissions of each probe under
-    every subject fill one probe by subject batch, and one forward pass scores
-    the chunk, the stack's log transitions shared by every probe. One probe is
-    a chunk of one, and each score is that of the probe alone.
+
+def recognize(bank: SubjectBank, images: Sequence[GrayImage],
+              features: Sequence[np.ndarray] | None = None, scores: bool = True
+              ) -> list[tuple[str, float | None]]:
+    """Per image, (maximum-forward-likelihood subject, its forward
+    log-likelihood); ties go to the smallest label. features, when the caller
+    has them, are the images' observation sequences, as features_for gives
+    them. With scores=False only the label is wanted, and every score is None.
+
+    No path is likelier than the best one, so a subject's forward score L lies
+    in [V, V + log P] for V its max-product (Viterbi) score and P the count of
+    its paths (_log_path_count). A max pass over every subject gives each
+    probe's V; the forward pass then scores only the (probe, subject) columns
+    whose V + log P + BOUND_MARGIN * (1 + |V_max|) reaches the probe's best V,
+    V_max, and the winner is the best of them. A subject left out scores below
+    the leader by V, so no tie is lost. With scores=False a probe left with one
+    candidate needs no forward pass. Every step of either pass is elementwise
+    along the batch, so each score is, bit for bit, that of the probe scored
+    against every subject, and loglik's.
+
+    Probes are taken PROBE_CHUNK at a time: the emissions of each probe under
+    every subject fill one probe by subject batch, the stack's log transitions
+    shared by every probe.
     """
     p = bank.stacked
     if p is None:
         raise DataError("HMM bank has no subjects")
     labels = bank.labels
+    log_paths = _log_path_count(p.const.shape[1], bank.params.block_count)
     # one emission buffer, probe by subject by block by state, reused by every chunk
     logb = np.empty((min(len(images), PROBE_CHUNK), len(labels), bank.params.block_count,
                      p.const.shape[1]))
@@ -722,8 +765,24 @@ def recognize(bank: SubjectBank, images: Sequence[GrayImage],
         for k, image in enumerate(probes):
             seq = features_for(bank, image) if features is None else features[start + k]
             _log_emissions(p, _check_seq(p.dim, seq)[None], out=logb[k])
-        scores = _forward(p, logb[:len(probes)])[1]  # probe by subject
+        chunk = logb[:len(probes)]
+        best = _left_to_right(p, chunk, lambda t, stayed, step: np.maximum(
+            stayed, step, out=stayed))[-1].max(axis=0)  # probe by subject V
+        lead = best.max(axis=1, keepdims=True)
+        # written as "not below" so that a NaN keeps every subject, as the forward pass would
+        keep = ~(best + (log_paths + BOUND_MARGIN * (1.0 + np.abs(lead))) < lead)
+        if not scores:
+            alone = np.count_nonzero(keep, axis=1) == 1
+            keep[alone] = False  # the one candidate is the winner
+        totals = np.full(best.shape, -np.inf)
+        rows, cols = np.nonzero(keep)
+        if rows.size:
+            totals[rows, cols] = _forward(p._make(a[cols] for a in p), chunk[rows, cols])[1]
         # labels are sorted and argmax returns the first maximum: ties keep the lowest label
-        results.extend((labels[int(np.argmax(row))], dict(zip(labels, row.tolist())))
-                       for row in scores)
+        winners = np.argmax(totals, axis=1)
+        if scores:
+            results.extend((labels[w], float(totals[k, w])) for k, w in enumerate(winners))
+        else:
+            winners[alone] = np.argmax(best[alone], axis=1)
+            results.extend((labels[w], None) for w in winners)
     return results

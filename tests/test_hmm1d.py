@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -12,6 +13,7 @@ from scipy.stats import norm
 
 from facelab import hmm1d, numerics, synth
 from facelab.dataset import GrayImage
+from facelab.dispatcher import METHOD_HMM, DispatchPolicy, recognize_multi
 from facelab.errors import DataError, NumericError
 from facelab.hmm1d import (BlockParams, FEATURE_RAW, VAR_FLOOR, HmmModel, KltBasis,
                            SubjectBank, baum_welch, extract_blocks, features_for, fit_klt,
@@ -124,6 +126,33 @@ def direct_loglik(model, seq):
     for t in range(1, len(seq)):
         log_alpha = logsumexp(log_alpha[:, None] + loga, axis=0) + logb[t]
     return float(logsumexp(log_alpha))
+
+
+def oracle_scores(bank, image):
+    """(observations, every subject's loglik in label order): the exhaustive recognizer."""
+    obs = features_for(bank, image)
+    return obs, np.array([loglik(bank.models[lb], obs) for lb in bank.labels])
+
+
+def assert_oracle_winner(bank, result, single):
+    """recognize's (label, score) is the oracle's argmax, the lowest label on ties,
+    and its score bit for bit."""
+    best = int(np.argmax(single))  # the first maximum
+    assert result[0] == bank.labels[best]
+    assert np.float64(result[1]).view(np.int64) == single[best].view(np.int64)
+
+
+@pytest.fixture
+def forward_widths(monkeypatch):
+    """The batch width of every hmm1d._forward call made in the test, in call order."""
+    real, widths = hmm1d._forward, []
+
+    def spy(p, logb):
+        widths.append(int(np.prod(logb.shape[:-2])))
+        return real(p, logb)
+
+    monkeypatch.setattr(hmm1d, "_forward", spy)
+    return widths
 
 
 class TestBlockExtraction:
@@ -822,12 +851,13 @@ class TestBank:
     def test_separable_subjects(self):
         entries = self._banded_pair()
         bank = train_bank(entries, BlockParams(4, 3, (16, 6)), n_states=4, klt_dim=4)
+        assert bank.labels == ["a", "b"]
         for label, img in entries:
-            [(best, scores)] = recognize(bank, [img])
-            assert best == label
-            other = "b" if label == "a" else "a"
-            assert scores[label] > scores[other]
-        assert set(scores) == {"a", "b"}
+            [result] = recognize(bank, [img])
+            single = oracle_scores(bank, img)[1]
+            assert_oracle_winner(bank, result, single)
+            assert result[0] == label
+            assert single[bank.labels.index(label)] > single[1 - bank.labels.index(label)]
 
     def test_raw_feature_mode(self):
         entries = self._banded_pair()
@@ -892,11 +922,7 @@ class TestBatchedKernels:
     def test_bank_scores_equal_single_model_loglik(self, banded, banded_models):
         bank = banded_models.bank
         for _, _, image in banded.test_entries:
-            obs = features_for(bank, image)
-            scores = recognize(bank, [image])[0][1]
-            assert list(scores) == bank.labels
-            for label, score in scores.items():
-                assert score == loglik(bank.models[label], obs)
+            assert_oracle_winner(bank, recognize(bank, [image])[0], oracle_scores(bank, image)[1])
 
     def test_chunked_scores_equal_each_probe_alone(self, banded, banded_models):
         bank = banded_models.bank
@@ -907,15 +933,12 @@ class TestBatchedKernels:
         batched = recognize(bank, probes)
         predicted = bank.predict(probes)
         assert len(batched) == len(predicted) == count
-        for image, (best, scores), (label, score) in zip(probes, batched, predicted):
+        for image, result, (label, score) in zip(probes, batched, predicted):
             [(alone_label, alone_score)] = bank.predict([image])
-            assert (label, best) == (alone_label, alone_label)
-            assert np.float64(score).view(np.int64) == np.float64(alone_score).view(np.int64)
-            obs = features_for(bank, image)
-            single = np.array([loglik(bank.models[lb], obs) for lb in bank.labels])
-            assert np.array_equal(np.array(list(scores.values())).view(np.int64),
-                                  single.view(np.int64))
-            assert score == scores[label] == single.max()
+            assert (label, result[0]) == (alone_label, alone_label)
+            assert (np.float64(score).view(np.int64) == np.float64(result[1]).view(np.int64)
+                    == np.float64(alone_score).view(np.int64))
+            assert_oracle_winner(bank, result, oracle_scores(bank, image)[1])
 
     def test_wrong_size_probe_anywhere_in_a_batch_is_data_error(self, banded, banded_models):
         probes = [image for _, _, image in banded.test_entries][:2 * PROBE_CHUNK + 1]
@@ -1037,11 +1060,12 @@ class TestExpandedEmissions:
     def test_recognize_scores_match_the_difference_form(self, banded, banded_models):
         bank = banded_models.bank
         probes = [image for _, _, image in banded.test_entries]
-        for image, (_, scores) in zip(probes, recognize(bank, probes)):
-            obs = features_for(bank, image)
-            for label, score in scores.items():
+        for image, result in zip(probes, recognize(bank, probes)):
+            obs, single = oracle_scores(bank, image)
+            for label, score in zip(bank.labels, single):
                 direct = direct_loglik(bank.models[label], obs)
                 assert abs(score - direct) <= 1e-12 * abs(direct)
+            assert_oracle_winner(bank, result, single)
 
     def test_recognize_working_memory(self):
         # 40 subjects x 16 probes at ORL scale, 8 to a chunk: the one emission
@@ -1066,11 +1090,116 @@ class TestExpandedEmissions:
         params = BlockParams(3, 2, (height, 4))
         bank = random_bank(rng, 3, n_states, params, 2)
         probes = [GrayImage(height, 4, rng.uniform(0.0, 255.0, (height, 4))) for _ in range(3)]
-        for image, (best, scores) in zip(probes, recognize(bank, probes)):
-            obs = features_for(bank, image)
+        for image, result in zip(probes, recognize(bank, probes)):
+            obs, single = oracle_scores(bank, image)
             assert obs.shape[0] == height - 2
-            for label, score in scores.items():
-                assert score == loglik(bank.models[label], obs)
+            for label, score in zip(bank.labels, single):
                 direct = direct_loglik(bank.models[label], obs)
                 assert abs(score - direct) <= 1e-12 * abs(direct)
-            assert scores[best] == max(scores.values())
+            assert_oracle_winner(bank, result, single)
+
+
+class TestBoundedRecognition:
+    """recognize scores only the subjects whose max-product bound reaches the leader."""
+
+    def test_bound_holds_against_path_enumeration(self):
+        rng = np.random.default_rng(81)
+        for n_states in range(1, 5):
+            for t_len in range(1, 7):
+                paths = all_feasible_paths(n_states, t_len)
+                log_paths = hmm1d._log_path_count(n_states, t_len)
+                assert log_paths == math.log(len(paths))
+                for _ in range(3):
+                    model = random_lr_model(rng, n_states, 2)
+                    seq = rng.normal(0.0, 2.0, size=(t_len, 2))
+                    lps = [path_logprob(model, seq, path) for path in paths]
+                    best, total = viterbi(model, seq)[1], loglik(model, seq)
+                    assert abs(best - max(lps)) <= 1e-9
+                    assert abs(total - logsumexp(lps)) <= 1e-9
+                    assert best <= total <= best + log_paths
+
+    def test_bound_is_reached_when_every_path_is_equally_likely(self):
+        # fewer than N - 1 moves never reach the absorbing state: under stay = move =
+        # 1/2 and one Gaussian, each of the 2^(T-1) paths is as likely as the best
+        model = lr_model([(0.5, 0.5)] * 4 + [(1.0, 0.0)], [[1.0]] * 5, [[2.0]] * 5)
+        for t_len in range(1, 5):
+            seq = np.linspace(-1.0, 1.0, t_len)[:, None]
+            log_paths = hmm1d._log_path_count(5, t_len)
+            assert log_paths == math.log(2 ** (t_len - 1))
+            total = loglik(model, seq)
+            assert abs(total - (viterbi(model, seq)[1] + log_paths)) <= 1e-12 * (1.0 + abs(total))
+
+    def test_forward_scores_fewer_columns_than_probes_by_subjects(self, banded, banded_models,
+                                                                  forward_widths):
+        bank = banded_models.bank
+        probes = [image for _, _, image in banded.test_entries]
+        scored = recognize(bank, probes)
+        assert len(forward_widths) == -(-len(probes) // PROBE_CHUNK)  # one pass a chunk
+        assert len(probes) <= sum(forward_widths) < len(probes) * len(bank.labels)
+        forward_widths.clear()
+        labelled = recognize(bank, probes, scores=False)
+        assert [label for label, _ in labelled] == [label for label, _ in scored]
+        assert all(score is None for _, score in labelled)
+        assert sum(forward_widths) < len(probes)  # a lone candidate needs no forward pass
+
+    def test_one_candidate_route_runs_no_forward_pass(self, banded, banded_models,
+                                                      forward_widths):
+        m = banded_models
+        _, _, img = banded.test_entries[2]
+        probe = GrayImage(img.h, img.w, np.roll(img.pixels, 1, axis=0))
+        [(label, _)] = recognize(m.bank, [probe])
+        assert forward_widths == [1]  # the bound leaves one candidate
+        forward_widths.clear()
+        pose_only = DispatchPolicy(tau_illum=1e9, tau_pose=0.0, tau_occl=1.0)
+        method, routed, _ = recognize_multi(m.eigen, m.fisher, m.bank, m.frontal, pose_only,
+                                            m.context, probe)
+        assert (method, routed) == (METHOD_HMM, label)
+        assert forward_widths == []
+
+    @pytest.mark.parametrize("twin", ["s00", "s01a"])  # sorts before and after s01
+    def test_identical_subjects_both_reach_the_forward_and_the_lower_label_wins(
+            self, banded, banded_models, forward_widths, twin):
+        bank = banded_models.bank
+        truth, _, image = banded.test_entries[0]
+        assert truth == "s01" and recognize(bank, [image])[0][0] == truth
+        twins = replace(bank, models={**bank.models, twin: bank.models[truth]})
+        forward_widths.clear()
+        [result] = recognize(twins, [image])
+        assert forward_widths == [2]
+        assert result[0] == min(truth, twin)
+        assert_oracle_winner(twins, result, oracle_scores(twins, image)[1])
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_runner_up_at_the_edge_of_the_window(self, banded, banded_models, forward_widths,
+                                                 monkeypatch, inside):
+        # the margin puts the window's edge a millionth of the runner-up's gap beyond it or
+        # short of it: it is scored or skipped, and the winner and its score do not move
+        bank = banded_models.bank
+        log_paths = hmm1d._log_path_count(5, bank.params.block_count)
+        cases = []
+        for _, _, image in banded.test_entries:
+            obs = features_for(bank, image)
+            best = np.sort([viterbi(bank.models[lb], obs)[1] for lb in bank.labels])
+            cases.append((best[-1] - best[-2] - log_paths, best[-1], image))
+        gap, lead, image = min((case for case in cases if case[0] > 0.0), key=lambda c: c[0])
+        assert gap > hmm1d.BOUND_MARGIN * (1.0 + abs(lead))  # skipped at the default margin
+        monkeypatch.setattr(hmm1d, "BOUND_MARGIN",
+                            gap * (1.0 + (1e-6 if inside else -1e-6)) / (1.0 + abs(lead)))
+        [result] = recognize(bank, [image])
+        assert forward_widths == [2 if inside else 1]
+        assert_oracle_winner(bank, result, oracle_scores(bank, image)[1])
+
+    def test_winner_is_the_forward_leader_not_the_max_product_leader(self):
+        # "a" has one likely path, "b" eight paths each half as likely per step: "a" leads
+        # by V, yet "b"'s eight paths sum past "a"'s one, and the forward pass decides
+        stay = lr_model([(0.999, 0.001)] + [(0.5, 0.5)] * 3 + [(1.0, 0.0)],
+                        [[0.0]] + [[50.0]] * 4, [[1.0]] * 5)
+        spread = lr_model([(0.5, 0.5)] * 4 + [(1.0, 0.0)], [[0.0]] * 5, [[1.0]] * 5)
+        bank = SubjectBank(BlockParams(1, 0, (4, 1)), None, {"a": stay, "b": spread})
+        image = GrayImage(4, 1, np.zeros((4, 1)))
+        obs = features_for(bank, image)
+        assert viterbi(stay, obs)[1] > viterbi(spread, obs)[1]
+        for scores in (True, False):
+            [(label, _)] = recognize(bank, [image], scores=scores)
+            assert label == "b"
+        assert_oracle_winner(bank, recognize(bank, [image])[0], oracle_scores(bank, image)[1])
