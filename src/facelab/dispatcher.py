@@ -167,18 +167,12 @@ def _measures(images: list[GrayImage], eigen: eigenfaces.EigenModel, frontal_ref
 
 
 def profile(image: GrayImage, eigen: eigenfaces.EigenModel, frontal_ref: np.ndarray,
-            bank: hmm1d.SubjectBank, context: ProfileContext,
-            residuals: np.ndarray | None = None, offset: np.ndarray | None = None
-            ) -> ImageProfile:
-    """A probe's pose, illumination and occlusion: _measures of a batch of one.
-    residuals and offset, when the caller has them, are the probe's
-    block_residuals and its 1 x K _pose_offsets."""
+            bank: hmm1d.SubjectBank, context: ProfileContext) -> ImageProfile:
+    """A probe's pose, illumination and occlusion: _measures of a batch of one."""
     frontal_ref = check_face(frontal_ref, eigen.mean)  # checked before the bank and the image
-    if residuals is None:
-        residuals = block_residuals(bank, image)  # checks the dims
+    residuals = block_residuals(bank, image)  # checks the dims
     check_face(image.pixels, eigen.mean)
-    return ImageProfile(*_measures([image], eigen, frontal_ref, [residuals], context,
-                                   offsets=offset)[0].tolist())
+    return ImageProfile(*_measures([image], eigen, frontal_ref, [residuals], context)[0].tolist())
 
 
 def select(prof: ImageProfile, policy: DispatchPolicy) -> str:
@@ -254,7 +248,8 @@ def recognize_multi(
     frontal_ref = check_face(frontal_ref, eigen.mean)  # before the bank and the image
     coords, residuals = _observe(bank, image)  # checks the dims
     offset = _pose_offsets([image], eigen, frontal_ref)
-    prof = profile(image, eigen, frontal_ref, bank, context, residuals, offset)
+    prof = ImageProfile(*_measures([image], eigen, frontal_ref, [residuals], context,
+                                   offsets=offset)[0].tolist())
     method = select(prof, policy)
     if method == METHOD_HMM:
         return method, hmm1d.recognize(bank, [image], [coords], scores=False)[0][0], prof

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -182,14 +182,18 @@ class _Stacked(NamedTuple):
 
 
 def _stack(models: list[HmmModel]) -> _Stacked:
-    means = np.stack([m.means for m in models])
-    variances = np.stack([m.variances for m in models])
+    return _log_params(*(np.stack([getattr(m, name) for m in models])
+                         for name in ("trans", "means", "variances")))
+
+
+def _log_params(trans: np.ndarray, means: np.ndarray, variances: np.ndarray) -> _Stacked:
+    """The _Stacked form of S x N x N transitions and S x N x d means and variances."""
     inv_var = 1.0 / variances
     # a mean too far for its variance gives -inf emissions, and structural zeros -inf logs
     with np.errstate(over="ignore", divide="ignore"):
         weights = np.concatenate([inv_var, -2.0 * means * inv_var], axis=2).transpose(0, 2, 1)
         const = np.sum(means * means * inv_var + np.log(2.0 * np.pi * variances), axis=2)
-        stay, move = (np.log([np.diagonal(m.trans, k) for m in models]) for k in (0, 1))
+        stay, move = (np.log(np.diagonal(trans, k, 1, 2)) for k in (0, 1))
     return _Stacked(stay, move, np.ascontiguousarray(weights), const)
 
 
@@ -362,19 +366,24 @@ def _check_seq(dim: int, seq: np.ndarray) -> np.ndarray:
     return seq
 
 
-def _log_emissions(p: _Stacked, seqs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """B x T x N per-state diagonal-Gaussian log densities, written to out if given.
+def _powers(seqs: np.ndarray) -> np.ndarray:
+    """[x^2 | x] of ... x d steps, which _log_emissions scores and the M-step sums."""
+    with np.errstate(over="ignore"):  # a step too far for the float range squares to inf
+        return np.concatenate([seqs * seqs, seqs], axis=-1)
 
-    seqs is B x T x d; either it or the stack may have a leading axis of 1,
-    which is shared across the other's batch. One matmul scores every state:
-    -0.5 * ([x^2, x] @ weights + const). Its rounding error grows as
+
+def _log_emissions(p: _Stacked, powers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """B x T x N per-state diagonal-Gaussian log densities of B x T x 2d _powers
+    of steps, written to out if given; either the powers or the stack may have a
+    leading axis of 1, shared across the other's batch. One matmul scores every
+    state: -0.5 * ([x^2, x] @ weights + const). Its rounding error grows as
     eps * sum((x^2 + means^2) / variances), at most 5.5e-12 on ORL-scale KLT
     features but 0.024 on random 920-pixel raw blocks at the variance floor.
     A step too far for a state's variance overflows x^2, and its emission is
     -inf, as _stack makes that of a mean too far for its variance.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # matmul can flag an inf square as invalid
-        out = np.matmul(np.concatenate([seqs * seqs, seqs], axis=2), p.weights, out=out)
+        out = np.matmul(powers, p.weights, out=out)
     out += p.const[:, None, :]
     out *= -0.5
     return out
@@ -438,9 +447,8 @@ def viterbi(model: HmmModel, seq: np.ndarray) -> tuple[np.ndarray, float]:
     ties prefer the lower predecessor, so among equally likely paths the
     pointwise-lowest one is returned.
     """
-    seq = _check_seq(model.dim, seq)
     p = _stack([model])
-    paths, scores = _viterbi(p, _log_emissions(p, seq[None]))
+    paths, scores = _viterbi(p, _log_emissions(p, _powers(_check_seq(model.dim, seq)[None])))
     return paths[0], float(scores[0])
 
 
@@ -453,32 +461,39 @@ def _forward(p: _Stacked, logb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def loglik(model: HmmModel, seq: np.ndarray) -> float:
     """Total forward log-likelihood (sum over all feasible paths)."""
-    seq = _check_seq(model.dim, seq)
     p = _stack([model])
-    return float(_forward(p, _log_emissions(p, seq[None]))[1][0])
+    return float(_forward(p, _log_emissions(p, _powers(_check_seq(model.dim, seq)[None])))[1][0])
 
 
-def init_uniform(seqs: list[np.ndarray], n_states: int) -> HmmModel:
-    """Initial model from uniform segmentation of every sequence.
-
-    Observation t of a length-T sequence is assigned to state floor(t*N/T),
-    and _m_step estimates a blank model from those paths' 0/1 posteriors: the
-    per-state Gaussians pool the assignments, and a[i][i+1] = 1/len_i,
-    a[i][i] = 1 - 1/len_i for the mean segment length len_i.
-    """
+def _blank(seqs: list[np.ndarray], n_states: int) -> HmmModel:
+    """init_uniform's checks, then the model that its one M-step updates."""
     if n_states < 1:
         raise DataError(f"state count must be >= 1, got {n_states}")
     if not seqs:
         raise DataError("no training sequences")
     d = np.atleast_2d(seqs[0]).shape[1]
-    seqs = [_check_seq(d, s) for s in seqs]
-    for s in seqs:
-        if s.shape[0] < n_states:
-            raise DataError(
-                f"sequence length {s.shape[0]} shorter than state count {n_states}")
-    blank = HmmModel(np.eye(n_states), np.zeros((n_states, d)), np.ones((n_states, d)))
-    paths = [(np.arange(len(s)) * n_states) // len(s) for s in seqs]
-    return _m_step(blank, seqs, [(0.0, *_path_posteriors(path, n_states)) for path in paths])
+    for t_len in [_check_seq(d, s).shape[0] for s in seqs]:
+        if t_len < n_states:
+            raise DataError(f"sequence length {t_len} shorter than state count {n_states}")
+    return HmmModel(np.eye(n_states), np.zeros((n_states, d)), np.ones((n_states, d)))
+
+
+def init_uniform(seqs: list[np.ndarray], n_states: int) -> HmmModel:
+    """Initial model from uniform segmentation of every sequence.
+
+    Observation t of a length-T sequence is assigned to state floor(t*N/T)
+    (the _uniform E-step), and one M-step estimates a blank model from those
+    paths' 0/1 posteriors: the per-state Gaussians pool the assignments, and
+    a[i][i+1] = 1/len_i, a[i][i] = 1 - 1/len_i for the mean segment length len_i.
+    """
+    return _fit([_blank(seqs, n_states)], [seqs], 0.0, 1, [[]], _uniform)[0]
+
+
+def _uniform(p: _Stacked, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uniform-segmentation E-step: scores 0 and the path floor(t*N/T) of every row."""
+    t_len, n = batch.shape[1], p.const.shape[1]
+    paths = np.broadcast_to((np.arange(t_len) * n) // t_len, batch.shape[:2])
+    return (np.zeros(len(batch)), *_path_posteriors(paths, n))
 
 
 def _path_posteriors(paths: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -488,79 +503,39 @@ def _path_posteriors(paths: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     return gamma, np.matmul(gamma[..., :-1, :].mT, gamma[..., 1:, :], dtype=np.float64)
 
 
-def _m_step(model: HmmModel, seqs: list[np.ndarray], stats: list) -> HmmModel:
-    """The M-step of every training stage, from per-sequence (score, gamma T x N,
-    transition counts N x N): a state path's 0/1 posteriors and counted steps, or
-    forward-backward posteriors and xi summed over t. Gaussians are gamma-weighted,
-    the variance taken in one pass as E[x^2] - mean^2. Row i becomes (stay[i],
-    move[i]) / their sum; a state never left keeps its row, so the last stays
-    absorbing. A state whose occupancy is at most _GAMMA_FLOOR keeps its Gaussian
-    and counts a warning. A step whose square passes the float range is a
-    DataError, and so is a state whose sum of squares does, naming the state
-    and the first sequence whose steps take that sum past the float range."""
-    gamma = np.concatenate([g for _, g, _ in stats], dtype=np.float64)
-    obs = np.concatenate(seqs)
-    occupancy = gamma.sum(axis=0)
-    counts = sum(c for _, _, c in stats)  # a running total, in input order
-    stay, move = np.diagonal(counts), np.diagonal(counts, 1)
-    # empty states are not read; an overflowing sum leaves an inf variance
+def _m_step(trans: np.ndarray, means: np.ndarray, variances: np.ndarray, occupancy: np.ndarray,
+            moments: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The M-step of every training stage, batched over S models: (trans, means,
+    variances, S x N mask of empty states) from each model's occupancy S x N,
+    gamma-weighted sums of _powers S x N x 2d and transition counts S x N x N,
+    summed over its sequences. The variance is E[x^2] - mean^2. Row i becomes
+    (stay[i], move[i]) / their sum, in place in trans; a state never left keeps
+    its row, so the last stays absorbing. An empty state (occupancy at most
+    _GAMMA_FLOOR) keeps its Gaussian; a sum past the float range is left non-finite."""
+    d, i = means.shape[2], np.arange(trans.shape[1] - 1)
+    stay, move = counts[:, i, i], counts[:, i, i + 1]
+    left, empty = stay + move, ~(occupancy > _GAMMA_FLOOR)
+    # a row never left divides 0 by 0, and an empty state by its occupancy: neither is kept
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        squares = obs * obs
-        if not np.isfinite(squares.sum()):
-            _check_squares(seqs, squares)
-        means = gamma.T @ obs / occupancy[:, None]
-        variances = gamma.T @ squares / occupancy[:, None] - means ** 2
-    occupied = occupancy > _GAMMA_FLOOR
-    overflowed = occupied & ~np.isfinite(variances).all(axis=1)
-    if overflowed.any():
-        _raise_sum_overflow(int(np.argmax(overflowed)), seqs, stats)
-    trans = model.trans.copy()
-    for i in range(model.n_states - 1):
-        total = stay[i] + move[i]
-        if total <= 0.0:
-            continue  # state never left; keep previous row
-        trans[i, i] = stay[i] / total
-        trans[i, i + 1] = move[i] / total
-    for i in np.flatnonzero(~occupied):
-        log.warning("state %d is empty; keeping previous parameters", i)
-    keep = ~occupied[:, None]
-    return replace(model, trans=trans, means=np.where(keep, model.means, means),
-                   variances=np.where(keep, model.variances, np.maximum(variances, VAR_FLOOR)),
-                   warnings=model.warnings + int(np.count_nonzero(~occupied)))
-
-
-def _check_squares(seqs: list[np.ndarray], squares: np.ndarray) -> None:
-    """DataError naming the first training step, of the stacked seqs, whose square is inf."""
-    finite = np.isfinite(squares).all(axis=1)
-    if not finite.all():
-        at = int(np.argmin(finite))
-        starts = np.cumsum([0] + [len(s) for s in seqs])
-        k = int(np.searchsorted(starts, at, side="right")) - 1
-        raise DataError(f"training sequence {k}: the square of step {at - starts[k]} "
-                        f"passes the float range")
-
-
-def _raise_sum_overflow(state: int, seqs: list[np.ndarray], stats: list) -> None:
-    """DataError naming a state whose weighted sum of squared steps passes the
-    float range, and the first sequence whose share takes the running sum there."""
-    with np.errstate(over="ignore"):
-        running = np.cumsum([g[:, state] @ (seq * seq) for seq, (_, g, _) in zip(seqs, stats)],
-                            axis=0)
-    k = int(np.argmax(~np.isfinite(running).all(axis=1)))
-    raise DataError(f"training sequence {k} takes the sum of squared steps of state {state} "
-                    f"past the float range")
+        trans[:, i, i] = np.where(left > 0.0, stay / left, trans[:, i, i])
+        trans[:, i, i + 1] = np.where(left > 0.0, move / left, trans[:, i, i + 1])
+        fitted = moments[..., d:] / occupancy[..., None]
+        spread = np.maximum(moments[..., :d] / occupancy[..., None] - fitted ** 2, VAR_FLOOR)
+    return (trans, np.where(empty[..., None], means, fitted),
+            np.where(empty[..., None], variances, spread), empty)
 
 
 def _fit(models: list[HmmModel], seqs: list[list[np.ndarray]], tol: float, max_iter: int,
          histories: list[list[float]], e_step: Callable) -> list[HmmModel]:
-    """The iteration loop of both trainers, over independent same-shape models.
+    """The iteration loop of every training stage, over independent same-shape models.
 
-    models[s] is fitted to seqs[s], and histories[s] receives its totals.
-    Each iteration stacks the sequences of every model still iterating into
-    one batch per sequence length, each row with its own model's parameters.
-    e_step(params, B x T x d stack) returns per row the (score, gamma,
-    transition counts) that _m_step reads; a model's total sums its scores in
-    input order. It stops at its own convergence test, or _m_step updates it.
+    models[s] is fitted to seqs[s], and histories[s] receives its totals. The
+    parameters stay stacked, S x N x N and S x N x d. Each iteration batches the
+    _powers of every live model's sequences by length, and e_step(params, batch)
+    returns the rows' scores B, gamma B x T x N and transition counts B x N x N.
+    A model's total and M-step sums add its rows' in input order (Rabiner 1989,
+    section V); it stops at its own convergence test, or the iteration's one
+    _m_step updates it. Each model updated is built once, at the end.
     """
     if max_iter < 0:
         raise DataError("max_iter must be >= 0")
@@ -571,43 +546,69 @@ def _fit(models: list[HmmModel], seqs: list[list[np.ndarray]], tol: float, max_i
     for s, subject in enumerate(seqs):
         for k, seq in enumerate(subject):
             groups.setdefault(seq.shape[0], []).append((s, k))
-    # per length: (model of each row, (model, sequence) of each row, B x T x d stack)
-    batches = [(np.array([s for s, _ in rows]), rows, np.stack([seqs[s][k] for s, k in rows]))
+    # per length: (model of each row, its sequence index, B x T x 2d _powers)
+    batches = [(*np.array(rows).T, _powers(np.stack([seqs[s][k] for s, k in rows])))
                for rows in groups.values()]
-    models = list(models)
-    prev: list[float | None] = [None] * len(models)
-    active = np.ones(len(models), dtype=bool)
+    trans, means, variances, warnings = (np.array([getattr(m, name) for m in models])
+                                         for name in ("trans", "means", "variances", "warnings"))
+    n, d = means.shape[1:]
+    # sequence k of model s at [k, s], zero past its last: score, occupancy, sums, counts
+    scores, occupancy, moments, counts = (np.zeros((max(map(len, seqs)), len(seqs), *shape))
+                                          for shape in ((), (n,), (n, 2 * d), (n, n)))
+    # each model's last total (NaN before its first update), and whether it still iterates
+    prev, active = np.full(len(models), np.nan), np.ones(len(models), dtype=bool)
     for iteration in range(max_iter):
         if not active.any():
             break
-        p = _stack(models)
-        stats = {s: [None] * len(seqs[s]) for s in np.flatnonzero(active).tolist()}
+        p = _log_params(trans, means, variances)
         try:
-            for owner, rows, stack in batches:
-                live = np.flatnonzero(active[owner])
-                if live.size:
-                    row_stats = e_step(p._make(a[owner[live]] for a in p), stack[live])
-                    for j, one in zip(live.tolist(), row_stats):
-                        s, k = rows[j]
-                        stats[s][k] = one
+            for owner, index, powers in batches:
+                rows = np.flatnonzero(active[owner])
+                if rows.size:
+                    s, k = owner[rows], index[rows]
+                    x = powers if rows.size == len(powers) else powers[rows]  # no copy if all live
+                    scores[k, s], gamma, counts[k, s] = e_step(p._make(a[s] for a in p), x)
+                    gamma = np.ascontiguousarray(gamma, dtype=np.float64)
+                    occupancy[k, s] = gamma.sum(axis=1)
+                    # a square or sum past the float range is named once an M-step reads it
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        moments[k, s] = gamma.mT @ x
         except NumericError as exc:
             raise NumericError(f"iteration {iteration}: {exc}") from exc
-        for s, subject_stats in stats.items():
-            total = float(sum(row[0] for row in subject_stats))
+        live = np.flatnonzero(active)
+        totals = sum(scores)[live]
+        for s, total in zip(live.tolist(), totals.tolist()):
             histories[s].append(total)
-            if prev[s] is not None and abs(total - prev[s]) <= tol * max(1.0, abs(prev[s])):
-                active[s] = False
-                continue
-            models[s] = _m_step(models[s], seqs[s], subject_stats)
-            prev[s] = total
-    return models
+        done = np.abs(totals - prev[live]) <= tol * np.maximum(1.0, np.abs(prev[live]))
+        active[live], prev[live] = ~done, totals
+        update = live[~done]
+        with np.errstate(over="ignore"):
+            stepped = _m_step(trans[update], means[update], variances[update],
+                              *(sum(a)[update] for a in (occupancy, moments, counts)))
+        broken = ~np.isfinite(stepped[2]).all(axis=2)
+        if broken.any():  # name the first such model's first inf square, else its sequence
+            at, state = np.argwhere(broken)[0].tolist()  # whose share overflows the state's sum
+            with np.errstate(over="ignore"):
+                finite = [np.isfinite(seq * seq).all(axis=1) for seq in seqs[update[at]]]
+                held = np.isfinite(np.cumsum(moments[:, update[at], state, :d], axis=0)).all(axis=1)
+            for k, steps in enumerate(finite):
+                if not steps.all():
+                    raise DataError(f"training sequence {k}: the square of step "
+                                    f"{int(np.argmin(steps))} passes the float range")
+            raise DataError(f"training sequence {int(np.argmin(held))} takes the sum of squared "
+                            f"steps of state {state} past the float range")
+        trans[update], means[update], variances[update], empty = stepped
+        for state in np.nonzero(empty)[1].tolist():
+            log.warning("state %d is empty; keeping previous parameters", state)
+        warnings[update] += np.count_nonzero(empty, axis=1)
+    return [model if np.isnan(prev[s]) else HmmModel(trans[s], means[s], variances[s], w)
+            for s, (model, w) in enumerate(zip(models, warnings.tolist()))]
 
 
-def _segment(p: _Stacked, batch: np.ndarray) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Segmental k-means E-step: per row, (Viterbi score, the best path's 0/1
-    posteriors T x N, its transition counts N x N)."""
+def _segment(p: _Stacked, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segmental k-means E-step: Viterbi scores, best paths' 0/1 posteriors and counts."""
     paths, scores = _viterbi(p, _log_emissions(p, batch))
-    return list(zip(scores.tolist(), *_path_posteriors(paths, p.const.shape[1])))
+    return (scores, *_path_posteriors(paths, p.const.shape[1]))
 
 
 def viterbi_train(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL,
@@ -623,8 +624,8 @@ def viterbi_train(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_
     return _fit([model], [seqs], tol, max_iter, [[] if history is None else history], _segment)[0]
 
 
-def _expect(p: _Stacked, batch: np.ndarray) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Baum-Welch E-step: per row, (logL, gamma T x N, xi summed over t N x N).
+def _expect(p: _Stacked, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Baum-Welch E-step: the rows' logL, gamma and xi summed over t.
 
     log beta runs _forward's recursion backwards in the same T x N x B
     layout, and gamma = exp(log alpha + log beta - logL). xi has only the
@@ -647,7 +648,7 @@ def _expect(p: _Stacked, batch: np.ndarray) -> list[tuple[float, np.ndarray, np.
     states = np.arange(n)
     counts[:, states, states] = np.exp(left + stay + ahead).sum(axis=0).T
     counts[:, states[:-1], states[1:]] = np.exp(left[:, :-1] + move + ahead[:, 1:]).sum(axis=0).T
-    return list(zip(ll.tolist(), gamma.transpose(2, 0, 1), counts))
+    return ll, gamma.transpose(2, 0, 1), counts
 
 
 def baum_welch(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL,
@@ -659,9 +660,7 @@ def baum_welch(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL
     counts sum the stay and move terms of xi over t. The total forward
     log-likelihood is non-decreasing across iterations (up to the variance
     floor); structural zeros of the transition matrix are never touched.
-    Stops on relative log-likelihood change below tol or after max_iter
-    updates. max_iter = 0 returns the input model unchanged; a negative tol
-    disables the convergence test so exactly max_iter updates run.
+    Stops as viterbi_train does, on the total forward log-likelihood.
     """
     return _fit([model], [seqs], tol, max_iter, [[] if history is None else history], _expect)[0]
 
@@ -715,9 +714,10 @@ def train_bank(
         by_label.setdefault(train[i][0], []).append(observed[i][0])
 
     seqs = list(by_label.values())
-    models = [init_uniform(subject, n_states) for subject in seqs]
-    for e_step in (_segment, _expect):
-        models = _fit(models, seqs, DEFAULT_TOL, DEFAULT_MAX_ITER, [[] for _ in seqs], e_step)
+    models = [_blank(subject, n_states) for subject in seqs]
+    for e_step, max_iter in ((_uniform, 1), (_segment, DEFAULT_MAX_ITER),
+                             (_expect, DEFAULT_MAX_ITER)):
+        models = _fit(models, seqs, DEFAULT_TOL, max_iter, [[] for _ in seqs], e_step)
     return SubjectBank(params, klt, dict(zip(by_label, models)))
 
 
@@ -764,7 +764,7 @@ def recognize(bank: SubjectBank, images: Sequence[GrayImage],
         probes = images[start:start + PROBE_CHUNK]
         for k, image in enumerate(probes):
             seq = features_for(bank, image) if features is None else features[start + k]
-            _log_emissions(p, _check_seq(p.dim, seq)[None], out=logb[k])
+            _log_emissions(p, _powers(_check_seq(p.dim, seq)[None]), out=logb[k])
         chunk = logb[:len(probes)]
         best = _left_to_right(p, chunk, lambda t, stayed, step: np.maximum(
             stayed, step, out=stayed))[-1].max(axis=0)  # probe by subject V

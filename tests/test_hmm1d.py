@@ -534,7 +534,7 @@ class TestViterbi:
                         for path in ([0, 0, 1, 2], [0, 1, 1, 2])]
                 assert tied[0] == tied[1]
         p = hmm1d._stack(models)
-        paths, scores = hmm1d._viterbi(p, hmm1d._log_emissions(p, np.stack(seqs)))
+        paths, scores = hmm1d._viterbi(p, hmm1d._log_emissions(p, hmm1d._powers(np.stack(seqs))))
         for row, (model, seq) in enumerate(zip(models, seqs)):
             path, score = viterbi(model, seq)
             assert np.array_equal(paths[row], path)
@@ -776,7 +776,8 @@ class TestBaumWelch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             baum_welch(model, [seq], max_iter=1, history=history)
-            [(score, gamma, counts)] = hmm1d._expect(hmm1d._stack([model]), seq[None])
+            [score], [gamma], [counts] = hmm1d._expect(hmm1d._stack([model]),
+                                                       hmm1d._powers(seq[None]))
         exact = brute_force_forward(model, seq)
         assert abs(history[0] - exact) <= 1e-12 * abs(exact)
         assert score == history[0]
@@ -1005,6 +1006,76 @@ class TestBatchedKernels:
         assert all(len(set(stage)) > 1 for stage in zip(*iterations))
         assert empty_states > 0
 
+    @pytest.mark.parametrize("e_step, train", [("_segment", viterbi_train),
+                                               ("_expect", baum_welch)])
+    def test_fit_of_ragged_models_equals_each_model_alone(self, e_step, train):
+        # 2, 4 and 1 sequences of mixed lengths, so each length batch mixes models and
+        # every model's rows are split across batches: a row summed into the wrong model shows
+        rng = np.random.default_rng(71)
+        true = random_lr_model(rng, 3, 2)
+        seqs = [[sample_sequences(true, rng, 1, t_len)[0] for t_len in lengths]
+                for lengths in ((9, 13), (13, 9, 16, 9))]
+        seqs.append([np.concatenate([rng.normal(0.0, 1.0, (8, 2)), rng.normal(5.0, 1.0, (8, 2))])])
+        settled = train(init_uniform(seqs[0], 3), seqs[0], tol=1e-13, max_iter=500)
+        # no path or posterior reaches the last state of the third model
+        far = lr_model([(0.5, 0.5), (0.5, 0.5), (1.0, 0.0)], [[0.0, 0.0], [5.0, 5.0], [1e3, 1e3]],
+                       [[1.0, 1.0], [1.0, 1.0], [2.0, 3.0]])
+        models = [settled, init_uniform(seqs[1], 3), far]
+        histories = [[], [], []]
+        fitted = hmm1d._fit(models, seqs, hmm1d.DEFAULT_TOL, hmm1d.DEFAULT_MAX_ITER, histories,
+                            getattr(hmm1d, e_step))
+        for model, subject, history, batched in zip(models, seqs, histories, fitted):
+            alone_history = []
+            alone = train(model, subject, history=alone_history)
+            assert history == alone_history
+            for name in ("trans", "means", "variances"):
+                assert np.array_equal(getattr(batched, name), getattr(alone, name))
+            assert batched.warnings == alone.warnings
+        assert len(histories[0]) == 2 < min(len(histories[1]), len(histories[2]))  # stops first
+        assert fitted[2].warnings > far.warnings  # its last state was empty
+        # the uniform start of the same models, batched, is init_uniform of each
+        blanks = [hmm1d._blank(subject, 3) for subject in seqs]
+        for batched, subject in zip(hmm1d._fit(blanks, seqs, 0.0, 1, [[], [], []],
+                                               hmm1d._uniform), seqs):
+            alone = init_uniform(subject, 3)
+            for name in ("trans", "means", "variances"):
+                assert np.array_equal(getattr(batched, name), getattr(alone, name))
+
+    def test_overflow_in_a_later_model_names_its_own_sequence(self):
+        # the first model has three sequences, so the second's rows are rows 3 and 4
+        # of the batch; warnings are errors here
+        clean = [np.arange(6.0)[:, None] + k for k in range(3)]
+        square = np.array([[0.0], [1.0], [0.5], [2.0], [1e160], [1.5]])
+        total = np.vstack([np.ones((3, 1)), np.full((3, 1), 1.2e154)])  # state 1 sums three
+
+        def start(*seqs):
+            return hmm1d._fit([hmm1d._blank(s, 2) for s in seqs], list(seqs), 0.0, 1,
+                              [[] for _ in seqs], hmm1d._uniform)
+
+        with pytest.raises(DataError, match="^training sequence 1: the square of step 4 "
+                                            "passes the float range$"):
+            start(clean, [np.zeros((6, 1)), square])
+        with pytest.raises(DataError, match="^training sequence 1 takes the sum of squared "
+                                            "steps of state 1 past the float range$"):
+            start(clean, [np.zeros((6, 1)), total])
+        # a model before it that passes the range is named first
+        with pytest.raises(DataError, match="^training sequence 2 takes the sum of squared "
+                                            "steps of state 1 past the float range$"):
+            start(clean[:2] + [total], [np.zeros((6, 1)), square])
+
+    def test_training_builds_each_model_once_per_stage(self, monkeypatch):
+        # the blank starts, then one model per subject as each of the three stages
+        # returns: a stage that rebuilt its models every iteration would build more
+        built, m_steps = [], []
+        check, m_step = HmmModel.__post_init__, hmm1d._m_step
+        monkeypatch.setattr(HmmModel, "__post_init__", lambda model: (built.append(model),
+                                                                      check(model))[1])
+        monkeypatch.setattr(hmm1d, "_m_step", lambda *a: (m_steps.append(a), m_step(*a))[1])
+        entries = synth.make_banded_dataset(4, 3, 24, 8, seed=0)
+        bank = train_bank(entries, BlockParams(4, 3, (24, 8)), n_states=4, klt_dim=3)
+        assert len(built) <= (1 + 3) * len(bank.labels)
+        assert len(m_steps) <= 1 + 2 * hmm1d.DEFAULT_MAX_ITER  # one per iteration
+
     def test_vanished_subject_fails_recognition(self, banded, banded_models):
         bank = banded_models.bank
         label = bank.labels[-1]
@@ -1050,7 +1121,7 @@ class TestExpandedEmissions:
         seq, means, variances = case
         n, d = means.shape
         model = lr_model([(0.5, 0.5)] * (n - 1) + [(1.0, 0.0)], means, variances)
-        got = hmm1d._log_emissions(hmm1d._stack([model]), seq[None])[0]
+        got = hmm1d._log_emissions(hmm1d._stack([model]), hmm1d._powers(seq[None]))[0]
         logdet = np.sum(np.log(2.0 * np.pi * variances), axis=1)
         size = np.sum((seq[:, None, :] ** 2 + means[None] ** 2) / variances, axis=2) + abs(logdet)
         # recursive summation of the 2d + 2 terms of each form, each term at most 2 * size
