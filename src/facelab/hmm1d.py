@@ -14,8 +14,9 @@ the lowest final state. The backward pass is log-domain too, so no path is lost
 to underflow however far behind it falls, and raw pixels train as KLT
 features do.
 
-observe is the one KLT view of an image's blocks: HMM training and scoring
-read its coefficients, and the dispatcher's occlusion profile its distances.
+observe is the one KLT view of a batch of images' blocks: HMM training and
+scoring read its coefficients, PROBE_CHUNK images at a time, and the
+dispatcher's occlusion profile the distances of a batch of one.
 
 State emissions are single diagonal-covariance Gaussians with a variance
 floor. Transition matrices allow only self loops and single forward steps;
@@ -234,6 +235,12 @@ class SubjectBank:
     def dims(self) -> tuple[int, int]:
         return self.params.image_dims
 
+    @cached_property
+    def block_const(self) -> np.ndarray:
+        """stacked.const at every block, S x T x N: recognize adds it to a chunk's
+        emissions in one pass. Taken the first time it is asked for, and kept."""
+        return np.repeat(self.stacked.const[:, None, :], self.params.block_count, axis=1)
+
     def predict(self, images: Sequence[GrayImage]) -> list[tuple[str, float]]:
         """Per image, (maximum-likelihood subject, its forward log-likelihood)."""
         return recognize(self, images)
@@ -321,48 +328,66 @@ def fit_klt(images: list[np.ndarray], params: BlockParams, d: int) -> KltBasis:
     return KltBasis(shifted_mean + np.tile(column_mean, height), components.T.copy())
 
 
-def observe(image: GrayImage, params: BlockParams, klt: KltBasis
+def observe(images: GrayImage | Sequence[GrayImage], params: BlockParams, klt: KltBasis
             ) -> tuple[np.ndarray, np.ndarray]:
-    """(T x d KLT coordinates (b_t - mu) B^T, T distances from the KLT subspace)
-    of an image's blocks b_t, from its pixel rows without stacking the blocks.
+    """(C x T x d KLT coordinates (b_t - mu) B^T, C x T distances from the KLT
+    subspace) of the blocks b_t of a batch of C images, from their pixel rows
+    without stacking the blocks. A lone GrayImage is a batch of one, read from a
+    view of its pixels, and gets (T x d, T).
 
-    One product of the pixel rows with KltBasis.frame, the L row slices of
+    One matmul of the C x H x W pixels with KltBasis.frame, the L row slices of
     [mu | B], gives b_t . mu and b_t B^T as sums over r of row t*s + r's
     products with slice r, taken in one strided reduction in the order r = 0, 1,
-    ...; a cumulative sum of row norms gives |b_t|^2, and the distance is
-    the root of |b_t - mu|^2 - |(b_t - mu) B^T|^2, clamped at 0. That identity
-    cancels where a distance is small next to |b_t - mu|: the distances agree
-    with numerics.affine_residual of extract_blocks to within 1e-9 relative,
-    and the coordinates with affine_coords to within 1e-12 |b_t - mu|.
+    ...; a cumulative sum of each image's row norms gives |b_t|^2, and the
+    distance is the root of |b_t - mu|^2 - |(b_t - mu) B^T|^2, clamped at 0.
+    Each image's product is its own H x W by W x L(1+d) matrix product, and every
+    later step is elementwise along the batch, so an image's results are, bit
+    for bit, those of observing it alone. The identity cancels where a distance
+    is small next to |b_t - mu|: the distances agree with
+    numerics.affine_residual of extract_blocks to within 1e-9 relative, and the
+    coordinates with affine_coords to within 1e-12 |b_t - mu|.
     """
-    pixels = check_dims(image, params.image_dims).pixels
+    lone = isinstance(images, GrayImage)
+    pixels = [check_dims(image, params.image_dims).pixels for image in
+              ([images] if lone else images)]
+    pixels = pixels[0][None] if len(pixels) == 1 else np.stack(pixels)  # C x H x W
     if klt.mean.size != params.block_dim:
         raise DataError(f"KLT dimension {klt.mean.size} does not match block dimension "
                         f"{params.block_dim}")
     height, stride, width = params.height, params.stride, params.image_dims[1]
     offset, mean_norm = klt.centre
-    products = pixels @ klt.frame(width)  # products[j, r(1+d) + c] = x[j] . [mu_r | B_r]_c
-    row, item = products.strides  # a view whose entry [t, r] is row t*s + r against slice r:
-    diagonal = np.ndarray((params.block_count, height, 1 + klt.dim), products.dtype, products,
-                          strides=(stride * row, row + (1 + klt.dim) * item, item))
-    sums = diagonal.sum(axis=1)  # row t: [b_t . mu | b_t B^T]
+    products = pixels @ klt.frame(width)  # products[i, j, r(1+d) + c] = x_i[j] . [mu_r | B_r]_c
+    # a view whose entry [i, t, r] is image i's row t*s + r against slice r
+    image, row, item = products.strides
+    diagonal = np.ndarray((len(pixels), params.block_count, height, 1 + klt.dim),
+                          products.dtype, products,
+                          strides=(image, stride * row, row + (1 + klt.dim) * item, item))
+    sums = diagonal.sum(axis=2)  # image i, row t: [b_t . mu | b_t B^T]
     span = (params.block_count - 1) * stride + 1  # from row r of the first block to the last's
-    cum_norms = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", pixels, pixels))])
-    block_norms = cum_norms[height:height + span:stride] - cum_norms[:span:stride]
-    coords = sums[:, 1:] - offset
-    squared = block_norms - 2.0 * sums[:, 0] + mean_norm - np.einsum("ij,ij->i", coords, coords)
-    return coords, np.sqrt(np.maximum(squared, 0.0))
+    cum_norms = np.zeros((len(pixels), params.image_dims[0] + 1))
+    np.cumsum(np.einsum("cij,cij->ci", pixels, pixels), axis=1, out=cum_norms[:, 1:])
+    block_norms = cum_norms[:, height:height + span:stride] - cum_norms[:, :span:stride]
+    coords = sums[..., 1:] - offset
+    squared = (block_norms - 2.0 * sums[..., 0] + mean_norm
+               - np.einsum("ctj,ctj->ct", coords, coords))
+    distances = np.sqrt(np.maximum(squared, 0.0))
+    return (coords[0], distances[0]) if lone else (coords, distances)
 
 
 def _check_seq(dim: int, seq: np.ndarray) -> np.ndarray:
+    """seq as float64, one T x d sequence or ... x T x d of them; DataError for an
+    empty sequence, steps of another dimension, or a non-finite step, named by its
+    index in the first sequence that has one."""
     seq = np.atleast_2d(np.asarray(seq, dtype=np.float64))
-    if seq.shape[0] < 1 or seq.size == 0:
+    if seq.shape[-2] < 1 or seq.size == 0:
         raise DataError("empty observation sequence")
-    if seq.shape[1] != dim:
-        raise DataError(f"observation dimension {seq.shape[1]} != model dimension {dim}")
+    if seq.shape[-1] != dim:
+        raise DataError(f"observation dimension {seq.shape[-1]} != model dimension {dim}")
     finite = np.isfinite(seq)
     if not finite.all():
-        raise DataError(f"non-finite observation at step {int(np.argmin(finite.all(axis=1)))}")
+        steps = finite.all(axis=-1).reshape(-1, seq.shape[-2])  # sequence by step
+        first = steps[np.argmin(steps.all(axis=1))]
+        raise DataError(f"non-finite observation at step {int(np.argmin(first))}")
     return seq
 
 
@@ -372,19 +397,24 @@ def _powers(seqs: np.ndarray) -> np.ndarray:
         return np.concatenate([seqs * seqs, seqs], axis=-1)
 
 
-def _log_emissions(p: _Stacked, powers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _log_emissions(p: _Stacked, powers: np.ndarray, out: np.ndarray | None = None,
+                   const: np.ndarray | None = None) -> np.ndarray:
     """B x T x N per-state diagonal-Gaussian log densities of B x T x 2d _powers
-    of steps, written to out if given; either the powers or the stack may have a
-    leading axis of 1, shared across the other's batch. One matmul scores every
-    state: -0.5 * ([x^2, x] @ weights + const). Its rounding error grows as
-    eps * sum((x^2 + means^2) / variances), at most 5.5e-12 on ORL-scale KLT
-    features but 0.024 on random 920-pixel raw blocks at the variance floor.
-    A step too far for a state's variance overflows x^2, and its emission is
-    -inf, as _stack makes that of a mean too far for its variance.
+    of steps, written to out if given; B is one or more leading axes, along which
+    the powers and the stack's S models broadcast: recognize scores C probes
+    under every model as C x 1 powers. One matmul scores every state, each
+    sequence and model by its own T x 2d by 2d x N product: -0.5 * ([x^2, x] @
+    weights + const). const, if given, is p.const laid along the T steps, S x T x
+    N, which adds in one pass where S x 1 x N adds N values at a time. The
+    rounding error grows as eps * sum((x^2 + means^2) / variances), at most
+    5.5e-12 on ORL-scale KLT features but 0.024 on random 920-pixel raw blocks
+    at the variance floor. A step too far for a state's variance overflows x^2,
+    and its emission is -inf, as _stack makes that of a mean too far for its
+    variance.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # matmul can flag an inf square as invalid
         out = np.matmul(powers, p.weights, out=out)
-    out += p.const[:, None, :]
+    out += p.const[:, None, :] if const is None else const
     out *= -0.5
     return out
 
@@ -665,11 +695,14 @@ def baum_welch(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL
     return _fit([model], [seqs], tol, max_iter, [[] if history is None else history], _expect)[0]
 
 
-def features_for(bank: SubjectBank, image: GrayImage) -> np.ndarray:
-    """Observation sequence of an image: observe's KLT coordinates, or raw blocks."""
-    if bank.klt is None:
-        return extract_blocks(image, bank.params)
-    return observe(image, bank.params, bank.klt)[0]
+def features_for(bank: SubjectBank, images: GrayImage | Sequence[GrayImage]) -> np.ndarray:
+    """Observation sequences of a batch of images, C x T x dim, or of a lone
+    GrayImage, T x dim: observe's KLT coordinates, or raw blocks."""
+    if bank.klt is not None:
+        return observe(images, bank.params, bank.klt)[0]
+    if isinstance(images, GrayImage):
+        return extract_blocks(images, bank.params)
+    return np.stack([extract_blocks(image, bank.params) for image in images])
 
 
 def train_bank(
@@ -704,9 +737,13 @@ def train_bank(
     klt = None
     if feature_mode == FEATURE_KLT:
         klt = fit_klt([image.pixels for _, image in train], params, klt_dim)
-    # (features, block residuals or None) of each image, in train's order
-    observed = [(extract_blocks(image, params), None) if klt is None
-                else observe(image, params, klt) for _, image in train]
+    # (features, block residuals or None) of each image, in train's order, observed
+    # PROBE_CHUNK at a time
+    observed = []
+    for start in range(0, len(train), PROBE_CHUNK):
+        images = [image for _, image in train[start:start + PROBE_CHUNK]]
+        observed += ([(extract_blocks(image, params), None) for image in images] if klt is None
+                     else zip(*observe(images, params, klt)))
     if residuals is not None and klt is not None:
         residuals.extend(resids for _, resids in observed)
     by_label: dict[str, list[np.ndarray]] = {}
@@ -743,46 +780,70 @@ def recognize(bank: SubjectBank, images: Sequence[GrayImage],
     whose V + log P + BOUND_MARGIN * (1 + |V_max|) reaches the probe's best V,
     V_max, and the winner is the best of them. A subject left out scores below
     the leader by V, so no tie is lost. With scores=False a probe left with one
-    candidate needs no forward pass. Every step of either pass is elementwise
-    along the batch, so each score is, bit for bit, that of the probe scored
-    against every subject, and loglik's.
+    candidate needs no forward pass.
 
-    Probes are taken PROBE_CHUNK at a time: the emissions of each probe under
-    every subject fill one probe by subject batch, the stack's log transitions
-    shared by every probe.
+    Probes are taken PROBE_CHUNK at a time: one features_for call, for KLT
+    features one observe call, and one _check_seq pass give the chunk's
+    observations, one _log_emissions call scores them under every subject, and
+    the max pass runs on that probe by subject batch. The kept columns wait,
+    emissions and all, until they fill one max pass's width, PROBE_CHUNK by
+    subjects; the forward pass scores them then, and once more at the end, so
+    beside one score per probe and subject, working memory stays within a few
+    such widths however many probes there are. Every step of either pass is
+    elementwise along the batch, so each score is, bit for bit, that of the
+    probe scored alone against every subject, and loglik's.
     """
     p = bank.stacked
     if p is None:
         raise DataError("HMM bank has no subjects")
+    if features is not None and len(features) != len(images):
+        raise DataError(f"{len(features)} observation sequences for {len(images)} images")
     labels = bank.labels
-    log_paths = _log_path_count(p.const.shape[1], bank.params.block_count)
+    t_len = bank.params.block_count
+    log_paths = _log_path_count(p.const.shape[1], t_len)
+    width = PROBE_CHUNK * len(labels)
     # one emission buffer, probe by subject by block by state, reused by every chunk
-    logb = np.empty((min(len(images), PROBE_CHUNK), len(labels), bank.params.block_count,
-                     p.const.shape[1]))
-    results = []
+    logb = np.empty((min(len(images), PROBE_CHUNK), len(labels), t_len, p.const.shape[1]))
+    totals = np.full((len(images), len(labels)), -np.inf)  # forward scores, -inf if not run
+    chosen = np.full(len(images), -1)  # with scores=False, a lone candidate's subject
+    pending, held = [], 0  # kept columns not yet scored: parts (probes, subjects, emissions)
     for start in range(0, len(images), PROBE_CHUNK):
         probes = images[start:start + PROBE_CHUNK]
-        for k, image in enumerate(probes):
-            seq = features_for(bank, image) if features is None else features[start + k]
-            _log_emissions(p, _powers(_check_seq(p.dim, seq)[None]), out=logb[k])
-        chunk = logb[:len(probes)]
+        seqs = (features_for(bank, probes) if features is None
+                else np.array(features[start:start + PROBE_CHUNK]))
+        chunk = _log_emissions(p, _powers(_check_seq(p.dim, seqs))[:, None],
+                               out=logb[:len(probes)], const=bank.block_const)
         best = _left_to_right(p, chunk, lambda t, stayed, step: np.maximum(
             stayed, step, out=stayed))[-1].max(axis=0)  # probe by subject V
         lead = best.max(axis=1, keepdims=True)
         # written as "not below" so that a NaN keeps every subject, as the forward pass would
         keep = ~(best + (log_paths + BOUND_MARGIN * (1.0 + np.abs(lead))) < lead)
-        if not scores:
+        if not scores:  # the one candidate left to a probe is the winner
             alone = np.count_nonzero(keep, axis=1) == 1
-            keep[alone] = False  # the one candidate is the winner
-        totals = np.full(best.shape, -np.inf)
+            chosen[start:start + len(probes)] = np.where(alone, np.argmax(keep, axis=1), -1)
+            keep[alone] = False
         rows, cols = np.nonzero(keep)
         if rows.size:
-            totals[rows, cols] = _forward(p._make(a[cols] for a in p), chunk[rows, cols])[1]
-        # labels are sorted and argmax returns the first maximum: ties keep the lowest label
-        winners = np.argmax(totals, axis=1)
-        if scores:
-            results.extend((labels[w], float(totals[k, w])) for k, w in enumerate(winners))
-        else:
-            winners[alone] = np.argmax(best[alone], axis=1)
-            results.extend((labels[w], None) for w in winners)
-    return results
+            pending.append((start + rows, cols, chunk[rows, cols]))
+            held += rows.size
+        while held >= width or (held and start + PROBE_CHUNK >= len(images)):
+            pending = _score(p, pending, width, totals)
+            held = sum(len(part[0]) for part in pending)
+    # labels are sorted and argmax returns the first maximum: ties keep the lowest label
+    winners = np.argmax(totals, axis=1)
+    if scores:
+        return list(zip([labels[w] for w in winners.tolist()],
+                        totals[np.arange(len(images)), winners].tolist()))
+    return [(labels[w], None) for w in np.where(chosen < 0, winners, chosen).tolist()]
+
+
+def _score(p: _Stacked, pending: list[tuple[np.ndarray, ...]], width: int,
+           totals: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Runs the forward pass on the first width of recognize's pending columns,
+    (probes, subjects, emissions) in parts, writes their scores to totals, and
+    returns the columns left, as one part or none."""
+    probes, subjects, logb = (part[0] if len(part) == 1 else np.concatenate(part)
+                              for part in zip(*pending))
+    now = subjects[:width]
+    totals[probes[:width], now] = _forward(p._make(a[now] for a in p), logb[:width])[1]
+    return [(probes[width:], subjects[width:], logb[width:].copy())] if len(probes) > width else []

@@ -19,6 +19,7 @@ from facelab.archive import load_model
 from facelab.cli import main
 from facelab.dataset import GrayImage, load_pgm_file, write_pgm
 from facelab.dispatcher import METHODS
+from facelab.numerics import PROBE_CHUNK
 
 
 @pytest.fixture(scope="module")
@@ -152,13 +153,14 @@ def test_train_all_assess_and_multi_recognize(banded_dir, tmp_path, capsys):
 
 
 def test_train_all_observes_each_training_image_once(banded_dir, tmp_path, monkeypatch):
-    # train_bank's observe calls give both the HMM features and the residuals that
-    # calibrate the dispatcher
+    # train_bank's observe calls, PROBE_CHUNK images each, give both the HMM features
+    # and the residuals that calibrate the dispatcher
     real_observe, observed = hmm1d.observe, []
 
-    def spy(image, params, klt):
-        observed.append(image)
-        return real_observe(image, params, klt)
+    def spy(images, params, klt):
+        assert len(images) <= PROBE_CHUNK
+        observed.extend(images)
+        return real_observe(images, params, klt)
 
     monkeypatch.setattr(hmm1d, "observe", spy)
     assert main(["train", "--method", "all", "--dataset", str(banded_dir),

@@ -952,6 +952,51 @@ class TestBatchedKernels:
     def test_empty_batch_scores_nothing(self, banded_models):
         assert recognize(banded_models.bank, []) == []
 
+    def test_observe_of_a_batch_is_each_image_observed_alone(self, banded, banded_models):
+        # train_bank observes PROBE_CHUNK images at a time (20 images: 8, 8 and 4), and
+        # a batch of three chunks' worth of training and test images, the last short
+        entries = [(label, image) for label, _, image in banded.train_entries]
+        residuals = []
+        bank = train_bank(entries, banded_models.bank.params, n_states=5, klt_dim=10,
+                          residuals=residuals)
+        params, klt = bank.params, bank.klt
+        assert [resids.tobytes() for resids in residuals] == [
+            observe(image, params, klt)[1].tobytes() for _, image in entries]
+        images = [image for _, _, image in banded.train_entries + banded.test_entries][::2]
+        count = 2 * PROBE_CHUNK + 3
+        assert count <= len(images)
+        coords, distances = observe(images[:count], params, klt)
+        assert coords.shape == (count, params.block_count, klt.dim)
+        assert distances.shape == (count, params.block_count)
+        for image, got_coords, got_distances in zip(images, coords, distances):
+            want_coords, want_distances = observe(image, params, klt)
+            assert got_coords.tobytes() == want_coords.tobytes()
+            assert got_distances.tobytes() == want_distances.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_step_in_a_chunk_is_named_as_for_the_probe_alone(self, banded,
+                                                                        banded_models, bad):
+        # the chunk's one check names the first probe with a non-finite step, and its
+        # step, in the words of that probe scored alone; a later probe's earlier step
+        # is not named
+        bank = banded_models.bank
+        probes = [image for _, _, image in banded.test_entries][:PROBE_CHUNK]
+        features = [features_for(bank, image).copy() for image in probes]
+        at = PROBE_CHUNK // 2
+        features[at][7, 3] = bad
+        features[at + 2][1, 0] = bad
+        with pytest.raises(DataError) as alone:
+            recognize(bank, [probes[at]], [features[at]])
+        with pytest.raises(DataError) as chunk:
+            recognize(bank, probes, features)
+        assert str(chunk.value) == str(alone.value) == "non-finite observation at step 7"
+
+    def test_one_observation_sequence_per_image(self, banded, banded_models):
+        bank = banded_models.bank
+        probes = [image for _, _, image in banded.test_entries][:2]
+        with pytest.raises(DataError, match="2 observation sequences for 1 images"):
+            recognize(bank, probes[:1], [features_for(bank, image) for image in probes])
+
     @pytest.fixture
     def mixed_lengths(self):
         rng = np.random.default_rng(61)
@@ -1154,6 +1199,33 @@ class TestExpandedEmissions:
         assert len(results) == 16
         assert peak < 4e6
 
+    def test_pooled_forward_passes_keep_working_memory_bounded(self, forward_widths):
+        # identical subjects tie, so the bound keeps every (probe, subject) column and
+        # each chunk fills one max pass's width: four chunks take four passes, and
+        # their peak is that of one chunk to within less than one emission buffer
+        params = BlockParams(10, 9, (112, 92))
+        rng = np.random.default_rng(73)
+        one = random_bank(rng, 1, 5, params, 10)
+        subjects = 8
+        bank = SubjectBank(params, one.klt, {f"s{i:02d}": one.models["s00"]
+                                             for i in range(subjects)})
+        probes = [GrayImage(112, 92, rng.uniform(0.0, 255.0, (112, 92)))
+                  for _ in range(4 * PROBE_CHUNK)]
+        recognize(bank, probes[:1])  # builds the frame, centre and block_const it keeps
+        peaks = []
+        for count in (PROBE_CHUNK, 4 * PROBE_CHUNK):
+            forward_widths.clear()
+            tracemalloc.start()
+            try:
+                results = recognize(bank, probes[:count])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert [label for label, _ in results] == ["s00"] * count
+            assert forward_widths == [PROBE_CHUNK * subjects] * (count // PROBE_CHUNK)
+        buffer = PROBE_CHUNK * subjects * params.block_count * 5 * 8
+        assert peaks[1] - peaks[0] < buffer
+
     @pytest.mark.parametrize("n_states, height", [(1, 8), (3, 3), (1, 3)])
     def test_one_state_and_one_block_banks(self, n_states, height):
         # one state leaves the move diagonal empty; an image one block high gives T = 1
@@ -1205,7 +1277,9 @@ class TestBoundedRecognition:
         bank = banded_models.bank
         probes = [image for _, _, image in banded.test_entries]
         scored = recognize(bank, probes)
-        assert len(forward_widths) == -(-len(probes) // PROBE_CHUNK)  # one pass a chunk
+        # the kept columns of every chunk wait for one pass, none wider than a max pass
+        assert len(forward_widths) == 1
+        assert max(forward_widths) <= PROBE_CHUNK * len(bank.labels)
         assert len(probes) <= sum(forward_widths) < len(probes) * len(bank.labels)
         forward_widths.clear()
         labelled = recognize(bank, probes, scores=False)
