@@ -89,10 +89,12 @@ def _half_asymmetry(image: GrayImage) -> float:
 
 
 def _observe(bank: hmm1d.SubjectBank, image: GrayImage) -> tuple[np.ndarray, np.ndarray]:
-    """hmm1d.observe of an image under the bank's KLT basis: (coordinates, residuals)."""
+    """hmm1d.observe of an image, a batch of one, under the bank's KLT basis:
+    (coordinates, residuals)."""
     if bank.klt is None:
         raise DataError("occlusion profiling requires a KLT-based bank")
-    return hmm1d.observe(image, bank.params, bank.klt)
+    coords, residuals = hmm1d.observe([image], bank.params, bank.klt)
+    return coords[0], residuals[0]
 
 
 def block_residuals(bank: hmm1d.SubjectBank, image: GrayImage) -> np.ndarray:

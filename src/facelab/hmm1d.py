@@ -145,6 +145,8 @@ class HmmModel:
 
     def __post_init__(self):
         n = self.trans.shape[0]
+        if n < 1:
+            raise DataError("an HMM needs at least one state")
         if self.trans.shape != (n, n) or self.means.shape[0] != n:
             raise DataError("inconsistent HMM parameter shapes")
         require_shape("HMM variances", self.variances, self.means.shape)
@@ -174,8 +176,8 @@ class _Stacked(NamedTuple):
 
     stay: np.ndarray  # S x N, log a[j][j]
     move: np.ndarray  # S x (N-1), log a[j-1][j] for j >= 1
-    weights: np.ndarray  # S x 2d x N, rows [1 / variances; -2 means / variances]
-    const: np.ndarray  # S x N, sum of means^2 / variances plus log det(2*pi*Sigma)
+    # S x (2d+1) x N, -1/2 [1 / var; -2 mean / var; sum(mean^2 / var) + log det(2 pi Sigma)]
+    weights: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -192,10 +194,10 @@ def _log_params(trans: np.ndarray, means: np.ndarray, variances: np.ndarray) -> 
     inv_var = 1.0 / variances
     # a mean too far for its variance gives -inf emissions, and structural zeros -inf logs
     with np.errstate(over="ignore", divide="ignore"):
-        weights = np.concatenate([inv_var, -2.0 * means * inv_var], axis=2).transpose(0, 2, 1)
         const = np.sum(means * means * inv_var + np.log(2.0 * np.pi * variances), axis=2)
+        weights = np.concatenate([inv_var, -2.0 * means * inv_var, const[..., None]], axis=2)
         stay, move = (np.log(np.diagonal(trans, k, 1, 2)) for k in (0, 1))
-    return _Stacked(stay, move, np.ascontiguousarray(weights), const)
+    return _Stacked(stay, move, np.ascontiguousarray(-0.5 * weights.transpose(0, 2, 1)))
 
 
 @dataclass(frozen=True)
@@ -234,12 +236,6 @@ class SubjectBank:
     @property
     def dims(self) -> tuple[int, int]:
         return self.params.image_dims
-
-    @cached_property
-    def block_const(self) -> np.ndarray:
-        """stacked.const at every block, S x T x N: recognize adds it to a chunk's
-        emissions in one pass. Taken the first time it is asked for, and kept."""
-        return np.repeat(self.stacked.const[:, None, :], self.params.block_count, axis=1)
 
     def predict(self, images: Sequence[GrayImage]) -> list[tuple[str, float]]:
         """Per image, (maximum-likelihood subject, its forward log-likelihood)."""
@@ -328,12 +324,11 @@ def fit_klt(images: list[np.ndarray], params: BlockParams, d: int) -> KltBasis:
     return KltBasis(shifted_mean + np.tile(column_mean, height), components.T.copy())
 
 
-def observe(images: GrayImage | Sequence[GrayImage], params: BlockParams, klt: KltBasis
+def observe(images: Sequence[GrayImage], params: BlockParams, klt: KltBasis
             ) -> tuple[np.ndarray, np.ndarray]:
     """(C x T x d KLT coordinates (b_t - mu) B^T, C x T distances from the KLT
     subspace) of the blocks b_t of a batch of C images, from their pixel rows
-    without stacking the blocks. A lone GrayImage is a batch of one, read from a
-    view of its pixels, and gets (T x d, T).
+    without stacking the blocks; a batch of one is read from a view of its pixels.
 
     One matmul of the C x H x W pixels with KltBasis.frame, the L row slices of
     [mu | B], gives b_t . mu and b_t B^T as sums over r of row t*s + r's
@@ -347,9 +342,7 @@ def observe(images: GrayImage | Sequence[GrayImage], params: BlockParams, klt: K
     numerics.affine_residual of extract_blocks to within 1e-9 relative, and the
     coordinates with affine_coords to within 1e-12 |b_t - mu|.
     """
-    lone = isinstance(images, GrayImage)
-    pixels = [check_dims(image, params.image_dims).pixels for image in
-              ([images] if lone else images)]
+    pixels = [check_dims(image, params.image_dims).pixels for image in images]
     pixels = pixels[0][None] if len(pixels) == 1 else np.stack(pixels)  # C x H x W
     if klt.mean.size != params.block_dim:
         raise DataError(f"KLT dimension {klt.mean.size} does not match block dimension "
@@ -371,7 +364,7 @@ def observe(images: GrayImage | Sequence[GrayImage], params: BlockParams, klt: K
     squared = (block_norms - 2.0 * sums[..., 0] + mean_norm
                - np.einsum("ctj,ctj->ct", coords, coords))
     distances = np.sqrt(np.maximum(squared, 0.0))
-    return (coords[0], distances[0]) if lone else (coords, distances)
+    return coords, distances
 
 
 def _check_seq(dim: int, seq: np.ndarray) -> np.ndarray:
@@ -392,31 +385,27 @@ def _check_seq(dim: int, seq: np.ndarray) -> np.ndarray:
 
 
 def _powers(seqs: np.ndarray) -> np.ndarray:
-    """[x^2 | x] of ... x d steps, which _log_emissions scores and the M-step sums."""
+    """[x^2 | x | 1] of ... x d steps, which _log_emissions scores and the M-step
+    sums: the last column's sum is a state's occupancy."""
     with np.errstate(over="ignore"):  # a step too far for the float range squares to inf
-        return np.concatenate([seqs * seqs, seqs], axis=-1)
+        return np.concatenate([seqs * seqs, seqs, np.ones(seqs.shape[:-1] + (1,))], axis=-1)
 
 
-def _log_emissions(p: _Stacked, powers: np.ndarray, out: np.ndarray | None = None,
-                   const: np.ndarray | None = None) -> np.ndarray:
-    """B x T x N per-state diagonal-Gaussian log densities of B x T x 2d _powers
-    of steps, written to out if given; B is one or more leading axes, along which
-    the powers and the stack's S models broadcast: recognize scores C probes
+def _log_emissions(p: _Stacked, powers: np.ndarray, out: np.ndarray | None = None
+                   ) -> np.ndarray:
+    """B x T x N per-state diagonal-Gaussian log densities of B x T x (2d+1)
+    _powers of steps, written to out if given; B is one or more leading axes, along
+    which the powers and the stack's S models broadcast: recognize scores C probes
     under every model as C x 1 powers. One matmul scores every state, each
-    sequence and model by its own T x 2d by 2d x N product: -0.5 * ([x^2, x] @
-    weights + const). const, if given, is p.const laid along the T steps, S x T x
-    N, which adds in one pass where S x 1 x N adds N values at a time. The
-    rounding error grows as eps * sum((x^2 + means^2) / variances), at most
-    5.5e-12 on ORL-scale KLT features but 0.024 on random 920-pixel raw blocks
-    at the variance floor. A step too far for a state's variance overflows x^2,
-    and its emission is -inf, as _stack makes that of a mean too far for its
+    sequence and model by its own T x (2d+1) by (2d+1) x N product, [x^2, x, 1] @
+    weights. The rounding error grows as eps * sum((x^2 + means^2) / variances),
+    at most 5.5e-12 on ORL-scale KLT features but 0.024 on random 920-pixel raw
+    blocks at the variance floor. A step too far for a state's variance overflows
+    x^2, and its emission is -inf, as _stack makes that of a mean too far for its
     variance.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # matmul can flag an inf square as invalid
-        out = np.matmul(powers, p.weights, out=out)
-    out += p.const[:, None, :] if const is None else const
-    out *= -0.5
-    return out
+        return np.matmul(powers, p.weights, out=out)
 
 
 def _left_to_right(p: _Stacked, logb: np.ndarray, combine: Callable) -> np.ndarray:
@@ -521,7 +510,7 @@ def init_uniform(seqs: list[np.ndarray], n_states: int) -> HmmModel:
 
 def _uniform(p: _Stacked, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uniform-segmentation E-step: scores 0 and the path floor(t*N/T) of every row."""
-    t_len, n = batch.shape[1], p.const.shape[1]
+    t_len, n = batch.shape[1], p.stay.shape[1]
     paths = np.broadcast_to((np.arange(t_len) * n) // t_len, batch.shape[:2])
     return (np.zeros(len(batch)), *_path_posteriors(paths, n))
 
@@ -533,24 +522,26 @@ def _path_posteriors(paths: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     return gamma, np.matmul(gamma[..., :-1, :].mT, gamma[..., 1:, :], dtype=np.float64)
 
 
-def _m_step(trans: np.ndarray, means: np.ndarray, variances: np.ndarray, occupancy: np.ndarray,
-            moments: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:
+def _m_step(trans: np.ndarray, means: np.ndarray, variances: np.ndarray, moments: np.ndarray,
+            counts: np.ndarray) -> tuple[np.ndarray, ...]:
     """The M-step of every training stage, batched over S models: (trans, means,
-    variances, S x N mask of empty states) from each model's occupancy S x N,
-    gamma-weighted sums of _powers S x N x 2d and transition counts S x N x N,
-    summed over its sequences. The variance is E[x^2] - mean^2. Row i becomes
-    (stay[i], move[i]) / their sum, in place in trans; a state never left keeps
-    its row, so the last stays absorbing. An empty state (occupancy at most
-    _GAMMA_FLOOR) keeps its Gaussian; a sum past the float range is left non-finite."""
+    variances, S x N mask of empty states) from each model's gamma-weighted sums
+    of _powers S x N x (2d+1), whose last column is the state's occupancy, and
+    transition counts S x N x N, summed over its sequences. The variance is
+    E[x^2] - mean^2. Row i becomes (stay[i], move[i]) / their sum, in place in
+    trans; a state never left keeps its row, so the last stays absorbing. An
+    empty state (occupancy at most _GAMMA_FLOOR) keeps its Gaussian; a sum past
+    the float range is left non-finite."""
     d, i = means.shape[2], np.arange(trans.shape[1] - 1)
     stay, move = counts[:, i, i], counts[:, i, i + 1]
-    left, empty = stay + move, ~(occupancy > _GAMMA_FLOOR)
+    occupancy = moments[..., -1:]
+    left, empty = stay + move, ~(occupancy[..., 0] > _GAMMA_FLOOR)
     # a row never left divides 0 by 0, and an empty state by its occupancy: neither is kept
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         trans[:, i, i] = np.where(left > 0.0, stay / left, trans[:, i, i])
         trans[:, i, i + 1] = np.where(left > 0.0, move / left, trans[:, i, i + 1])
-        fitted = moments[..., d:] / occupancy[..., None]
-        spread = np.maximum(moments[..., :d] / occupancy[..., None] - fitted ** 2, VAR_FLOOR)
+        fitted = moments[..., d:-1] / occupancy
+        spread = np.maximum(moments[..., :d] / occupancy - fitted ** 2, VAR_FLOOR)
     return (trans, np.where(empty[..., None], means, fitted),
             np.where(empty[..., None], variances, spread), empty)
 
@@ -563,9 +554,11 @@ def _fit(models: list[HmmModel], seqs: list[list[np.ndarray]], tol: float, max_i
     parameters stay stacked, S x N x N and S x N x d. Each iteration batches the
     _powers of every live model's sequences by length, and e_step(params, batch)
     returns the rows' scores B, gamma B x T x N and transition counts B x N x N.
-    A model's total and M-step sums add its rows' in input order (Rabiner 1989,
-    section V); it stops at its own convergence test, or the iteration's one
-    _m_step updates it. Each model updated is built once, at the end.
+    A row's M-step sums are gamma^T _powers, N x (2d+1): those of x^2 and x, and
+    in the last column its state occupancy. A model's total and sums add its
+    rows' in input order (Rabiner 1989, section V); it stops at its own
+    convergence test, or the iteration's one _m_step updates it. Each model
+    updated is built once, at the end.
     """
     if max_iter < 0:
         raise DataError("max_iter must be >= 0")
@@ -576,15 +569,15 @@ def _fit(models: list[HmmModel], seqs: list[list[np.ndarray]], tol: float, max_i
     for s, subject in enumerate(seqs):
         for k, seq in enumerate(subject):
             groups.setdefault(seq.shape[0], []).append((s, k))
-    # per length: (model of each row, its sequence index, B x T x 2d _powers)
+    # per length: (model of each row, its sequence index, B x T x (2d+1) _powers)
     batches = [(*np.array(rows).T, _powers(np.stack([seqs[s][k] for s, k in rows])))
                for rows in groups.values()]
     trans, means, variances, warnings = (np.array([getattr(m, name) for m in models])
                                          for name in ("trans", "means", "variances", "warnings"))
     n, d = means.shape[1:]
-    # sequence k of model s at [k, s], zero past its last: score, occupancy, sums, counts
-    scores, occupancy, moments, counts = (np.zeros((max(map(len, seqs)), len(seqs), *shape))
-                                          for shape in ((), (n,), (n, 2 * d), (n, n)))
+    # sequence k of model s at [k, s], zero past its last: score, sums, counts
+    scores, moments, counts = (np.zeros((max(map(len, seqs)), len(seqs), *shape))
+                               for shape in ((), (n, 2 * d + 1), (n, n)))
     # each model's last total (NaN before its first update), and whether it still iterates
     prev, active = np.full(len(models), np.nan), np.ones(len(models), dtype=bool)
     for iteration in range(max_iter):
@@ -599,7 +592,6 @@ def _fit(models: list[HmmModel], seqs: list[list[np.ndarray]], tol: float, max_i
                     x = powers if rows.size == len(powers) else powers[rows]  # no copy if all live
                     scores[k, s], gamma, counts[k, s] = e_step(p._make(a[s] for a in p), x)
                     gamma = np.ascontiguousarray(gamma, dtype=np.float64)
-                    occupancy[k, s] = gamma.sum(axis=1)
                     # a square or sum past the float range is named once an M-step reads it
                     with np.errstate(invalid="ignore", over="ignore"):
                         moments[k, s] = gamma.mT @ x
@@ -614,7 +606,7 @@ def _fit(models: list[HmmModel], seqs: list[list[np.ndarray]], tol: float, max_i
         update = live[~done]
         with np.errstate(over="ignore"):
             stepped = _m_step(trans[update], means[update], variances[update],
-                              *(sum(a)[update] for a in (occupancy, moments, counts)))
+                              *(sum(a)[update] for a in (moments, counts)))
         broken = ~np.isfinite(stepped[2]).all(axis=2)
         if broken.any():  # name the first such model's first inf square, else its sequence
             at, state = np.argwhere(broken)[0].tolist()  # whose share overflows the state's sum
@@ -638,7 +630,7 @@ def _fit(models: list[HmmModel], seqs: list[list[np.ndarray]], tol: float, max_i
 def _segment(p: _Stacked, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Segmental k-means E-step: Viterbi scores, best paths' 0/1 posteriors and counts."""
     paths, scores = _viterbi(p, _log_emissions(p, batch))
-    return (scores, *_path_posteriors(paths, p.const.shape[1]))
+    return (scores, *_path_posteriors(paths, p.stay.shape[1]))
 
 
 def viterbi_train(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL,
@@ -695,13 +687,11 @@ def baum_welch(model: HmmModel, seqs: list[np.ndarray], tol: float = DEFAULT_TOL
     return _fit([model], [seqs], tol, max_iter, [[] if history is None else history], _expect)[0]
 
 
-def features_for(bank: SubjectBank, images: GrayImage | Sequence[GrayImage]) -> np.ndarray:
-    """Observation sequences of a batch of images, C x T x dim, or of a lone
-    GrayImage, T x dim: observe's KLT coordinates, or raw blocks."""
+def features_for(bank: SubjectBank, images: Sequence[GrayImage]) -> np.ndarray:
+    """Observation sequences of a batch of images, C x T x dim: observe's KLT
+    coordinates, or raw blocks."""
     if bank.klt is not None:
         return observe(images, bank.params, bank.klt)[0]
-    if isinstance(images, GrayImage):
-        return extract_blocks(images, bank.params)
     return np.stack([extract_blocks(image, bank.params) for image in images])
 
 
@@ -800,10 +790,11 @@ def recognize(bank: SubjectBank, images: Sequence[GrayImage],
         raise DataError(f"{len(features)} observation sequences for {len(images)} images")
     labels = bank.labels
     t_len = bank.params.block_count
-    log_paths = _log_path_count(p.const.shape[1], t_len)
+    n = p.stay.shape[1]
+    log_paths = _log_path_count(n, t_len)
     width = PROBE_CHUNK * len(labels)
     # one emission buffer, probe by subject by block by state, reused by every chunk
-    logb = np.empty((min(len(images), PROBE_CHUNK), len(labels), t_len, p.const.shape[1]))
+    logb = np.empty((min(len(images), PROBE_CHUNK), len(labels), t_len, n))
     totals = np.full((len(images), len(labels)), -np.inf)  # forward scores, -inf if not run
     chosen = np.full(len(images), -1)  # with scores=False, a lone candidate's subject
     pending, held = [], 0  # kept columns not yet scored: parts (probes, subjects, emissions)
@@ -811,8 +802,7 @@ def recognize(bank: SubjectBank, images: Sequence[GrayImage],
         probes = images[start:start + PROBE_CHUNK]
         seqs = (features_for(bank, probes) if features is None
                 else np.array(features[start:start + PROBE_CHUNK]))
-        chunk = _log_emissions(p, _powers(_check_seq(p.dim, seqs))[:, None],
-                               out=logb[:len(probes)], const=bank.block_const)
+        chunk = _log_emissions(p, _powers(_check_seq(p.dim, seqs))[:, None], out=logb[:len(probes)])
         best = _left_to_right(p, chunk, lambda t, stayed, step: np.maximum(
             stayed, step, out=stayed))[-1].max(axis=0)  # probe by subject V
         lead = best.max(axis=1, keepdims=True)

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -506,6 +506,63 @@ def test_mutated_archive_loads_consistently_or_is_data_error(tiny_archives, whic
     assert method_of(model) == records["method"][0]
     assert model.dims == (int(records["dims"][0]), int(records["dims"][1]))
     assert model.labels == sorted(set(records["labels"][1:]))
+
+
+@st.composite
+def array_rewrites(draw):
+    """(archive, record, (rows, cols), fill, whole): an edit of one of tiny_archives
+    that rewrites its array record `record` (modulo their count), header and rows
+    together, to a rows x cols block of the fill values repeated. With whole, a
+    record of an HMM subject takes the subject's other two with it, as a model of
+    `rows` states: trans rows x rows, means and vars rows x cols. No one record
+    alone makes an HMM of 0 states."""
+    return (draw(st.integers(0, 2)), draw(st.integers(0, 1000)),
+            (draw(st.integers(0, 3)), draw(st.integers(0, 3))),
+            draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0, 5e-324, 1e300, np.nan]),
+                          min_size=1, max_size=12)),
+            draw(st.booleans()))
+
+
+def _rewrite_array(lines, name, shape, fill):
+    """Array record `name` of an archive's lines rewritten in place to shape."""
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"array {name} "))
+    values = np.resize(np.array(fill), shape)
+    lines[at:at + 1 + int(lines[at].split()[2])] = (
+        [f"array {name} {shape[0]} {shape[1]}"] + [_hex(*row) for row in values])
+
+
+_VECTORS = {"mean", "eigenvalues", "klt_mean"}  # array records read as one vector
+
+
+@settings(max_examples=150, deadline=None)
+@given(array_rewrites())
+@example((2, 2, (0, 2), [0.0], True))  # the first subject of the HMM bank with 0 states
+def test_rewritten_array_loads_consistently_or_is_data_error(tiny_archives, rewrite):
+    path, texts = tiny_archives
+    which, record, (rows, cols), fill, whole = rewrite
+    lines = texts[which].splitlines()
+    names = [line.split()[1] for line in lines if line.startswith("array ")]
+    name = names[record % len(names)]
+    if whole and name.startswith("model:"):
+        prefix = name.rsplit(":", 1)[0]
+        for field, shape in (("trans", (rows, rows)), ("means", (rows, cols)),
+                             ("vars", (rows, cols))):
+            _rewrite_array(lines, f"{prefix}:{field}", shape, fill)
+    else:
+        _rewrite_array(lines, name, (rows, cols), fill)
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = load_model(path)
+    except DataError:
+        return
+    assert method_of(model) == texts[which].splitlines()[1].split()[1]
+    arrays = _named_arrays(model)
+    for name, rows, cols in (line.split()[1:] for line in lines if line.startswith("array ")):
+        shape = (int(rows), int(cols))
+        assert (arrays[name].size == shape[0] * shape[1] if name in _VECTORS
+                else arrays[name].shape == shape)
 
 
 def _load_bytes(path, data):

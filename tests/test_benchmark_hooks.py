@@ -6,14 +6,19 @@ a move of any of them would break the benchmark without failing a test. The
 wrapping finds bindings by object identity, so two names bound to one
 function (an alias) would merge their counts into one layer. The harness's
 workload and data modules import facelab modules and names too, so they
-are imported here as well.
+are imported here as well, and the dispatch workload's calling conventions
+are pinned: recognize_multi takes its six warm models and settings and the
+image by position, and read_policy_file returns (policy, context, reference).
 """
 
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
+
+from facelab import dispatcher
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
@@ -41,3 +46,19 @@ def test_named_functions_are_distinct_objects():
 @pytest.mark.parametrize("module", ["facebench.workloads", "facebench.data"])
 def test_benchmark_module_imports(module):
     importlib.import_module(module)
+
+
+def test_recognize_multi_takes_the_warm_arguments_then_the_image_by_position():
+    parameters = list(inspect.signature(dispatcher.recognize_multi).parameters.values())
+    assert [p.name for p in parameters] == ["eigen", "fisher", "bank", "frontal_ref", "policy",
+                                            "context", "image"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in parameters)
+
+
+def test_read_policy_file_returns_policy_context_and_reference(tmp_path):
+    policy = dispatcher.DispatchPolicy(tau_illum=4.5, tau_pose=2200.0, tau_occl=0.04)
+    context = dispatcher.ProfileContext(mean_mu=130.0, mean_sigma=2.5, asym_sigma=0.75,
+                                        resid_p99=140.25)
+    path = tmp_path / "policy.cfg"
+    dispatcher.write_policy_file(path, policy, context, "ref.pgm")
+    assert dispatcher.read_policy_file(path) == (policy, context, "ref.pgm")

@@ -443,6 +443,30 @@ def test_archive_with_start_records_is_data_error(banded_dir, tmp_path, capsys):
         assert "start" in captured.err
 
 
+def test_zero_state_hmm_archive_is_data_error(banded_dir, tmp_path, capsys):
+    model = tmp_path / "hmm.ffm"
+    assert main(["train", "--method", "hmm", "--dataset", str(banded_dir),
+                 "--out", str(model)]) == 0
+
+    def zero_states(lines):  # the first subject's three arrays, headers and rows, as 0 states
+        for field in ("vars", "means", "trans"):
+            at = next(i for i, line in enumerate(lines) if line.startswith("array model:")
+                      and line.split()[1].endswith(f":{field}"))
+            _, name, rows, cols = lines[at].split()
+            lines[at:at + 1 + int(rows)] = [f"array {name} 0 {0 if field == 'trans' else cols}"]
+
+    _rewrite(model, zero_states)
+    probe = sorted((banded_dir / "s01").glob("*.pgm"))[0]
+    capsys.readouterr()
+    for argv in (["inspect", "--model", str(model)],
+                 ["recognize", "--model", str(model), "--image", str(probe)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error:") and captured.err.count("\n") == 1
+        assert "state" in captured.err
+
+
 def _comma_in_label(lines):
     at = next(i for i, line in enumerate(lines) if line.startswith("labels "))
     lines[at] = lines[at].replace(" s04", " s,04")

@@ -126,7 +126,7 @@ class TestBlockResiduals:
                 probe = _crop(probe, width)
                 blocks = extract_blocks(probe, params)
                 expected = affine_coords(blocks, klt.mean, klt.basis.T)
-                error = np.linalg.norm(observe(probe, params, klt)[0] - expected, axis=1)
+                error = np.linalg.norm(observe([probe], params, klt)[0][0] - expected, axis=1)
                 assert np.all(error <= 1e-12 * np.linalg.norm(blocks - klt.mean, axis=1))
 
     @pytest.mark.parametrize("name", ["overlap_0", "whole_image"])
@@ -288,16 +288,16 @@ class TestRecognizeMulti:
         probe = GrayImage(img.h, img.w, np.roll(img.pixels, 1, axis=0))
         real_observe, observed = hmm1d.observe, []
 
-        def spy(image, params, klt):
-            observed.append(image)
-            return real_observe(image, params, klt)
+        def spy(images, params, klt):
+            observed.append(list(images))
+            return real_observe(images, params, klt)
 
         monkeypatch.setattr(hmm1d, "observe", spy)
         pose_only = DispatchPolicy(tau_illum=1e9, tau_pose=0.0, tau_occl=1.0)
         method, label, prof = recognize_multi(m.eigen, m.fisher, m.bank, m.frontal, pose_only,
                                               m.context, probe)
         assert method == METHOD_HMM and prof.pose_deviation > 0.0
-        assert observed == [probe]
+        assert observed == [[probe]]
         assert label == hmm1d.recognize(m.bank, [probe])[0][0]
         assert prof == profile(probe, m.eigen, m.frontal, m.bank, m.context)
 

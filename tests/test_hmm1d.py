@@ -130,7 +130,7 @@ def direct_loglik(model, seq):
 
 def oracle_scores(bank, image):
     """(observations, every subject's loglik in label order): the exhaustive recognizer."""
-    obs = features_for(bank, image)
+    obs = features_for(bank, [image])[0]
     return obs, np.array([loglik(bank.models[lb], obs) for lb in bank.labels])
 
 
@@ -242,7 +242,7 @@ class TestKlt:
         pixels[0] = klt.mean
         pixels[1] = klt.mean + klt.basis[1]
         assert 0.0 <= pixels.min() and pixels.max() <= 255.0
-        coords, residuals = observe(GrayImage(12, 6, pixels), params, klt)
+        [coords], [residuals] = observe([GrayImage(12, 6, pixels)], params, klt)
         assert coords.shape == (12, 3) and residuals.shape == (12,)
         assert np.allclose(coords[0], 0.0, atol=1e-10)
         assert np.allclose(coords[1], [0.0, 1.0, 0.0], atol=1e-8)
@@ -379,7 +379,7 @@ class TestKlt:
         frame = klt.frame(params.image_dims[1])
         assert not frame.flags.writeable
         for pixels in images + [rng.uniform(0.0, 255.0, size=params.image_dims)]:
-            coords, residuals = observe(GrayImage(*params.image_dims, pixels), params, klt)
+            [coords], [residuals] = observe([GrayImage(*params.image_dims, pixels)], params, klt)
             want_coords, want_residuals = self._observe_by_slices(pixels, params, klt)
             assert coords.tobytes() == want_coords.tobytes()
             assert residuals.tobytes() == want_residuals.tobytes()
@@ -393,9 +393,10 @@ class TestKlt:
         params = BlockParams(2, 1, (4, 3))
         klt = KltBasis(np.zeros(6), np.eye(6)[:2])
         with pytest.raises(DataError, match="dims"):
-            observe(GrayImage(3, 4, np.zeros((3, 4))), params, klt)  # transposed
+            observe([GrayImage(3, 4, np.zeros((3, 4)))], params, klt)  # transposed
         with pytest.raises(DataError, match="KLT dimension 4 does not match block dimension 6"):
-            observe(GrayImage(4, 3, np.zeros((4, 3))), params, KltBasis(np.zeros(4), np.eye(4)[:2]))
+            observe([GrayImage(4, 3, np.zeros((4, 3)))], params,
+                    KltBasis(np.zeros(4), np.eye(4)[:2]))
 
 
 def two_pass_reestimate(model, seqs, paths):
@@ -961,7 +962,7 @@ class TestBatchedKernels:
                           residuals=residuals)
         params, klt = bank.params, bank.klt
         assert [resids.tobytes() for resids in residuals] == [
-            observe(image, params, klt)[1].tobytes() for _, image in entries]
+            observe([image], params, klt)[1][0].tobytes() for _, image in entries]
         images = [image for _, _, image in banded.train_entries + banded.test_entries][::2]
         count = 2 * PROBE_CHUNK + 3
         assert count <= len(images)
@@ -969,7 +970,7 @@ class TestBatchedKernels:
         assert coords.shape == (count, params.block_count, klt.dim)
         assert distances.shape == (count, params.block_count)
         for image, got_coords, got_distances in zip(images, coords, distances):
-            want_coords, want_distances = observe(image, params, klt)
+            [want_coords], [want_distances] = observe([image], params, klt)
             assert got_coords.tobytes() == want_coords.tobytes()
             assert got_distances.tobytes() == want_distances.tobytes()
 
@@ -981,7 +982,7 @@ class TestBatchedKernels:
         # is not named
         bank = banded_models.bank
         probes = [image for _, _, image in banded.test_entries][:PROBE_CHUNK]
-        features = [features_for(bank, image).copy() for image in probes]
+        features = [features_for(bank, [image])[0] for image in probes]
         at = PROBE_CHUNK // 2
         features[at][7, 3] = bad
         features[at + 2][1, 0] = bad
@@ -995,7 +996,7 @@ class TestBatchedKernels:
         bank = banded_models.bank
         probes = [image for _, _, image in banded.test_entries][:2]
         with pytest.raises(DataError, match="2 observation sequences for 1 images"):
-            recognize(bank, probes[:1], [features_for(bank, image) for image in probes])
+            recognize(bank, probes[:1], features_for(bank, probes))
 
     @pytest.fixture
     def mixed_lengths(self):
@@ -1038,7 +1039,7 @@ class TestBatchedKernels:
         bank = train_bank(entries, BlockParams(4, 3, (24, 8)), n_states=4, klt_dim=3)
         iterations, empty_states = [], 0
         for label, batched in bank.models.items():
-            seqs = [features_for(bank, image) for lb, image in entries if lb == label]
+            seqs = [features_for(bank, [image])[0] for lb, image in entries if lb == label]
             segmental, em = [], []
             alone = baum_welch(viterbi_train(init_uniform(seqs, 4), seqs, history=segmental),
                                seqs, history=em)
@@ -1211,7 +1212,7 @@ class TestExpandedEmissions:
                                              for i in range(subjects)})
         probes = [GrayImage(112, 92, rng.uniform(0.0, 255.0, (112, 92)))
                   for _ in range(4 * PROBE_CHUNK)]
-        recognize(bank, probes[:1])  # builds the frame, centre and block_const it keeps
+        recognize(bank, probes[:1])  # builds the KLT frame and centre it keeps
         peaks = []
         for count in (PROBE_CHUNK, 4 * PROBE_CHUNK):
             forward_widths.clear()
@@ -1323,7 +1324,7 @@ class TestBoundedRecognition:
         log_paths = hmm1d._log_path_count(5, bank.params.block_count)
         cases = []
         for _, _, image in banded.test_entries:
-            obs = features_for(bank, image)
+            obs = features_for(bank, [image])[0]
             best = np.sort([viterbi(bank.models[lb], obs)[1] for lb in bank.labels])
             cases.append((best[-1] - best[-2] - log_paths, best[-1], image))
         gap, lead, image = min((case for case in cases if case[0] > 0.0), key=lambda c: c[0])
@@ -1342,7 +1343,7 @@ class TestBoundedRecognition:
         spread = lr_model([(0.5, 0.5)] * 4 + [(1.0, 0.0)], [[0.0]] * 5, [[1.0]] * 5)
         bank = SubjectBank(BlockParams(1, 0, (4, 1)), None, {"a": stay, "b": spread})
         image = GrayImage(4, 1, np.zeros((4, 1)))
-        obs = features_for(bank, image)
+        obs = features_for(bank, [image])[0]
         assert viterbi(stay, obs)[1] > viterbi(spread, obs)[1]
         for scores in (True, False):
             [(label, _)] = recognize(bank, [image], scores=scores)
