@@ -64,8 +64,8 @@ def _face_space_format(kind, scalars: tuple[str, ...], basis: str, gallery: str)
 
     def read(r: _Reader, dims: tuple[int, int]):
         values = {name: r.read_scalar(name) for name in scalars}
-        mean = r.read_array("mean").reshape(-1)
-        eigenvalues = r.read_array("eigenvalues").reshape(-1)
+        mean = r.read_array("mean", vector=True)
+        eigenvalues = r.read_array("eigenvalues", vector=True)
         basis_array = r.read_array(basis)
         row_labels = tuple(r.read_labels())
         gallery_array = r.read_array(gallery)
@@ -138,7 +138,8 @@ class _Reader:
             raise DataError(f"{self.path}: expected {keyword!r} record, got {_quote(line)}")
         return parts[1:]
 
-    def read_array(self, name: str) -> np.ndarray:
+    def read_array(self, name: str, vector: bool = False) -> np.ndarray:
+        """The array record `name`; a vector is written as one row, and read as that row."""
         args = self.expect("array")
         if len(args) != 3 or args[0] != name:
             raise DataError(f"{self.path}: expected array {name!r}, got {args!r}")
@@ -148,6 +149,8 @@ class _Reader:
             raise DataError(f"{self.path}: malformed array header for {name!r}") from None
         if rows < 0 or cols < 0:
             raise DataError(f"{self.path}: negative array shape for {name!r}")
+        if vector and rows != 1:
+            raise DataError(f"{self.path}: array {name!r} has {rows} rows, expected 1")
         width = 16 * cols + 1
         end = self.pos + rows * width
         # each row ends in "\n" at its width; a claim past the file allocates nothing
@@ -162,7 +165,7 @@ class _Reader:
         if not np.isfinite(out).all():
             raise DataError(f"{self.path}: non-finite value in array {name!r}")
         self.pos = end
-        return out
+        return out[0] if vector else out
 
     def _block_error(self, name: str, rows: int, cols: int) -> DataError:
         """The error of an array block that does not decode, from a walk over
@@ -229,7 +232,7 @@ def _load_bank(r: _Reader, dims: tuple[int, int]) -> SubjectBank:
     params = BlockParams(height, overlap, dims)
     klt = None
     if mode == FEATURE_KLT:
-        klt_mean = r.read_array("klt_mean").reshape(-1)
+        klt_mean = r.read_array("klt_mean", vector=True)
         klt_basis = r.read_array("klt_basis")
         klt = KltBasis(klt_mean, klt_basis)
     labels = r.read_labels()

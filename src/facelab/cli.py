@@ -143,7 +143,7 @@ def _cmd_train(args) -> int:
     eigen, fisher = _train_faces(vectors(), args.k, dims)
     models = {"eigen": eigen, "fisher": fisher, "hmm": trainers["hmm"]()}
     policy, context, ref = dispatcher.calibrate([img for _, img in images], models["eigen"],
-                                                models["hmm"], residuals)
+                                                residuals)
     # no file is replaced before all four are written; the policy goes first, so that a
     # reference path it cannot hold (absolute, to be found from any working directory)
     # stops train before any file is written

@@ -65,6 +65,12 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes | None, int]:
     return data[start:pos], pos
 
 
+def _raster_tokens(data: bytes) -> list[bytes]:
+    """The tokens that repeated _next_token calls give, in one pass: each line
+    split on whitespace up to its first #, as a comment runs to a CR or an LF."""
+    return [tok for line in data.splitlines() for tok in line.partition(b"#")[0].split()]
+
+
 def _parse_header(data: bytes) -> tuple[bytes, int, int, int, int]:
     """Parse 'magic width height maxval'; returns fields plus end position."""
     magic, pos = _next_token(data, 0)
@@ -102,10 +108,7 @@ def load_pgm(data: bytes) -> GrayImage:
         px = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
     else:
         values = []
-        while True:
-            tok, pos = _next_token(data, pos)
-            if tok is None:
-                break
+        for tok in _raster_tokens(data[pos:]):
             try:
                 values.append(int(tok))
             except ValueError:

@@ -4,7 +4,8 @@ A probe is profiled on three axes before classification: pose deviation
 (weight-space distance from a designated representative frontal face),
 illumination deviation (standardized mean-intensity shift plus left/right
 asymmetry), and occlusion degree (fraction of blocks whose KLT residual is
-abnormal), all three taken by one kernel, _measures, for a probe or a batch.
+abnormal), all three taken by one kernel, _measures, for a probe or a batch;
+_profile is a probe's one profile path, which profile and recognize_multi share.
 A fixed-priority threshold rule routes the probe to the eigenface, fisherface,
 or HMM recognizer. Its thresholds are percentiles of the kernel's measures of
 clean training images, which also give the standardization; none is learned.
@@ -140,41 +141,40 @@ def _pose_offsets(images: list[GrayImage], eigen: eigenfaces.EigenModel,
                            for rows in eigen.probe_rows(images)])
 
 
-def _measures(images: list[GrayImage], eigen: eigenfaces.EigenModel, frontal_ref: np.ndarray,
-              residuals: list[np.ndarray], context: ProfileContext,
-              illumination: np.ndarray | None = None, offsets: np.ndarray | None = None
-              ) -> np.ndarray:
-    """Each image's ImageProfile fields as a row (pose, illumination, occlusion),
-    given its block_residuals and, when the caller has them, the images'
-    illumination deviations and _pose_offsets; DataError for a residual list of
-    another length or an empty residual array, and, in ImageProfile's words, for
-    the first row that is not finite. The pose is the norm of U^T (x - ref), the
-    image's weights less the reference's."""
-    if len(residuals) != len(images):
-        raise DataError(f"{len(residuals)} residual arrays for {len(images)} images")
+def _measures(offsets: np.ndarray, illumination: np.ndarray, residuals: list[np.ndarray],
+              context: ProfileContext) -> np.ndarray:
+    """Each image's ImageProfile fields as a row (pose, illumination, occlusion)
+    from its _pose_offsets row, illumination deviation and block_residuals;
+    DataError for a residual list of another length or an empty residual array,
+    and, in ImageProfile's words, for the first row that is not finite."""
+    if len(residuals) != len(offsets):
+        raise DataError(f"{len(residuals)} residual arrays for {len(offsets)} images")
     for i, resids in enumerate(residuals):
         if np.size(resids) == 0:
             raise DataError(f"image {i} has no block residuals")
-    if offsets is None:
-        offsets = _pose_offsets(images, eigen, frontal_ref)
-    poses = np.linalg.norm(offsets, axis=1)
-    if illumination is None:
-        illumination = _illumination(_brightness(images), context)
     occlusion = [np.count_nonzero(resids > context.resid_p99) / resids.size for resids in residuals]
-    measures = np.column_stack([poses, illumination, occlusion])
+    measures = np.column_stack([np.linalg.norm(offsets, axis=1), illumination, occlusion])
     if not np.isfinite(measures).all():  # no field can be negative
         bad = measures[~np.isfinite(measures).all(axis=1)][0]
         raise DataError(f"profile fields must be finite and non-negative: {tuple(bad.tolist())}")
     return measures
 
 
+def _profile(image: GrayImage, eigen: eigenfaces.EigenModel, frontal_ref: np.ndarray,
+             bank: hmm1d.SubjectBank, context: ProfileContext
+             ) -> tuple[ImageProfile, np.ndarray, np.ndarray]:
+    """(profile, KLT coordinates, 1 x K pose offset U^T (x - ref)) of a probe,
+    projected (reference, then dims, checked) and observed (bank checked) once."""
+    offset = _pose_offsets([image], eigen, frontal_ref)
+    coords, residuals = _observe(bank, image)
+    rows = _measures(offset, _illumination(_brightness([image]), context), [residuals], context)
+    return ImageProfile(*rows[0].tolist()), coords, offset
+
+
 def profile(image: GrayImage, eigen: eigenfaces.EigenModel, frontal_ref: np.ndarray,
             bank: hmm1d.SubjectBank, context: ProfileContext) -> ImageProfile:
-    """A probe's pose, illumination and occlusion: _measures of a batch of one."""
-    frontal_ref = check_face(frontal_ref, eigen.mean)  # checked before the bank and the image
-    residuals = block_residuals(bank, image)  # checks the dims
-    check_face(image.pixels, eigen.mean)
-    return ImageProfile(*_measures([image], eigen, frontal_ref, [residuals], context)[0].tolist())
+    """A probe's pose, illumination and occlusion, as recognize_multi takes them."""
+    return _profile(image, eigen, frontal_ref, bank, context)[0]
 
 
 def select(prof: ImageProfile, policy: DispatchPolicy) -> str:
@@ -202,21 +202,21 @@ def calibrate_policy(train_images: list[GrayImage], eigen: eigenfaces.EigenModel
     illumination, when the caller has it, each image's illumination deviation."""
     if not train_images:
         raise DataError("no training images to calibrate on")
-    measures = _measures(train_images, eigen, frontal_ref, residuals, context, illumination)
+    if illumination is None:
+        illumination = _illumination(_brightness(train_images), context)
+    measures = _measures(_pose_offsets(train_images, eigen, frontal_ref), illumination,
+                         residuals, context)
     pose, illum, occl = np.percentile(measures, POLICY_PERCENTILE, axis=0).tolist()
     return DispatchPolicy(tau_illum=illum, tau_pose=pose, tau_occl=occl)
 
 
 def calibrate(train_images: list[GrayImage], eigen: eigenfaces.EigenModel,
-              bank: hmm1d.SubjectBank, residuals: list[np.ndarray] | None = None
-              ) -> tuple[DispatchPolicy, ProfileContext, int]:
+              residuals: list[np.ndarray]) -> tuple[DispatchPolicy, ProfileContext, int]:
     """(policy, context, index of the frontal reference) from clean training
-    images. The reference is the most representative frontal face: the least
-    illumination score, the first one on ties. residuals, when the caller has
-    them (hmm1d.train_bank's), are each image's block_residuals; each image's
-    brightness and illumination are taken once."""
-    if residuals is None:
-        residuals = [block_residuals(bank, img) for img in train_images]
+    images and their block_residuals, one array per image, as
+    hmm1d.train_bank(..., residuals=...) measures them. The reference is the
+    most representative frontal face: the least illumination score, the first
+    one on ties. Each image's brightness and illumination are taken once."""
     brightness = _brightness(train_images)
     context = calibrate_context(train_images, residuals, brightness)
     illumination = _illumination(brightness, context)
@@ -237,21 +237,17 @@ def recognize_multi(
 ) -> tuple[str, str, ImageProfile]:
     """Profile, select a recognizer, and delegate; returns (method, label, profile).
 
-    The image is observed once: the profile reads its block residuals, and the
-    HMM route its block coordinates. It is projected onto the eigenfaces once:
-    the pose is the norm of its offset U^T (x - ref), and the eigen route
-    classifies on offset + EigenModel.reference_weights(ref), its weights
-    U^T (x - mean) to rounding (about 1e-14 relative).
+    The image is observed once, by _profile: the profile reads its block
+    residuals, and the HMM route its block coordinates. It is projected onto the
+    eigenfaces once: the pose is the norm of its offset U^T (x - ref), and the
+    eigen route classifies on offset + EigenModel.reference_weights(ref), its
+    weights U^T (x - mean) to rounding (about 1e-14 relative).
     """
     if not eigen.labels == fisher.labels == bank.labels:
         raise DataError("models were trained on different label sets")
     if not eigen.dims == fisher.dims == bank.dims:
         raise DataError("models were trained on different image dimensions")
-    frontal_ref = check_face(frontal_ref, eigen.mean)  # before the bank and the image
-    coords, residuals = _observe(bank, image)  # checks the dims
-    offset = _pose_offsets([image], eigen, frontal_ref)
-    prof = ImageProfile(*_measures([image], eigen, frontal_ref, [residuals], context,
-                                   offsets=offset)[0].tolist())
+    prof, coords, offset = _profile(image, eigen, frontal_ref, bank, context)
     method = select(prof, policy)
     if method == METHOD_HMM:
         return method, hmm1d.recognize(bank, [image], [coords], scores=False)[0][0], prof

@@ -796,7 +796,6 @@ def recognize(bank: SubjectBank, images: Sequence[GrayImage],
     # one emission buffer, probe by subject by block by state, reused by every chunk
     logb = np.empty((min(len(images), PROBE_CHUNK), len(labels), t_len, n))
     totals = np.full((len(images), len(labels)), -np.inf)  # forward scores, -inf if not run
-    chosen = np.full(len(images), -1)  # with scores=False, a lone candidate's subject
     pending, held = [], 0  # kept columns not yet scored: parts (probes, subjects, emissions)
     for start in range(0, len(images), PROBE_CHUNK):
         probes = images[start:start + PROBE_CHUNK]
@@ -808,9 +807,9 @@ def recognize(bank: SubjectBank, images: Sequence[GrayImage],
         lead = best.max(axis=1, keepdims=True)
         # written as "not below" so that a NaN keeps every subject, as the forward pass would
         keep = ~(best + (log_paths + BOUND_MARGIN * (1.0 + np.abs(lead))) < lead)
-        if not scores:  # the one candidate left to a probe is the winner
-            alone = np.count_nonzero(keep, axis=1) == 1
-            chosen[start:start + len(probes)] = np.where(alone, np.argmax(keep, axis=1), -1)
+        if not scores:  # the one candidate left to a probe wins: 0.0 against a row of -inf
+            alone = np.flatnonzero(np.count_nonzero(keep, axis=1) == 1)
+            totals[start + alone, np.argmax(keep[alone], axis=1)] = 0.0
             keep[alone] = False
         rows, cols = np.nonzero(keep)
         if rows.size:
@@ -821,10 +820,8 @@ def recognize(bank: SubjectBank, images: Sequence[GrayImage],
             held = sum(len(part[0]) for part in pending)
     # labels are sorted and argmax returns the first maximum: ties keep the lowest label
     winners = np.argmax(totals, axis=1)
-    if scores:
-        return list(zip([labels[w] for w in winners.tolist()],
-                        totals[np.arange(len(images)), winners].tolist()))
-    return [(labels[w], None) for w in np.where(chosen < 0, winners, chosen).tolist()]
+    return [(labels[w], score if scores else None) for w, score in
+            zip(winners.tolist(), totals[np.arange(len(images)), winners].tolist())]
 
 
 def _score(p: _Stacked, pending: list[tuple[np.ndarray, ...]], width: int,

@@ -56,12 +56,15 @@ def banded_models(banded):
     images = [(lb, im) for lb, _, im in banded.train_entries]
     eigen = train_eigen(vectors, 12, BANDED_DIMS)
     fisher = train_fisher(vectors, BANDED_DIMS)
-    bank = train_bank(images, BlockParams(10, 9, BANDED_DIMS), n_states=5, klt_dim=10)
+    residuals = []  # each training image's block residuals, as train --method all takes them
+    bank = train_bank(images, BlockParams(10, 9, BANDED_DIMS), n_states=5, klt_dim=10,
+                      residuals=residuals)
     train_images = [im for _, im in images]
-    policy, context, ref_idx = dispatcher.calibrate(train_images, eigen, bank)
+    policy, context, ref_idx = dispatcher.calibrate(train_images, eigen, residuals)
     return SimpleNamespace(
         eigen=eigen, fisher=fisher, bank=bank, context=context, policy=policy,
         frontal=flatten(train_images[ref_idx]), frontal_idx=ref_idx, train_images=train_images,
+        residuals=residuals,
     )
 
 

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from facelab import archive, bench
 from facelab.archive import load_model, method_of, save_model
+from facelab.cli import main
 from facelab.dataset import GrayImage, flatten
 from facelab.eigenfaces import EigenModel, classify, train_eigen
 from facelab.errors import DataError
@@ -531,7 +532,7 @@ def _rewrite_array(lines, name, shape, fill):
         [f"array {name} {shape[0]} {shape[1]}"] + [_hex(*row) for row in values])
 
 
-_VECTORS = {"mean", "eigenvalues", "klt_mean"}  # array records read as one vector
+_VECTORS = {"mean", "eigenvalues", "klt_mean"}  # one-row array records read as one vector
 
 
 @settings(max_examples=150, deadline=None)
@@ -561,8 +562,25 @@ def test_rewritten_array_loads_consistently_or_is_data_error(tiny_archives, rewr
     arrays = _named_arrays(model)
     for name, rows, cols in (line.split()[1:] for line in lines if line.startswith("array ")):
         shape = (int(rows), int(cols))
-        assert (arrays[name].size == shape[0] * shape[1] if name in _VECTORS
-                else arrays[name].shape == shape)
+        assert arrays[name].shape == ((shape[1],) if name in _VECTORS and shape[0] == 1
+                                      else shape)
+
+
+def test_vector_record_of_two_rows_is_data_error(tiny_archives, capsys):
+    # the writer puts a vector on one row; klt_mean's 6 values on 2 rows of 3 are refused
+    path, texts = tiny_archives
+    lines = texts[2].splitlines()
+    assert any(line.startswith("array klt_mean 1 6") for line in lines)
+    _rewrite_array(lines, "klt_mean", (2, 3), [0.0, 0.5, 1.0, 2.0, -1.0, 0.25])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="array 'klt_mean' has 2 rows, expected 1$"):
+        load_model(path)
+    capsys.readouterr()
+    assert main(["inspect", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error:") and captured.err.count("\n") == 1
+    assert "klt_mean" in captured.err
 
 
 def _load_bytes(path, data):

@@ -299,6 +299,22 @@ def test_assess_on_label_mismatched_models_is_data_error(trained_all, banded_dir
         assert captured.err == "data error: models were trained on different label sets\n"
 
 
+def test_multi_on_raw_feature_hmm_is_data_error(trained_all, banded_dir, tmp_path, capsys):
+    # the occlusion profile reads residuals from the KLT basis, which a raw bank lacks
+    models = tmp_path / "models"
+    shutil.copytree(trained_all, models)
+    assert main(["train", "--method", "hmm", "--features", "raw", "--dataset", str(banded_dir),
+                 "--out", str(models / "hmm.ffm")]) == 0
+    probe = sorted((banded_dir / "s01").glob("*.pgm"))[0]
+    capsys.readouterr()
+    for argv in (["recognize", "--model", str(models), "--multi"],
+                 ["assess", "--models", str(models)]):
+        assert main(argv + ["--policy", str(models / "policy.cfg"), "--image", str(probe)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "data error: occlusion profiling requires a KLT-based bank\n"
+
+
 def test_policy_with_default_method_is_data_error(trained_all, banded_dir, tmp_path, capsys):
     # written before select always fell back to eigen: train again
     policy = tmp_path / "policy.cfg"

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facelab.dataset import (HEADER_BYTES, GrayImage, SplitSpec, flatten, load_pgm,
-                             load_pgm_file, read_pgm_dims, scan_dataset, split, write_pgm)
+from facelab.dataset import (HEADER_BYTES, GrayImage, SplitSpec, _next_token, _raster_tokens,
+                             flatten, load_pgm, load_pgm_file, read_pgm_dims, scan_dataset,
+                             split, write_pgm)
 from facelab.errors import DataError
 
 
@@ -21,6 +22,32 @@ class TestLoadPgm:
     def test_p2_token_mapping(self):
         img = load_pgm(b"P2\n1 1\n255\n7")
         assert np.array_equal(img.pixels, [[7]])
+
+    @given(st.lists(st.sampled_from([b" ", b"\t", b"\x0b", b"\x0c", b"\r", b"\n", b"\r\n",
+                                     b"#", b"# c 9", b"7", b"12", b"x", b"\x1c", b"\x85"]),
+                    max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_raster_tokens_are_the_next_tokens(self, parts):
+        data = b"".join(parts)
+        expected, pos = [], 0
+        while True:
+            tok, pos = _next_token(data, pos)
+            if tok is None:
+                break
+            expected.append(tok)
+        assert _raster_tokens(data) == expected
+
+    def test_commented_p2_decodes_as_its_p5(self, banded):
+        # a comment after every row, a "#" glued to the last value of every third row,
+        # and LF, CRLF and CR line ends in turn
+        image = load_pgm_file(banded.train_entries[0][1])
+        ends = [b"\n", b"\r\n", b"\r"]
+        rows = [b" ".join(b"%d" % v for v in row) + (b"#x" if i % 3 == 0 else b" # row")
+                + ends[i % 3] for i, row in enumerate(image.pixels.astype(int).tolist())]
+        text = b"P2 # magic\n%d %d\n255\n" % (image.w, image.h) + b"".join(rows)
+        again = load_pgm(text)
+        assert (again.h, again.w) == (image.h, image.w)
+        assert again.pixels.tobytes() == image.pixels.tobytes()
 
     def test_truncated_p5(self):
         with pytest.raises(DataError, match="truncated"):

@@ -201,9 +201,20 @@ class TestCalibration:
 
     def test_duplicated_frontal_ref_resolves_to_first_copy(self, banded_models):
         # every image twice: each score ties with its copy's, and the first copy wins
-        images = banded_models.train_images
-        _, _, ref = calibrate(images + images, banded_models.eigen, banded_models.bank)
+        images, residuals = banded_models.train_images, banded_models.residuals
+        _, _, ref = calibrate(images + images, banded_models.eigen, residuals + residuals)
         assert ref == banded_models.frontal_idx
+
+    def test_training_residuals_calibrate_as_block_residuals(self, banded_models):
+        # the fixture calibrates on train_bank's residuals; each image's block_residuals
+        # are the same arrays, and give the same (policy, context, ref), bit for bit
+        m = banded_models
+        residuals = [block_residuals(m.bank, img) for img in m.train_images]
+        assert len(m.residuals) == len(residuals)
+        for trained, alone in zip(m.residuals, residuals):
+            assert trained.tobytes() == alone.tobytes()
+        assert (repr(calibrate(m.train_images, m.eigen, residuals))
+                == repr((m.policy, m.context, m.frontal_idx)))
 
     def test_context_requires_images(self):
         with pytest.raises(DataError):
@@ -238,7 +249,10 @@ class TestCalibration:
         m = banded_models
         assert len(m.train_images) % PROBE_CHUNK != 0
         residuals = [block_residuals(m.bank, img) for img in m.train_images]
-        chunked = dispatcher._measures(m.train_images, m.eigen, m.frontal, residuals, m.context)
+        chunked = dispatcher._measures(
+            dispatcher._pose_offsets(m.train_images, m.eigen, m.frontal),
+            dispatcher._illumination(dispatcher._brightness(m.train_images), m.context),
+            residuals, m.context)
         alone = np.array([dataclasses.astuple(profile(img, m.eigen, m.frontal, m.bank, m.context))
                           for img in m.train_images])
         assert chunked[:, 0] == pytest.approx(alone[:, 0], rel=1e-12, abs=0.0)
