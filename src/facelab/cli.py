@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from .eigenfaces import EigenModel, component_count, train_eigen
 from .errors import DataError, FacelabError, NumericError
 from .fisherfaces import FisherModel, train_fisher
 from .hmm1d import BlockParams, SubjectBank, train_bank
-from .numerics import face_pca, sample_matrix
+from .numerics import face_pca
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -162,10 +163,13 @@ def _train_faces(faces: list[tuple[str, np.ndarray]], k: int, dims: tuple[int, i
     """Eigenfaces and fisherfaces from one face_pca, solved for the more of
     eigen's min(k, M - 1) directions and fisher's N - c, after train_eigen's
     own argument checks, so that errors come in the order of training each
-    alone. Each keeps a prefix of the shared basis."""
+    alone. Each keeps a prefix of the shared basis. Only eigen reads the
+    centred rows, so they are dropped before fisher trains."""
     count = max(component_count(faces, k), len(faces) - len({label for label, _ in faces}))
-    pca = face_pca(*sample_matrix(faces, dims), count)
-    return train_eigen(faces, k, dims, pca), train_fisher(faces, dims, pca)
+    pca = face_pca(faces, dims, count)
+    eigen = train_eigen(faces, k, dims, pca)
+    pca = replace(pca, centred=None)
+    return eigen, train_fisher(faces, dims, pca)
 
 
 def _load_dispatch(models_dir: Path, policy_path: Path) -> tuple[

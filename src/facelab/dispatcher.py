@@ -113,9 +113,11 @@ def calibrate_context(train_images: list[GrayImage], residuals: list[np.ndarray]
                       brightness: np.ndarray | None = None) -> ProfileContext:
     """Standardization statistics from clean training images and their
     block_residuals, one array per image; brightness, when the caller has it,
-    is the images' _brightness."""
+    is the images' _brightness. DataError for no images, or residuals that
+    are not one non-empty array per image."""
     if not train_images:
         raise DataError("no training images to calibrate on")
+    _check_residuals(residuals, len(train_images))
     means, asyms = _brightness(train_images) if brightness is None else brightness
     return ProfileContext(
         mean_mu=float(means.mean()),
@@ -141,17 +143,22 @@ def _pose_offsets(images: list[GrayImage], eigen: eigenfaces.EigenModel,
                            for rows in eigen.probe_rows(images)])
 
 
+def _check_residuals(residuals: list[np.ndarray], n_images: int) -> None:
+    """DataError unless there is one residual array per image and none is empty."""
+    if len(residuals) != n_images:
+        raise DataError(f"{len(residuals)} residual arrays for {n_images} images")
+    for i, resids in enumerate(residuals):
+        if np.size(resids) == 0:
+            raise DataError(f"image {i} has no block residuals")
+
+
 def _measures(offsets: np.ndarray, illumination: np.ndarray, residuals: list[np.ndarray],
               context: ProfileContext) -> np.ndarray:
     """Each image's ImageProfile fields as a row (pose, illumination, occlusion)
     from its _pose_offsets row, illumination deviation and block_residuals;
     DataError for a residual list of another length or an empty residual array,
     and, in ImageProfile's words, for the first row that is not finite."""
-    if len(residuals) != len(offsets):
-        raise DataError(f"{len(residuals)} residual arrays for {len(offsets)} images")
-    for i, resids in enumerate(residuals):
-        if np.size(resids) == 0:
-            raise DataError(f"image {i} has no block residuals")
+    _check_residuals(residuals, len(offsets))
     occlusion = [np.count_nonzero(resids > context.resid_p99) / resids.size for resids in residuals]
     measures = np.column_stack([np.linalg.norm(offsets, axis=1), illumination, occlusion])
     if not np.isfinite(measures).all():  # no field can be negative

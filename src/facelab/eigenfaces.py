@@ -18,8 +18,8 @@ from .dataset import GrayImage
 from .errors import DataError
 # Bound here, not called: sym_eigen for benchmarks/tests, and project (the weights
 # omega = U^T (face - mean) of one face under an eigen model) for the tests.
-from .numerics import (FacePca, FaceSpace, affine_coords, affine_residual, check_face, face_pca,
-                       label_slices, nearest, project, sample_matrix, sym_eigen)
+from .numerics import (PROBE_CHUNK, FacePca, FaceSpace, affine_coords, affine_residual, check_face,
+                       face_pca, label_slices, nearest, project, sym_eigen)
 
 FACE = "face"
 UNKNOWN_FACE = "unknown-face"
@@ -116,20 +116,30 @@ def train_eigen(
     k is a request: the retained count is min(k, M-1, surviving rank), the
     rank cut being numerics.gram_pca's. pca, when given, is face_pca of these
     samples for at least that many directions, shared with another trainer;
-    otherwise it is solved here for exactly that many. Thresholds:
+    otherwise it is solved here for exactly that many. The gallery and the
+    training residuals are read from pca's centred rows, the residuals
+    PROBE_CHUNK rows at a time, so no M x D copy or reconstruction is formed.
+    Thresholds:
     theta_face = 3x the 95th percentile of training face-space residuals,
     theta_known = 3x the largest intra-class gallery distance (both get a
     small scale-relative floor so full-rank self-matching stays stable).
     """
     count = component_count(samples, k)
     if pca is None:
-        pca = face_pca(*sample_matrix(samples, dims), count)
-    gamma, labels = pca.rows, pca.labels  # M x D
+        pca = face_pca(samples, dims, count)
+    centred, labels = pca.centred, pca.labels  # M x D
     basis, lam = np.ascontiguousarray(pca.basis[:, :count]), pca.eigenvalues[:count].copy()
 
-    gallery, train_dffs = affine_residual(gamma, pca.mean, basis)  # one row per image
+    gallery = centred @ basis  # one weight row per image
+    # distances from face space of the centred rows (mean 0), PROBE_CHUNK rows at a time;
+    # the last chunk is moved back to hold PROBE_CHUNK rows where there are that many,
+    # as a one-row product rounds otherwise than the rows of a larger one
+    train_dffs = np.empty(len(centred))
+    for start in range(0, len(centred), PROBE_CHUNK):
+        rows = slice(max(min(start, len(centred) - PROBE_CHUNK), 0), start + PROBE_CHUNK)
+        train_dffs[rows] = affine_residual(centred[rows], 0.0, basis, gallery[rows])[1]
 
-    scale = float(np.sqrt(pca.spread / len(gamma)))
+    scale = float(np.sqrt(pca.spread / len(centred)))
     theta_face = max(3.0 * float(np.percentile(train_dffs, 95)), 1e-9 * scale)
     largest_intra = max(float(np.linalg.norm(gallery[rows] - row, axis=1).max())
                         for rows in label_slices(labels).values()

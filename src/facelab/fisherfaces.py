@@ -9,7 +9,7 @@ c - 1 discriminant directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -106,18 +106,19 @@ def train_fisher(
     exactly N - c. The model keeps only the composed projection W_opt =
     W_pca W_fld. Its columns have unit Euclidean norm (the PCA basis is
     orthonormal, so the unit-norm reduced columns carry that norm) and are
-    sign-fixed.
+    sign-fixed. The class means are taken from the raw sample vectors, so
+    training reads no centred row of pca.
     """
-    gamma, labels, dims = ((pca.rows, pca.labels, pca.dims) if pca is not None
-                           else sample_matrix(samples, dims))  # N x D
+    by_label = sorted(samples, key=lambda sample: sample[0])  # sample_matrix's row order
+    labels = tuple(label for label, _ in by_label)
     classes = label_slices(labels)
     c, n_total = len(classes), len(labels)
     if c < 2:
         raise DataError(f"need at least 2 classes, got {c}")
     if n_total < c + 1:
         raise DataError(f"need at least c + 1 = {c + 1} images, got {n_total}")
-    if pca is None:
-        pca = face_pca(gamma, labels, dims, n_total - c)
+    if pca is None:  # fisher reads no centred row: drop them before its own transients
+        pca = replace(face_pca(samples, dims, n_total - c), centred=None)
     mean, basis = pca.mean, pca.basis[:, :n_total - c]
 
     scatter = compute_scatter(list(zip(labels, pca.coords[:, :n_total - c])))
@@ -143,9 +144,12 @@ def train_fisher(
         raise NumericError(f"generalized eigen residual {worst:g} exceeds bound")
 
     projection = fix_signs(basis @ fld)
-    class_means = np.vstack([gamma[s].mean(axis=0) for s in classes.values()])
+    # the raw sample vectors' class means, one class stacked at a time
+    class_means = np.vstack([
+        np.asarray([np.reshape(vec, -1) for _, vec in by_label[s]], dtype=np.float64).mean(axis=0)
+        for s in classes.values()])
     centroids = affine_coords(class_means, mean, projection)
-    return FisherModel(dims, mean, projection, lam, centroids, tuple(classes))
+    return FisherModel(pca.dims, mean, projection, lam, centroids, tuple(classes))
 
 
 def classify_rows(model: FisherModel, faces: np.ndarray) -> list[tuple[str, float]]:

@@ -348,10 +348,12 @@ def sample_matrix(samples: list[tuple[str, np.ndarray]], dims: tuple[int, int] |
 
 @dataclass(frozen=True)
 class FacePca:
-    """Sample vectors, their mean, and the principal directions of the centred
-    vectors: the one PCA that eigenfaces and fisherfaces both start from."""
+    """Sample vectors less their mean, and the principal directions of those
+    centred vectors: the one PCA that eigenfaces and fisherfaces both start from."""
 
-    rows: np.ndarray  # M x D, sample_matrix's
+    # M x D, sample_matrix's rows centred in place; their transpose is the D x M
+    # centred columns phi. None once no trainer reads them.
+    centred: np.ndarray | None
     labels: tuple[str, ...]  # label of each row
     dims: tuple[int, int]
     mean: np.ndarray  # length D
@@ -361,19 +363,25 @@ class FacePca:
     coords: np.ndarray  # M x keep, the centred rows in the basis
 
 
-def face_pca(rows: np.ndarray, labels: tuple[str, ...], dims: tuple[int, int], k: int
+def face_pca(samples: list[tuple[str, np.ndarray]], dims: tuple[int, int] | None, k: int
              ) -> FacePca:
-    """FacePca of sample_matrix's (rows, labels, dims) with gram_pca's top
-    min(k, surviving rank) directions; NumericError when centring leaves only
-    rounding. A trainer that keeps fewer directions takes a prefix of the
-    basis, so trainers that share one FacePca share one solve. The D x M
-    centred columns are not kept: their coordinates are."""
+    """FacePca of labelled sample vectors (sample_matrix's samples and dims)
+    with gram_pca's top min(k, surviving rank) directions; NumericError when
+    centring leaves only rounding. A trainer that keeps fewer directions takes
+    a prefix of the basis, so trainers that share one FacePca share one solve.
+
+    The sample matrix is built here and centred in place, so no caller's array
+    is written, and training holds one copy of the samples, centred: no raw
+    copy beside it and no D x M one."""
+    rows, labels, dims = sample_matrix(samples, dims)
+    raw_trace = np.einsum("ij,ij->", rows, rows)
     mean = rows.mean(axis=0)
-    phi = rows.T - mean[:, None]
+    rows -= mean
+    phi = rows.T  # the D x M centred columns, a view
     spread = float(np.einsum("ij,ij->", phi, phi))
-    require_spread(spread, np.einsum("ij,ij->", rows, rows))
+    require_spread(spread, raw_trace)
     basis, lam = gram_pca(phi, k)
-    return FacePca(rows, labels, dims, mean, spread, basis, lam, phi.T @ basis)
+    return FacePca(rows, labels, dims, mean, spread, basis, lam, rows @ basis)
 
 
 def label_slices(labels: tuple[str, ...]) -> dict[str, slice]:

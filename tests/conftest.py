@@ -93,8 +93,8 @@ def train_fisher_keeping_pca(monkeypatch):
     the model itself keeps only the composed projection."""
     real_face_pca, seen = fisherfaces.face_pca, []
 
-    def spy(rows, labels, dims, k):
-        seen.append(real_face_pca(rows, labels, dims, k))
+    def spy(samples, dims, k):
+        seen.append(real_face_pca(samples, dims, k))
         return seen[-1]
 
     monkeypatch.setattr(fisherfaces, "face_pca", spy)

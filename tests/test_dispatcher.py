@@ -220,6 +220,20 @@ class TestCalibration:
         with pytest.raises(DataError):
             calibrate_context([], [])
 
+    @pytest.mark.parametrize("n_images, residuals, message", [
+        (2, [], "^0 residual arrays for 2 images$"),
+        (2, [np.zeros(0)], "^1 residual arrays for 2 images$"),
+        (2, [np.ones(3)], "^1 residual arrays for 2 images$"),
+        (1, [np.zeros(0)], "^image 0 has no block residuals$"),
+        (2, [np.ones(3), np.zeros(0)], "^image 1 has no block residuals$"),
+    ], ids=["none", "empty_one_for_two", "one_for_two", "empty", "second_empty"])
+    def test_context_residuals_are_one_nonempty_array_per_image(self, n_images, residuals,
+                                                                message):
+        # _measures' checks and wording, before any residual is read
+        image = GrayImage(2, 2, np.arange(4.0).reshape(2, 2))
+        with pytest.raises(DataError, match=message):
+            calibrate_context([image] * n_images, residuals)
+
     def test_policy_requires_images(self, banded_models):
         m = banded_models
         with pytest.raises(DataError, match="^no training images to calibrate on$"):

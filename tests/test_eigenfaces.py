@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facelab import eigenfaces
+from facelab import eigenfaces, synth
 from facelab.dataset import flatten
 from facelab.eigenfaces import (EigenModel, FACE, FACE_SPACE_MARGIN, NOT_A_FACE, UNKNOWN_FACE,
                                 classify, classify_rows, predicted_label, project, reconstruct,
@@ -22,6 +22,22 @@ def _random_training(rng, m, d, labels=("a", "b")):
 
 
 class TestTrainEigen:
+    @pytest.mark.parametrize("m", [9, 17, 24])
+    def test_training_residuals_are_rows_of_one_product(self, monkeypatch, m):
+        # train_eigen takes its training distances from face space PROBE_CHUNK rows at a
+        # time, and each has the bits of one M-row affine_residual, also when the last
+        # chunk would hold one row; theta_face reads them through np.percentile
+        seen = []
+        real_percentile = np.percentile
+        monkeypatch.setattr(np, "percentile",
+                            lambda a, q: seen.append(np.array(a)) or real_percentile(a, q))
+        samples = [(label, flatten(image))
+                   for label, image in synth.make_banded_dataset(5, 5, 56, 46)[:m]]
+        model = train_eigen(samples, 40)
+        rows = np.array([vec for _, vec in sorted(samples, key=lambda sample: sample[0])])
+        [train_dffs] = seen
+        assert train_dffs.tobytes() == affine_residual(rows, model.mean, model.basis)[1].tobytes()
+
     def test_two_point_hand_solved(self):
         # Gram matrix of the centered pair has the single nonzero eigenvalue 1
         # with eigenvector (1,-1)/sqrt(2); mapping back gives the same direction

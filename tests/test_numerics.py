@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import facelab
-from facelab import numerics, synth
+from facelab import cli, numerics, synth
 from facelab.dataset import flatten
 from facelab.eigenfaces import EigenModel, train_eigen
 from facelab.errors import DataError, NumericError, SingularOrIndefinite
@@ -440,22 +440,52 @@ def test_sample_matrix_rows_are_sorted_stably_by_label():
         sample_matrix([("a", [1.0, 2.0])], (2, 2))
 
 
+def _traced_peak(train, entries) -> float:
+    """The tracemalloc peak of training on the entries' flatten views, in M x D
+    float64 sample matrices."""
+    samples = [(label, flatten(image)) for label, image in entries]
+    matrix_bytes = len(samples) * samples[0][1].size * 8
+    tracemalloc.start()
+    try:
+        train(samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / matrix_bytes
+
+
 @pytest.mark.parametrize("train", [lambda samples: train_eigen(samples, 40, (112, 92)),
                                    lambda samples: train_fisher(samples, (112, 92))],
                          ids=["eigen", "fisher"])
 def test_training_holds_the_samples_once(train):
-    # flatten's views share the pixels, and both trainers fit from one M x D sample
-    # matrix: with its centred columns and affine_residual's centred rows and their
-    # reconstruction, the peak is about 4.4 matrices
-    entries = synth.make_banded_dataset(20, 5, 112, 92)
-    matrix_bytes = len(entries) * 112 * 92 * 8
-    tracemalloc.start()
-    try:
-        train([(label, flatten(image)) for label, image in entries])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * matrix_bytes
+    # flatten's views share the pixels, and each trainer fits from one M x D sample
+    # matrix, centred in place: eigen peaks at about 1.6 matrices (the matrix and its
+    # 40 directions), fisher at about 1.8 (the matrix and its 80 directions, in
+    # face_pca; fisher drops the centred rows before its own transients)
+    assert _traced_peak(train, synth.make_banded_dataset(20, 5, 112, 92)) < 3
+
+
+def test_training_both_face_models_holds_the_samples_once():
+    # train --method all fits both from one face_pca: the centred matrix, its 80
+    # directions and eigen's 40 peak at about 2.4 matrices. The centred rows are
+    # dropped before fisher trains; kept, they would lift the peak to about 3.
+    peak = _traced_peak(lambda samples: cli._train_faces(samples, 40, (112, 92)),
+                        synth.make_banded_dataset(20, 5, 112, 92))
+    assert peak < 2.75
+
+
+@pytest.mark.parametrize("train", [lambda samples: train_eigen(samples, 40, (16, 12)),
+                                   lambda samples: train_fisher(samples, (16, 12)),
+                                   lambda samples: cli._train_faces(samples, 40, (16, 12))],
+                         ids=["eigen", "fisher", "both"])
+def test_training_leaves_the_callers_arrays_alone(train):
+    # face_pca centres a sample matrix of its own in place, never a caller's vector
+    samples = [(label, image.pixels.copy()) for label, image in
+               synth.make_banded_dataset(4, 3, 16, 12)]
+    before = [vec.tobytes() for _, vec in samples]
+    assert all(vec.flags.writeable for _, vec in samples)
+    train(samples)
+    assert [vec.tobytes() for _, vec in samples] == before
 
 
 @pytest.mark.parametrize("kind", [EigenModel, FisherModel])
